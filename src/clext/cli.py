@@ -147,9 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("spectrum", parents=[common], help="oscillator levels and clusters")
     sub.add_parser("classify", parents=[common], help="which Fock representation exists")
 
-    solve = sub.add_parser("pssqm-solve", parents=[common, pssqm],
-                           help="solve the sector-shift chain")
-    del solve
+    sub.add_parser("pssqm-solve", parents=[common, pssqm], help="solve the sector-shift chain")
 
     check = sub.add_parser("pssqm-check", parents=[common, pssqm],
                            help="verify the order-p relations")

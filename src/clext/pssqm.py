@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    CONSTRAINT_TOL,
     AlgebraSpec,
     _partial_sums,
     classify,
@@ -52,13 +53,11 @@ from .errors import (
     WrongOrderError,
 )
 from .fock import TruncatedFockRep, build_fock_rep
-from .spectrum import degeneracy_profile, shifted_hamiltonian
+from .spectrum import DEFAULT_CLUSTER_TOL, degeneracy_profile, shifted_hamiltonian
 from .verify import interior_max_abs
 
 DEFAULT_PSSQM_TOL = 1e-10
 DEFAULT_SSQM_TOL = 1e-13
-DEFAULT_CLUSTER_TOL = 1e-8
-CONSTRAINT_TOL = 1e-12
 
 #: Matrix precision for relation checks.  Words of length p+1 at the
 #: default truncation reach entry magnitudes around 1e5, where plain double

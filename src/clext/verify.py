@@ -1,7 +1,8 @@
 """Numerical verification of the algebra's defining relations.
 
-Every relation is evaluated as a dense matrix difference LHS - RHS and
-reduced to the maximum absolute entry over the truncation interior.  The
+Every relation is evaluated as dense matrix differences LHS - RHS, each
+reduced as soon as it is formed to the maximum absolute entry over the
+truncation interior, so no relation family is held in memory.  The
 interior margin equals the relation's word length (the largest number of
 ladder factors in any term), because each ladder factor can propagate the
 truncation artifact at most one state down from the top.
@@ -10,6 +11,8 @@ truncation artifact at most one state down from the top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -89,11 +92,15 @@ class ResidualReport:
 
 
 def _collect(checks, tol: float, dim: int) -> ResidualReport:
+    """Reduce each ``(relation, word_length, diff)`` as it arrives.
+
+    Consecutive yields of one relation form one entry whose residual is the
+    largest over its differences, so only the difference being reduced is
+    held, never the whole family.
+    """
     entries = []
-    for relation, word_length, diffs in checks:
-        if isinstance(diffs, np.ndarray):
-            diffs = [diffs]
-        residual = max(interior_max_abs(diff, word_length) for diff in diffs)
+    for (relation, word_length), group in groupby(checks, key=itemgetter(0, 1)):
+        residual = max(interior_max_abs(diff, word_length) for _, _, diff in group)
         entries.append(
             RelationResidual(
                 relation=relation,
@@ -106,6 +113,53 @@ def _collect(checks, tol: float, dim: int) -> ResidualReport:
     return ResidualReport(entries=tuple(entries), tolerance=tol, dim=dim)
 
 
+def _projector_checks(proj, identity):
+    """Orthogonality P_m P_n = delta_mn P_m, then completeness sum(P) = 1."""
+    for m in range(len(proj)):
+        for n in range(len(proj)):
+            yield "projector_orthogonality", 0, proj[m] @ proj[n] - (proj[m] if m == n else 0.0)
+    yield "projector_completeness", 0, sum(proj) - identity
+
+
+def _defining_checks(rep: TruncatedFockRep):
+    spec = rep.spec
+    lam = spec.lam
+    a, adag, num, t_gen, proj = rep.a, rep.adag, rep.num, rep.T, rep.P
+    identity = np.eye(rep.dim, dtype=a.dtype)
+    q = np.exp(2j * np.pi / lam)
+
+    t_powers = [identity]
+    for _ in range(lam):
+        t_powers.append(t_powers[-1] @ t_gen)
+
+    commutator = a @ adag - adag @ a
+
+    yield "t_cyclic", 0, t_powers[lam] - identity
+    yield "commutator_T", 2, commutator - (
+        identity + sum(spec.kappa[m - 1] * t_powers[m] for m in range(1, lam))
+    )
+    yield "number_lowering", 1, num @ a - a @ num + a
+    yield "number_raising", 1, num @ adag - adag @ num - adag
+    yield "number_T_commutes", 0, num @ t_gen - t_gen @ num
+    yield "quommutation_a", 1, a @ t_gen - q * (t_gen @ a)
+    yield "quommutation_adag", 1, adag @ t_gen - np.conj(q) * (t_gen @ adag)
+    yield "hermiticity_N", 0, num - num.conj().T
+    yield "hermiticity_a", 0, adag.conj().T - a
+    yield "unitarity_T", 0, t_gen.conj().T - np.diag(1.0 / np.diag(t_gen))
+    yield "commutator_P", 2, commutator - (
+        identity + sum(spec.alpha[m] * proj[m] for m in range(lam))
+    )
+    for p in proj:
+        yield "number_P_commutes", 0, num @ p - p @ num
+    for m in range(lam):
+        yield "sector_shift_a", 1, a @ proj[m] - proj[(m - 1) % lam] @ a
+    for m in range(lam):
+        yield "sector_shift_adag", 1, adag @ proj[m] - proj[(m + 1) % lam] @ adag
+    yield from _projector_checks(proj, identity)
+    for p in proj:
+        yield "hermiticity_P", 0, p - p.conj().T
+
+
 def verify_defining_relations(rep: TruncatedFockRep, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Check every defining relation, in both the T form and the P form.
 
@@ -115,55 +169,27 @@ def verify_defining_relations(rep: TruncatedFockRep, tol: float = DEFAULT_TOL) -
     projector orthogonality and completeness, and the Hermiticity and
     unitarity conditions.  Failures show up as report entries, not errors.
     """
-    spec = rep.spec
-    lam = spec.lam
-    a, adag, num, t_gen, proj = rep.a, rep.adag, rep.num, rep.T, rep.P
-    dim = rep.dim
-    identity = np.eye(dim, dtype=a.dtype)
-    q = np.exp(2j * np.pi / lam)
+    return _collect(_defining_checks(rep), tol, rep.dim)
+
+
+def _projector_algebra_checks(rep: TruncatedFockRep):
+    lam = rep.spec.lam
+    proj = rep.P
+    identity = np.eye(rep.dim, dtype=rep.T.dtype)
 
     t_powers = [identity]
-    for _ in range(lam):
-        t_powers.append(t_powers[-1] @ t_gen)
+    for _ in range(lam - 1):
+        t_powers.append(t_powers[-1] @ rep.T)
 
-    commutator = a @ adag - adag @ a
-    kappa_side = identity + sum(
-        spec.kappa[m - 1] * t_powers[m] for m in range(1, lam)
-    )
-    alpha_side = identity + sum(spec.alpha[m] * proj[m] for m in range(lam))
-
-    checks = [
-        ("t_cyclic", 0, t_powers[lam] - identity),
-        ("commutator_T", 2, commutator - kappa_side),
-        ("number_lowering", 1, num @ a - a @ num + a),
-        ("number_raising", 1, num @ adag - adag @ num - adag),
-        ("number_T_commutes", 0, num @ t_gen - t_gen @ num),
-        ("quommutation_a", 1, a @ t_gen - q * (t_gen @ a)),
-        ("quommutation_adag", 1, adag @ t_gen - np.conj(q) * (t_gen @ adag)),
-        ("hermiticity_N", 0, num - num.conj().T),
-        ("hermiticity_a", 0, adag.conj().T - a),
-        ("unitarity_T", 0, t_gen.conj().T - np.diag(1.0 / np.diag(t_gen))),
-        ("commutator_P", 2, commutator - alpha_side),
-        ("number_P_commutes", 0, [num @ p - p @ num for p in proj]),
-        ("sector_shift_a", 1, [a @ proj[m] - proj[(m - 1) % lam] @ a for m in range(lam)]),
-        (
-            "sector_shift_adag",
-            1,
-            [adag @ proj[m] - proj[(m + 1) % lam] @ adag for m in range(lam)],
-        ),
-        (
-            "projector_orthogonality",
-            0,
-            [
-                proj[m] @ proj[n] - (proj[m] if m == n else 0.0)
-                for m in range(lam)
-                for n in range(lam)
-            ],
-        ),
-        ("projector_completeness", 0, sum(proj) - identity),
-        ("hermiticity_P", 0, [p - p.conj().T for p in proj]),
-    ]
-    return _collect(checks, tol, dim)
+    yield from _projector_checks(proj, identity)
+    for mu in range(lam):
+        yield "projector_from_T", 0, proj[mu] - sum(
+            np.exp(-2j * np.pi * mu * nu / lam) * t_powers[nu] for nu in range(lam)
+        ) / lam
+    for nu in range(lam):
+        yield "T_from_projectors", 0, t_powers[nu] - sum(
+            np.exp(2j * np.pi * mu * nu / lam) * proj[mu] for mu in range(lam)
+        )
 
 
 def verify_projector_algebra(rep: TruncatedFockRep, tol: float = DEFAULT_TOL) -> ResidualReport:
@@ -173,36 +199,4 @@ def verify_projector_algebra(rep: TruncatedFockRep, tol: float = DEFAULT_TOL) ->
     each projector from the powers of T, and of each power of T from the
     projectors.  All operators are diagonal, so the margin is zero.
     """
-    lam = rep.spec.lam
-    dim = rep.dim
-    proj = rep.P
-    identity = np.eye(dim, dtype=rep.T.dtype)
-
-    t_powers = [identity]
-    for _ in range(lam - 1):
-        t_powers.append(t_powers[-1] @ rep.T)
-
-    from_t = [
-        sum(np.exp(-2j * np.pi * mu * nu / lam) * t_powers[nu] for nu in range(lam)) / lam
-        for mu in range(lam)
-    ]
-    from_p = [
-        sum(np.exp(2j * np.pi * mu * nu / lam) * proj[mu] for mu in range(lam))
-        for nu in range(lam)
-    ]
-
-    checks = [
-        (
-            "projector_orthogonality",
-            0,
-            [
-                proj[m] @ proj[n] - (proj[m] if m == n else 0.0)
-                for m in range(lam)
-                for n in range(lam)
-            ],
-        ),
-        ("projector_completeness", 0, sum(proj) - identity),
-        ("projector_from_T", 0, [proj[mu] - from_t[mu] for mu in range(lam)]),
-        ("T_from_projectors", 0, [t_powers[nu] - from_p[nu] for nu in range(lam)]),
-    ]
-    return _collect(checks, tol, dim)
+    return _collect(_projector_algebra_checks(rep), tol, rep.dim)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,32 @@ from clext import (
 )
 
 WORKED = from_alpha(3, [1.0, -0.5, -0.5])
+
+DEFINING_ORDER = (
+    ("t_cyclic", 0),
+    ("commutator_T", 2),
+    ("number_lowering", 1),
+    ("number_raising", 1),
+    ("number_T_commutes", 0),
+    ("quommutation_a", 1),
+    ("quommutation_adag", 1),
+    ("hermiticity_N", 0),
+    ("hermiticity_a", 0),
+    ("unitarity_T", 0),
+    ("commutator_P", 2),
+    ("number_P_commutes", 0),
+    ("sector_shift_a", 1),
+    ("sector_shift_adag", 1),
+    ("projector_orthogonality", 0),
+    ("projector_completeness", 0),
+    ("hermiticity_P", 0),
+)
+PROJECTOR_ORDER = (
+    ("projector_orthogonality", 0),
+    ("projector_completeness", 0),
+    ("projector_from_T", 0),
+    ("T_from_projectors", 0),
+)
 
 
 class TestInteriorProjector:
@@ -114,6 +141,36 @@ class TestDefiningRelations:
         assert {r["id"] for r in data["relations"]} >= {"commutator_T", "commutator_P"}
         for row in data["relations"]:
             assert row["pass"] == (row["residual"] <= data["tolerance"])
+
+
+class TestReportShape:
+    """The CLI summary prints entries in report order, so the order is pinned."""
+
+    @pytest.mark.parametrize("lam", (2, 3, 5))
+    def test_relation_order(self, lam):
+        rng = np.random.default_rng(40 + lam)
+        rep = build_fock_rep(from_alpha(lam, sample_bfb_alpha(lam, rng)), 6 * lam)
+        for report, order in (
+            (verify_defining_relations(rep), DEFINING_ORDER),
+            (verify_projector_algebra(rep), PROJECTOR_ORDER),
+        ):
+            assert tuple((e.relation, e.word_length) for e in report.entries) == order
+
+    def test_peak_memory_is_linear_in_lam(self):
+        # Only the rep and the lam + 1 powers of T may stay alive; each
+        # relation difference is reduced before the next one is formed.
+        lam, dim = 16, 192
+        rng = np.random.default_rng(16)
+        rep = build_fock_rep(from_alpha(lam, sample_bfb_alpha(lam, rng)), dim)
+        tracemalloc.start()
+        try:
+            verify_defining_relations(rep)
+            verify_projector_algebra(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = dim * dim * np.dtype(np.complex128).itemsize
+        assert peak <= 2 * (lam + 4) * matrix_bytes, peak / matrix_bytes
 
 
 class TestProjectorAlgebra:
