@@ -19,7 +19,7 @@ All parameter subscripts are understood mod lam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -51,14 +51,15 @@ class AlgebraSpec:
     """Validated parameter set of one algebra of cyclic order ``lam``.
 
     Instances are immutable; build them through :func:`from_kappa` or
-    :func:`from_alpha` rather than directly.
+    :func:`from_alpha` rather than directly.  ``beta`` and ``gamma`` are
+    derived from ``alpha`` on construction.
     """
 
     lam: int
     kappa: np.ndarray   # lam-1 complex couplings kappa_1 .. kappa_{lam-1}
     alpha: np.ndarray   # lam real sector couplings, sum zero
-    beta: np.ndarray    # partial sums of alpha, beta_0 = 0
-    gamma: np.ndarray   # beta + alpha / 2
+    beta: np.ndarray = field(init=False)    # partial sums of alpha, beta_0 = 0
+    gamma: np.ndarray = field(init=False)   # beta + alpha / 2
 
     def __post_init__(self):
         if not isinstance(self.lam, (int, np.integer)) or self.lam < 2:
@@ -66,29 +67,24 @@ class AlgebraSpec:
         object.__setattr__(self, "lam", int(self.lam))
         object.__setattr__(self, "kappa", _locked(np.asarray(self.kappa, dtype=complex)))
         object.__setattr__(self, "alpha", _locked(np.asarray(self.alpha, dtype=float)))
-        object.__setattr__(self, "beta", _locked(np.asarray(self.beta, dtype=float)))
-        object.__setattr__(self, "gamma", _locked(np.asarray(self.gamma, dtype=float)))
 
         lam = self.lam
         if self.kappa.shape != (lam - 1,):
             raise LengthMismatchError(f"kappa must have {lam - 1} entries, got {self.kappa.shape}")
-        for name, vec in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
-            if vec.shape != (lam,):
-                raise LengthMismatchError(f"{name} must have {lam} entries, got {vec.shape}")
+        if self.alpha.shape != (lam,):
+            raise LengthMismatchError(f"alpha must have {lam} entries, got {self.alpha.shape}")
 
+        total = float(self.alpha.sum())
+        if abs(total) > CONSTRAINT_TOL:
+            raise SumNotZeroError(f"alpha must sum to zero, got sum = {total!r}")
         mism = _conjugation_mismatch(self.kappa)
         if mism > CONSTRAINT_TOL:
             raise ConjugationViolationError(
                 f"conj(kappa_mu) != kappa_(lam-mu), worst mismatch {mism:.3e}"
             )
-        total = float(self.alpha.sum())
-        if abs(total) > CONSTRAINT_TOL:
-            raise SumNotZeroError(f"alpha must sum to zero, got sum = {total!r}")
-        # beta and gamma must reproduce the defining arithmetic bit for bit
-        if not np.array_equal(self.beta, _partial_sums(self.alpha)):
-            raise ValueError("beta is not the exact partial-sum vector of alpha")
-        if not np.array_equal(self.gamma, self.beta + self.alpha / 2):
-            raise ValueError("gamma is not exactly beta + alpha/2")
+        beta = _partial_sums(self.alpha)
+        object.__setattr__(self, "beta", _locked(beta))
+        object.__setattr__(self, "gamma", _locked(beta + self.alpha / 2))
 
 
 def _conjugation_mismatch(kappa: np.ndarray) -> float:
@@ -100,11 +96,6 @@ def _conjugation_mismatch(kappa: np.ndarray) -> float:
     for mu in range(1, lam):
         mism = max(mism, abs(np.conj(kappa[mu - 1]) - kappa[lam - mu - 1]))
     return float(mism)
-
-
-def _assemble(lam: int, kappa: np.ndarray, alpha: np.ndarray) -> AlgebraSpec:
-    beta = _partial_sums(alpha)
-    return AlgebraSpec(lam=lam, kappa=kappa, alpha=alpha, beta=beta, gamma=beta + alpha / 2)
 
 
 def from_kappa(lam: int, kappa) -> AlgebraSpec:
@@ -130,7 +121,7 @@ def from_kappa(lam: int, kappa) -> AlgebraSpec:
     imag = float(np.max(np.abs(alpha_c.imag)))
     if imag > CONSTRAINT_TOL:
         raise ConjugationViolationError(f"alpha has imaginary residue {imag:.3e}")
-    return _assemble(lam, kappa, alpha_c.real.copy())
+    return AlgebraSpec(lam=lam, kappa=kappa, alpha=alpha_c.real.copy())
 
 
 def from_alpha(lam: int, alpha) -> AlgebraSpec:
@@ -144,13 +135,10 @@ def from_alpha(lam: int, alpha) -> AlgebraSpec:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (lam,):
         raise LengthMismatchError(f"alpha must have {lam} entries, got {alpha.shape}")
-    total = float(alpha.sum())
-    if abs(total) > CONSTRAINT_TOL:
-        raise SumNotZeroError(f"alpha must sum to zero, got sum = {total!r}")
     nu = np.arange(1, lam)[:, None]
     mu = np.arange(lam)[None, :]
     kappa = (np.exp(-2j * np.pi * mu * nu / lam) * alpha[None, :]).sum(axis=1) / lam
-    return _assemble(lam, kappa, alpha)
+    return AlgebraSpec(lam=lam, kappa=kappa, alpha=alpha)
 
 
 def structure_function(spec: AlgebraSpec, n: int) -> float:
@@ -229,6 +217,13 @@ def energy_values(spec: AlgebraSpec, count: int, dtype=float) -> np.ndarray:
     return n.astype(dtype) + 0.5 + gamma[n % spec.lam]
 
 
+def admits_bfb(alpha) -> bool:
+    """Whether F(mu) > ``CONSTRAINT_TOL`` for mu = 1 .. lam-1: the
+    bounded-from-below verdict of :func:`classify`, without building a spec."""
+    beta = _partial_sums(np.asarray(alpha, dtype=float))
+    return all(m + beta[m] > CONSTRAINT_TOL for m in range(1, len(beta)))
+
+
 def sample_bfb_alpha(
     lam: int,
     rng: np.random.Generator,
@@ -244,7 +239,6 @@ def sample_bfb_alpha(
     for _ in range(max_tries):
         alpha = rng.uniform(low, high, lam)
         alpha -= alpha.mean()
-        beta = _partial_sums(alpha)
-        if all(m + beta[m] > CONSTRAINT_TOL for m in range(1, lam)):
+        if admits_bfb(alpha):
             return alpha
     raise RuntimeError(f"no bounded-from-below alpha found in {max_tries} draws")

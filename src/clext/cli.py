@@ -30,7 +30,8 @@ from .algebra import AlgebraSpec, classify, from_alpha, from_kappa, sample_bfb_a
 from .errors import ClextError, NonUnitaryError, ParseError, ValidationError
 from .fock import build_fock_rep
 from .pssqm import (
-    CHECK_DTYPE,
+    DEFAULT_PSSQM_TOL,
+    DEFAULT_SSQM_TOL,
     bd_scan,
     default_eta,
     ground_energy,
@@ -39,17 +40,17 @@ from .pssqm import (
     ssqm_check,
 )
 from .spectrum import spectrum_report
-from .verify import verify_defining_relations, verify_projector_algebra
+from .verify import DEFAULT_TOL, verify_defining_relations, verify_projector_algebra
 
 MAX_LAMBDA = 64  # CLI cap to bound report sizes; the library imposes none
 DEFAULT_SEED = 42
 DEFAULT_TOLS = {
-    "verify": 1e-12,
+    "verify": DEFAULT_TOL,
     "spectrum": 1e-12,
-    "pssqm-solve": 1e-10,
-    "pssqm-check": 1e-10,
-    "ssqm": 1e-13,
-    "bd-scan": 1e-10,
+    "pssqm-solve": DEFAULT_PSSQM_TOL,
+    "pssqm-check": DEFAULT_PSSQM_TOL,
+    "ssqm": DEFAULT_SSQM_TOL,
+    "bd-scan": DEFAULT_PSSQM_TOL,
     "classify": 1e-12,
     "dump": 1e-12,
 }
@@ -268,6 +269,8 @@ def parse_config(argv) -> RunConfig:
         raise ValidationError(f"ssqm needs lambda = 2, got lambda = {lam}")
 
     samples = pick("samples", "samples")
+    if samples is not None and int(samples) < 1:
+        raise ValidationError(f"samples must be >= 1, got {samples}")
     if alpha is None and kappa is None:
         if command == "bd-scan":
             alpha = [0.0, 0.0, 0.0]

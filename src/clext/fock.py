@@ -53,7 +53,7 @@ def build_fock_rep(spec: AlgebraSpec, dim: int, dtype=np.complex128) -> Truncate
         raise DimensionTooLargeError(
             f"spec admits a {rep_class.dim}-dimensional representation, requested dim {dim}"
         )
-    rdtype = np.empty(0, dtype=dtype).real.dtype
+    rdtype = np.finfo(dtype).dtype
     values = structure_values(spec, dim, dtype=rdtype)
     if np.any(values[1:] < 0):
         bad = int(np.argmax(values[1:] < 0)) + 1
@@ -86,9 +86,8 @@ def casimir(rep: TruncatedFockRep) -> np.ndarray:
     The identity survives truncation exactly (including the top diagonal
     entry) because adag @ a never reaches past the kept states.
     """
-    rdtype = np.empty(0, dtype=rep.a.dtype).real.dtype
-    f_diag = np.diag(structure_values(rep.spec, rep.dim, dtype=rdtype)).astype(rep.a.dtype)
-    return f_diag - rep.adag @ rep.a
+    values = structure_values(rep.spec, rep.dim, dtype=rep.a.real.dtype)
+    return np.diag(values).astype(rep.a.dtype) - rep.adag @ rep.a
 
 
 def grading_sector(rep: TruncatedFockRep, mu: int) -> list[int]:

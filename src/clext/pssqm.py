@@ -38,7 +38,7 @@ import numpy as np
 from .algebra import (
     CONSTRAINT_TOL,
     AlgebraSpec,
-    _partial_sums,
+    admits_bfb,
     classify,
     energy_level,
     from_alpha,
@@ -53,7 +53,7 @@ from .errors import (
     WrongOrderError,
 )
 from .fock import TruncatedFockRep, build_fock_rep
-from .spectrum import DEFAULT_CLUSTER_TOL, degeneracy_profile, shifted_hamiltonian
+from .spectrum import report_dict, shifted_hamiltonian, surviving_clusters
 from .verify import interior_max_abs
 
 DEFAULT_PSSQM_TOL = 1e-10
@@ -188,15 +188,15 @@ def build_supercharge(rep: TruncatedFockRep, mu: int, eta=None) -> np.ndarray:
     """Parasupercharge Q = sum_nu eta_{mu+nu} adag P_{mu+nu}.
 
     Annihilates grading sector mu and raises every other sector by one.
+    Each P_{mu+nu} is diagonal, so Q is adag with column n scaled by the
+    weight of sector n mod lam (eta_{mu+nu}, or 0 for sector mu).
     """
     lam = rep.spec.lam
     if not 0 <= mu < lam:
         raise ValueError(f"mu must lie in 0..{lam - 1}, got {mu}")
-    eta = _normalized_eta(lam, eta)
-    charge = np.zeros_like(rep.a)
-    for nu in range(1, lam):
-        charge = charge + eta[nu - 1] * (rep.adag @ rep.P[(mu + nu) % lam])
-    return charge
+    weights = np.zeros(lam, dtype=complex)
+    weights[(mu + np.arange(1, lam)) % lam] = _normalized_eta(lam, eta)
+    return rep.adag * weights[np.arange(rep.dim) % lam]
 
 
 @dataclass(frozen=True)
@@ -214,19 +214,7 @@ class PssqmReport:
     tolerance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "residual_nilpotency": self.residual_nilpotency,
-            "nonvanishing_witness": self.nonvanishing_witness,
-            "residual_commutator": self.residual_commutator,
-            "residual_multilinear": self.residual_multilinear,
-            "breaking": self.breaking,
-            "ground_energy": self.ground_energy,
-            "ground_multiplicity": self.ground_multiplicity,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+    to_dict = report_dict
 
 
 def khare_check(
@@ -234,14 +222,13 @@ def khare_check(
     charge: np.ndarray,
     hamiltonian: np.ndarray,
     tol: float = DEFAULT_PSSQM_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> PssqmReport:
     """Residuals of the order-p relations for given Q and diagonal H.
 
     Checks Q^{p+1} = 0, [H, Q] = 0, and the multilinear relation, all
     masked with interior margin p + 1, plus the nonvanishing of Q^n for
     n <= p (reported as the smallest unmasked max-entry, which must stay
-    positive).  The
+    positive).  Only the diagonal of H is read.  The
     breaking classification is read off the spectrum of H: a nondegenerate
     ground cluster means unbroken.  Needs dim > lam (p + 1) so that at
     least one complete multiplet survives the cluster cutoff.
@@ -249,6 +236,7 @@ def khare_check(
     p = rep.spec.lam - 1
     lam = rep.spec.lam
     margin = p + 1
+    energies = np.diag(hamiltonian)
 
     powers = [np.eye(rep.dim, dtype=charge.dtype)]
     for _ in range(p + 1):
@@ -257,18 +245,14 @@ def khare_check(
     # nonvanishing needs no interior mask: every entry of Q^n is a true
     # matrix element (truncation only removes paths, never adds them)
     witness = min(float(np.max(np.abs(powers[n]))) for n in range(1, p + 1))
-    commutator = interior_max_abs(hamiltonian @ charge - charge @ hamiltonian, margin)
+    commutator = interior_max_abs(energies[:, None] * charge - charge * energies, margin)
 
     adjoint = charge.conj().T
     lhs = sum(powers[p - k] @ adjoint @ powers[k] for k in range(p + 1))
-    rhs = (2 * p) * (powers[p - 1] @ hamiltonian)
+    rhs = (2 * p) * (powers[p - 1] * energies)
     multilinear = interior_max_abs(lhs - rhs, margin)
 
-    diagonal = np.real(np.diag(hamiltonian)).astype(float)
-    clusters = degeneracy_profile(diagonal, cluster_tol, drop_top=lam * (p + 1))
-    if not clusters:
-        raise ValueError("no clusters survive the truncation cutoff; increase dim")
-    ground = clusters[0]
+    ground = surviving_clusters(np.real(energies), drop_top=lam * (p + 1))[0]
     return PssqmReport(
         order=p,
         residual_nilpotency=nilpotency,
@@ -301,31 +285,17 @@ class BreakingReport:
     predicted_ground_multiplicity: int
     matches_prediction: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "breaking": self.breaking,
-            "ground_energy": self.ground_energy,
-            "ground_multiplicity": self.ground_multiplicity,
-            "excited_multiplicities": list(self.excited_multiplicities),
-            "predicted_ground_multiplicity": self.predicted_ground_multiplicity,
-            "matches_prediction": self.matches_prediction,
-        }
+    to_dict = report_dict
 
 
-def classify_breaking(
-    h_diagonal, mu: int, p: int, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> BreakingReport:
+def classify_breaking(h_diagonal, mu: int, p: int) -> BreakingReport:
     """Classify breaking from the diagonal of a solved shifted Hamiltonian.
 
     Clusters the spectrum with the top lam (p + 1) states excluded (their
     multiplets lose members to truncation) and reads the ground multiplicity
     from the lowest surviving cluster.
     """
-    lam = p + 1
-    clusters = degeneracy_profile(np.asarray(h_diagonal, dtype=float), cluster_tol,
-                                  drop_top=lam * (p + 1))
-    if not clusters:
-        raise ValueError("no clusters survive the truncation cutoff; increase dim")
+    clusters = surviving_clusters(h_diagonal, drop_top=(p + 1) * (p + 1))
     ground = clusters[0]
     excited = tuple(c.multiplicity for c in clusters[1:])
     breaking = "unbroken" if ground.multiplicity == 1 else "broken"
@@ -362,8 +332,6 @@ def solve_and_check(
     eta=None,
     r=None,
     tol: float = DEFAULT_PSSQM_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    dtype=CHECK_DTYPE,
 ) -> KhareRun:
     """Solve the shift chain, build Q and H, and run the full check.
 
@@ -376,13 +344,11 @@ def solve_and_check(
     used = solved if r is None else np.asarray(r, dtype=float)
     if dim is None:
         dim = 10 * lam
-    rep = build_fock_rep(spec, dim, dtype=dtype)
+    rep = build_fock_rep(spec, dim, dtype=CHECK_DTYPE)
     charge = build_supercharge(rep, mu, eta)
     hamiltonian = shifted_hamiltonian(rep, used)
-    report = khare_check(rep, charge, hamiltonian, tol=tol, cluster_tol=cluster_tol)
-    breaking = classify_breaking(
-        np.real(np.diag(hamiltonian)).astype(float), mu, lam - 1, cluster_tol
-    )
+    report = khare_check(rep, charge, hamiltonian, tol=tol)
+    breaking = classify_breaking(np.diag(hamiltonian), mu, lam - 1)
     return KhareRun(report=report, breaking=breaking, solved_r=solved, used_r=used, eta=eta)
 
 
@@ -443,8 +409,7 @@ def find_null_ground_alpha(
         weight = positive[1] / (positive[1] - negative[1])
         candidate = (1 - weight) * positive[0] + weight * negative[0]
         candidate -= candidate.mean()  # restore exact sum zero after rounding
-        beta = _partial_sums(candidate)
-        if not all(m + beta[m] > CONSTRAINT_TOL for m in range(1, lam)):
+        if not admits_bfb(candidate):
             continue
         if abs(ground_energy(from_alpha(lam, candidate), mu)) <= energy_tol:
             return candidate
@@ -465,26 +430,10 @@ class SsqmReport:
     tolerance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "residual_nilpotency": self.residual_nilpotency,
-            "residual_anticommutator": self.residual_anticommutator,
-            "residual_commutator": self.residual_commutator,
-            "ground_energy": self.ground_energy,
-            "ground_multiplicity": self.ground_multiplicity,
-            "excited_multiplicities": list(self.excited_multiplicities),
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+    to_dict = report_dict
 
 
-def ssqm_check(
-    rep: TruncatedFockRep,
-    variant: str,
-    tol: float = DEFAULT_SSQM_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> SsqmReport:
+def ssqm_check(rep: TruncatedFockRep, variant: str, tol: float = DEFAULT_SSQM_TOL) -> SsqmReport:
     """Check one of the two lam = 2 supersymmetry realizations.
 
     unbroken: Q = adag P_1, H = adag a P_0 + a adag P_1 (nondegenerate
@@ -518,9 +467,7 @@ def ssqm_check(
         diagonal = np.where(n % 2 == 0, values[n], values[n + 1])
     else:
         diagonal = np.where(n % 2 == 0, values[n + 1], values[n])
-    clusters = degeneracy_profile(diagonal, cluster_tol, drop_top=4)
-    if not clusters:
-        raise ValueError("no clusters survive the truncation cutoff; increase dim")
+    clusters = surviving_clusters(diagonal, drop_top=4)  # lam (p + 1) at lam = 2
     ground = clusters[0]
     return SsqmReport(
         variant=variant,
@@ -543,12 +490,7 @@ class BdReport:
     bd_compatible: bool
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "bd_compatible": self.bd_compatible,
-            "tolerance": self.tolerance,
-        }
+    to_dict = report_dict
 
 
 def beckers_debergh_check(
@@ -575,7 +517,7 @@ def beckers_debergh_check(
     adjoint = charge.conj().T
     inner = adjoint @ charge - charge @ adjoint
     residual = interior_max_abs(
-        charge @ inner - inner @ charge - 2.0 * (charge @ hamiltonian), 3
+        charge @ inner - inner @ charge - 2.0 * (charge * np.diag(hamiltonian)), 3
     )
     return BdReport(residual=residual, bd_compatible=residual <= tol, tolerance=tol)
 
@@ -586,8 +528,7 @@ class BdScanPoint:
     residual: float | None
     bfb: bool
 
-    def to_dict(self) -> dict:
-        return {"parameter": self.parameter, "residual": self.residual, "bfb": self.bfb}
+    to_dict = report_dict
 
 
 def bd_scan(
@@ -599,7 +540,6 @@ def bd_scan(
     dim: int | None = None,
     eta=None,
     tol: float = DEFAULT_PSSQM_TOL,
-    dtype=CHECK_DTYPE,
 ) -> list[BdScanPoint]:
     """Scan alpha_{mu+2} and record the double-commutator residual.
 
@@ -623,12 +563,11 @@ def bd_scan(
         shift = (base_alpha[index] - t) / 2
         alpha[index] = t
         alpha[others] += shift
-        beta = _partial_sums(alpha)
-        if not all(m + beta[m] > CONSTRAINT_TOL for m in range(1, 3)):
+        if not admits_bfb(alpha):
             results.append(BdScanPoint(parameter=float(t), residual=None, bfb=False))
             continue
         spec = from_alpha(3, alpha)
-        rep = build_fock_rep(spec, dim, dtype=dtype)
+        rep = build_fock_rep(spec, dim, dtype=CHECK_DTYPE)
         report = beckers_debergh_check(rep, mu, eta=eta, tol=tol)
         results.append(BdScanPoint(parameter=float(t), residual=report.residual, bfb=True))
     return results

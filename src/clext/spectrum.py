@@ -2,15 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .algebra import energy_values, structure_values
 from .errors import LengthMismatchError
-from .fock import TruncatedFockRep, grading_sector
+from .fock import TruncatedFockRep
 
 DEFAULT_CLUSTER_TOL = 1e-8
+
+
+def _checked_energies(rep: TruncatedFockRep) -> np.ndarray:
+    """Closed-form E_n, checked to within 1e-13 max(1, |E_n|) of (F(n) + F(n+1))/2."""
+    rdtype = rep.a.real.dtype
+    energies = energy_values(rep.spec, rep.dim, dtype=rdtype)
+    f_values = structure_values(rep.spec, rep.dim + 1, dtype=rdtype)
+    gap = np.abs(energies - (f_values[:-1] + f_values[1:]) / 2)
+    bad = np.flatnonzero(gap > 1e-13 * np.maximum(1, np.abs(energies)))
+    if bad.size:
+        n = bad[0]
+        raise ValueError(f"E_{n} differs from (F({n}) + F({n + 1}))/2 by {float(gap[n]):.3e}")
+    return energies
 
 
 def hamiltonian_h0(rep: TruncatedFockRep) -> np.ndarray:
@@ -18,14 +31,9 @@ def hamiltonian_h0(rep: TruncatedFockRep) -> np.ndarray:
 
     Diagonal entries are the closed-form energies E_n rather than the
     truncated matrix product, which corrupts the top state.  Consistency
-    with (F(n) + F(n+1))/2 is asserted internally.
+    with (F(n) + F(n+1))/2 is checked; a disagreement raises ValueError.
     """
-    rdtype = np.empty(0, dtype=rep.a.dtype).real.dtype
-    energies = energy_values(rep.spec, rep.dim, dtype=rdtype)
-    f_values = structure_values(rep.spec, rep.dim + 1, dtype=rdtype)
-    average = (f_values[:-1] + f_values[1:]) / 2
-    assert float(np.max(np.abs(energies - average))) <= 1e-13
-    return np.diag(energies)
+    return np.diag(_checked_energies(rep))
 
 
 def shifted_hamiltonian(rep: TruncatedFockRep, shifts) -> np.ndarray:
@@ -38,10 +46,22 @@ def shifted_hamiltonian(rep: TruncatedFockRep, shifts) -> np.ndarray:
     shifts = np.asarray(shifts, dtype=float)
     if shifts.shape != (lam,):
         raise LengthMismatchError(f"expected {lam} sector shifts, got {shifts.shape}")
-    rdtype = np.empty(0, dtype=rep.a.dtype).real.dtype
+    rdtype = rep.a.real.dtype
     energies = energy_values(rep.spec, rep.dim, dtype=rdtype)
     n = np.arange(rep.dim)
     return np.diag(energies + shifts.astype(rdtype)[n % lam] / 2)
+
+
+def report_dict(report) -> dict:
+    """The ``to_dict`` of flat report dataclasses: fields in declaration
+    order, ``passed`` emitted as ``"pass"`` and tuples as lists."""
+    out = {}
+    for item in fields(report):
+        value = getattr(report, item.name)
+        out["pass" if item.name == "passed" else item.name] = (
+            list(value) if isinstance(value, tuple) else value
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -50,12 +70,7 @@ class Cluster:
     multiplicity: int
     members: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "energy": self.energy,
-            "multiplicity": self.multiplicity,
-            "members": list(self.members),
-        }
+    to_dict = report_dict
 
 
 def degeneracy_profile(values, cluster_tol: float = DEFAULT_CLUSTER_TOL, drop_top: int = 0):
@@ -99,6 +114,15 @@ def degeneracy_profile(values, cluster_tol: float = DEFAULT_CLUSTER_TOL, drop_to
     return clusters
 
 
+def surviving_clusters(values, drop_top: int) -> list[Cluster]:
+    """:func:`degeneracy_profile` at the default tolerance with the top
+    ``drop_top`` positions cut; raises ValueError when no cluster survives."""
+    clusters = degeneracy_profile(values, DEFAULT_CLUSTER_TOL, drop_top)
+    if not clusters:
+        raise ValueError("no clusters survive the truncation cutoff; increase dim")
+    return clusters
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Levels, degeneracy clusters, and ground-state data of a diagonal Hamiltonian."""
@@ -122,35 +146,21 @@ class SpectrumReport:
         }
 
 
-def spectrum_report(
-    rep: TruncatedFockRep,
-    diagonal=None,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    drop_top: int = 0,
-) -> SpectrumReport:
+def spectrum_report(rep: TruncatedFockRep, diagonal=None, drop_top: int = 0) -> SpectrumReport:
     """Spectrum of a diagonal Hamiltonian over the truncation.
 
-    Defaults to the oscillator Hamiltonian; pass ``diagonal`` to profile a
-    shifted variant instead.  Levels carry their grading sector; clusters
-    follow :func:`degeneracy_profile`.
+    Defaults to the oscillator energies E_n, checked as in
+    :func:`hamiltonian_h0`; pass ``diagonal`` to profile a shifted variant
+    instead.  Levels carry their grading sector n mod lam; clusters follow
+    :func:`degeneracy_profile` at ``DEFAULT_CLUSTER_TOL``.
     """
-    lam = rep.spec.lam
-    if diagonal is None:
-        diagonal = np.diag(hamiltonian_h0(rep))
-    diagonal = np.asarray(diagonal, dtype=float)
-    sectors = np.empty(rep.dim, dtype=int)
-    for mu in range(lam):
-        sectors[grading_sector(rep, mu)] = mu
-    levels = tuple(
-        (int(n), float(diagonal[n]), int(sectors[n])) for n in range(rep.dim)
-    )
-    clusters = tuple(degeneracy_profile(diagonal, cluster_tol, drop_top))
-    if not clusters:
-        raise ValueError("no clusters survive the truncation cutoff; increase dim")
+    diagonal = np.asarray(_checked_energies(rep) if diagonal is None else diagonal, dtype=float)
+    levels = tuple((n, float(diagonal[n]), n % rep.spec.lam) for n in range(rep.dim))
+    clusters = tuple(surviving_clusters(diagonal, drop_top))
     return SpectrumReport(
         levels=levels,
         clusters=clusters,
         ground=clusters[0],
-        cluster_tol=cluster_tol,
+        cluster_tol=DEFAULT_CLUSTER_TOL,
         dropped_top=drop_top,
     )

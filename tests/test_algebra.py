@@ -17,6 +17,7 @@ from clext import (
     sample_bfb_alpha,
     structure_function,
 )
+from clext.algebra import admits_bfb
 
 LAMBDAS = (2, 3, 4, 5, 6)
 
@@ -241,3 +242,39 @@ class TestSampler:
             alpha = sample_bfb_alpha(lam, rng)
             assert abs(alpha.sum()) < 1e-12
             assert classify(from_alpha(lam, alpha)).is_bounded_from_below
+
+
+class TestAdmitsBfb:
+    """admits_bfb is classify's bounded-from-below verdict on a raw alpha."""
+
+    @staticmethod
+    def classify_verdict(lam, alpha):
+        try:
+            return classify(from_alpha(lam, alpha)).is_bounded_from_below
+        except NonUnitaryError:
+            return False
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_agrees_with_classify_on_random_draws(self, lam):
+        rng = np.random.default_rng(900 + lam)
+        verdicts = set()
+        for _ in range(200):
+            alpha = rng.uniform(-2.5, 2.5, lam)
+            alpha -= alpha.mean()
+            verdict = admits_bfb(alpha)
+            assert verdict == self.classify_verdict(lam, alpha)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("alpha", [
+        (-1.0, 1.0),                 # F(1) = 0
+        (-0.5, -1.5, 2.0),           # F(2) = 0
+        (0.25, -2.25, 0.5, 1.5),     # F(2) = 0
+        (1.5, -3.5, -1.0, 3.0),      # F(2) = 0
+        (-0.75, -0.5, -1.75, 3.0),   # F(3) = 0
+    ])
+    def test_exact_zero_is_not_bfb(self, alpha):
+        lam = len(alpha)
+        assert classify(from_alpha(lam, alpha)).kind is RepKind.FINITE_DIM
+        assert admits_bfb(alpha) is False
+        assert self.classify_verdict(lam, alpha) is False

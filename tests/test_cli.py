@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from clext import energy_level, from_alpha
 from clext.cli import main
 
 
@@ -127,6 +128,21 @@ class TestSpectrumCommand:
         assert code == 0
         assert out.splitlines()[1] == "0\t0.5\t0"
 
+    def test_csv_rows_at_dim_600(self, capsys):
+        alpha = [0.5972937831560854, -0.6577684290400543, 0.060474645883968836]
+        code, out, _ = run_cli(
+            ["spectrum", "--alpha", ",".join(map(repr, alpha)), "--dim", "600",
+             "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        spec = from_alpha(3, alpha)
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 600
+        for n, (index, energy, sector) in enumerate(rows):
+            assert (int(index), int(sector)) == (n, n % 3)
+            assert float(energy) == float(format(energy_level(spec, n), ".15g"))
+
     def test_json_report_is_deterministic(self, capsys, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -223,6 +239,14 @@ class TestPssqmCommands:
         assert len(body["rows"]) == 4
         assert body["all_pass"] is True
         assert sum(body["sign_counts"].values()) == 4
+
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_rejected(self, capsys, samples):
+        code, out, err = run_cli(["pssqm-check", "--p", "2", "--samples", samples], capsys)
+        assert code == 2
+        assert out == ""
+        assert "samples must be >= 1" in err
 
 
 class TestSsqmCommand:

@@ -1,11 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
 from clext import (
+    BdReport,
+    BdScanPoint,
+    BreakingReport,
+    Cluster,
     EtaNormViolationError,
     NotBoundedFromBelowError,
     OrderMismatchError,
     PssqmConfig,
+    PssqmReport,
+    SsqmReport,
     WrongLambdaError,
     WrongOrderError,
     bd_scan,
@@ -17,6 +25,7 @@ from clext import (
     find_null_ground_alpha,
     from_alpha,
     ground_energy,
+    interior_max_abs,
     khare_check,
     sample_bfb_alpha,
     sample_ground_energies,
@@ -176,6 +185,20 @@ class TestSupercharge:
         charge = build_supercharge(rep, 1, [np.sqrt(2)])
         np.testing.assert_allclose(charge, np.sqrt(2) * (rep.adag @ rep.P[0]), atol=1e-15)
 
+    def test_matches_projector_products(self):
+        # the column-scaled form is bit-identical to sum_nu eta adag @ P
+        rng = np.random.default_rng(21)
+        for p in (2, 3):
+            lam = p + 1
+            rep = build_fock_rep(from_alpha(lam, sample_bfb_alpha(lam, rng)), 4 * lam,
+                                 dtype=CHECK_DTYPE)
+            for mu in range(lam):
+                eta = random_admissible_eta(p, rng)
+                expected = np.zeros_like(rep.a)
+                for nu in range(1, lam):
+                    expected = expected + eta[nu - 1] * (rep.adag @ rep.P[(mu + nu) % lam])
+                assert np.array_equal(build_supercharge(rep, mu, eta), expected)
+
     def test_nilpotency_is_exact(self):
         rep = build_fock_rep(WORKED, 9)
         charge = build_supercharge(rep, 0)
@@ -258,6 +281,26 @@ class TestKhareCheck:
         hamiltonian = shifted_hamiltonian(rep, solve_r(WORKED, 0))
         report = khare_check(rep, charge, hamiltonian)
         assert report.passed
+
+    def test_residuals_match_dense_products(self):
+        # H is diagonal, so scaling rows or columns by its diagonal gives the
+        # dense products H @ Q, Q @ H and Q^(p-1) @ H bit for bit
+        rng = np.random.default_rng(22)
+        for p in (2, 3):
+            lam = p + 1
+            spec = from_alpha(lam, sample_bfb_alpha(lam, rng))
+            rep = build_fock_rep(spec, 10 * lam, dtype=CHECK_DTYPE)
+            charge = build_supercharge(rep, 1)
+            hamiltonian = shifted_hamiltonian(rep, solve_r(spec, 1))
+            report = khare_check(rep, charge, hamiltonian)
+            commutator = hamiltonian @ charge - charge @ hamiltonian
+            assert report.residual_commutator == interior_max_abs(commutator, p + 1)
+            powers = [np.eye(rep.dim, dtype=charge.dtype)]
+            for _ in range(p):
+                powers.append(powers[-1] @ charge)
+            lhs = sum(powers[p - k] @ charge.conj().T @ powers[k] for k in range(p + 1))
+            rhs = (2 * p) * (powers[p - 1] @ hamiltonian)
+            assert report.residual_multilinear == interior_max_abs(lhs - rhs, p + 1)
 
     def test_witness_positive_at_minimal_dimension(self):
         # Q^n stays visibly nonzero already at two states per sector
@@ -396,3 +439,25 @@ class TestBeckersDebergh:
         compatible = [pt.parameter for pt in points if pt.residual is not None and pt.residual <= 1e-10]
         assert compatible == [-1.0]
         assert all(pt.bfb for pt in points)
+
+
+@pytest.mark.parametrize("report, keys", [
+    (PssqmReport(2, 0.0, 1.0, 0.0, 0.0, "unbroken", -0.25, 1, 1e-10, True),
+     ["order", "residual_nilpotency", "nonvanishing_witness", "residual_commutator",
+      "residual_multilinear", "breaking", "ground_energy", "ground_multiplicity",
+      "tolerance", "pass"]),
+    (BreakingReport("broken", 0.5, 2, (3, 3), 2, True),
+     ["breaking", "ground_energy", "ground_multiplicity", "excited_multiplicities",
+      "predicted_ground_multiplicity", "matches_prediction"]),
+    (SsqmReport("broken", 0.0, 0.0, 0.0, 1.3, 2, (2, 2), 1e-13, True),
+     ["variant", "residual_nilpotency", "residual_anticommutator", "residual_commutator",
+      "ground_energy", "ground_multiplicity", "excited_multiplicities", "tolerance", "pass"]),
+    (BdReport(0.0, True, 1e-10), ["residual", "bd_compatible", "tolerance"]),
+    (BdScanPoint(-1.0, None, False), ["parameter", "residual", "bfb"]),
+    (Cluster(2.75, 3, (1, 3, 5)), ["energy", "multiplicity", "members"]),
+])
+def test_report_to_dict_key_order(report, keys):
+    data = report.to_dict()
+    assert list(data) == keys
+    assert not any(isinstance(value, tuple) for value in data.values())
+    assert data == json.loads(json.dumps(data))
