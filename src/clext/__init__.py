@@ -1,8 +1,8 @@
 """Cyclic-group extended oscillator algebras on truncated Fock spaces.
 
-Build dense number-basis matrices for the generators {a, adag, N, T, P_mu},
-verify the defining relations numerically, compute spectra with their
-graded degeneracy structure, and solve the bosonization of order-p
+Build number-basis representations (dense a and adag, the diagonals of N,
+T and P_mu), verify the defining relations numerically, compute spectra with
+their graded degeneracy structure, and solve the bosonization of order-p
 parasupersymmetric quantum mechanics on the same carrier space.
 """
 

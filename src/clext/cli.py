@@ -565,7 +565,8 @@ def _cmd_dump(cfg: RunConfig):
         raise ValidationError(
             f"unknown matrix {cfg.matrix!r}; choose from {sorted(matrices)}"
         )
-    mat = np.asarray(matrices[name], dtype=complex)
+    mat = matrices[name]  # N, T and P_mu are stored as their diagonals
+    mat = np.asarray(np.diag(mat) if mat.ndim == 1 else mat, dtype=complex)
     lines = []
     for col in range(rep.dim):
         for row in range(rep.dim):

@@ -3,9 +3,10 @@
 The representation keeps the first ``dim`` number states |0> .. |dim-1>.
 Ladder matrix elements follow the real non-negative square-root convention:
 a |n> = sqrt(F(n)) |n-1>, so the only nonzero entries of ``a`` sit on the
-superdiagonal, a[n-1, n] = sqrt(F(n)).  The cyclic generator is realized on
-the number operator, T = diag(exp(2i pi n / lam)), and P_mu is the 0/1
-indicator of the residue class n = mu (mod lam).
+superdiagonal, a[n-1, n] = sqrt(F(n)).  N, T and P_mu are functions of N,
+so they are stored as their diagonals: num[n] = n, T[n] = exp(2i pi n / lam),
+and P_mu[n] is the 0/1 indicator of n = mu (mod lam).  A product with one is
+an elementwise product: ``d * mat`` scales columns, ``d[:, None] * mat`` rows.
 
 Truncation artifact: a @ adag is diagonal with entries F(n+1) except at the
 top state, where the missing |dim> contribution leaves a zero.  adag @ a is
@@ -26,7 +27,7 @@ from .errors import DimensionTooLargeError, NonUnitaryTruncationError
 
 @dataclass(frozen=True, eq=False)
 class TruncatedFockRep:
-    """Dense matrices for {a, adag, num, T, P_mu} on a dim-state truncation."""
+    """Dense, read-only a and adag, and the read-only diagonals of N, T, P_mu."""
 
     spec: AlgebraSpec
     dim: int
@@ -41,10 +42,10 @@ def build_fock_rep(spec: AlgebraSpec, dim: int, dtype=np.complex128) -> Truncate
     """Build the truncated representation on ``dim`` number states.
 
     Bounded-from-below specs accept any dim >= 1; finite-dimensional specs
-    accept dim up to their dimension.  ``dtype`` selects the complex matrix
-    precision; square roots and diagonals are computed in the matching real
-    dtype, which matters for long relation words checked at tight absolute
-    tolerances.
+    accept dim up to their dimension.  ``dtype`` selects the precision of
+    the ladder matrices; their square roots and the diagonals of N and P_mu
+    are computed in the matching real dtype, which matters for long relation
+    words checked at tight absolute tolerances.  T is complex128.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -63,13 +64,11 @@ def build_fock_rep(spec: AlgebraSpec, dim: int, dtype=np.complex128) -> Truncate
     a = np.zeros((dim, dim), dtype=dtype)
     a[n[:-1], n[1:]] = np.sqrt(values[1:])
     adag = a.conj().T.copy()
-    num = np.diag(n.astype(rdtype))
-    t_gen = np.diag(np.exp(2j * np.pi * n / spec.lam))
-    projectors = tuple(
-        np.diag((n % spec.lam == mu).astype(rdtype)) for mu in range(spec.lam)
-    )
-    for mat in (a, adag, num, t_gen, *projectors):
-        mat.setflags(write=False)
+    num = n.astype(rdtype)
+    t_gen = np.exp(2j * np.pi * n / spec.lam)
+    projectors = tuple((n % spec.lam == mu).astype(rdtype) for mu in range(spec.lam))
+    for arr in (a, adag, num, t_gen, *projectors):
+        arr.setflags(write=False)
     return TruncatedFockRep(spec=spec, dim=dim, a=a, adag=adag, num=num, T=t_gen, P=projectors)
 
 

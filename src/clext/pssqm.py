@@ -223,20 +223,20 @@ def khare_check(
     hamiltonian: np.ndarray,
     tol: float = DEFAULT_PSSQM_TOL,
 ) -> PssqmReport:
-    """Residuals of the order-p relations for given Q and diagonal H.
+    """Residuals of the order-p relations for given Q and the energies of H.
 
     Checks Q^{p+1} = 0, [H, Q] = 0, and the multilinear relation, all
     masked with interior margin p + 1, plus the nonvanishing of Q^n for
     n <= p (reported as the smallest unmasked max-entry, which must stay
-    positive).  Only the diagonal of H is read.  The
-    breaking classification is read off the spectrum of H: a nondegenerate
-    ground cluster means unbroken.  Needs dim > lam (p + 1) so that at
-    least one complete multiplet survives the cluster cutoff.
+    positive).  ``hamiltonian`` holds the energies of H, as returned by
+    :func:`shifted_hamiltonian`.  The breaking classification is read off
+    the spectrum of H: a nondegenerate ground cluster means unbroken.  Needs
+    dim > lam (p + 1) so that at least one complete multiplet survives the
+    cluster cutoff.
     """
     p = rep.spec.lam - 1
     lam = rep.spec.lam
     margin = p + 1
-    energies = np.diag(hamiltonian)
 
     powers = [np.eye(rep.dim, dtype=charge.dtype)]
     for _ in range(p + 1):
@@ -245,14 +245,14 @@ def khare_check(
     # nonvanishing needs no interior mask: every entry of Q^n is a true
     # matrix element (truncation only removes paths, never adds them)
     witness = min(float(np.max(np.abs(powers[n]))) for n in range(1, p + 1))
-    commutator = interior_max_abs(energies[:, None] * charge - charge * energies, margin)
+    commutator = interior_max_abs(hamiltonian[:, None] * charge - charge * hamiltonian, margin)
 
     adjoint = charge.conj().T
     lhs = sum(powers[p - k] @ adjoint @ powers[k] for k in range(p + 1))
-    rhs = (2 * p) * (powers[p - 1] * energies)
+    rhs = (2 * p) * (powers[p - 1] * hamiltonian)
     multilinear = interior_max_abs(lhs - rhs, margin)
 
-    ground = surviving_clusters(np.real(energies), drop_top=lam * (p + 1))[0]
+    ground = surviving_clusters(np.real(hamiltonian), drop_top=lam * (p + 1))[0]
     return PssqmReport(
         order=p,
         residual_nilpotency=nilpotency,
@@ -289,7 +289,7 @@ class BreakingReport:
 
 
 def classify_breaking(h_diagonal, mu: int, p: int) -> BreakingReport:
-    """Classify breaking from the diagonal of a solved shifted Hamiltonian.
+    """Classify breaking from the energies of a solved shifted Hamiltonian.
 
     Clusters the spectrum with the top lam (p + 1) states excluded (their
     multiplets lose members to truncation) and reads the ground multiplicity
@@ -348,7 +348,7 @@ def solve_and_check(
     charge = build_supercharge(rep, mu, eta)
     hamiltonian = shifted_hamiltonian(rep, used)
     report = khare_check(rep, charge, hamiltonian, tol=tol)
-    breaking = classify_breaking(np.diag(hamiltonian), mu, lam - 1)
+    breaking = classify_breaking(hamiltonian, mu, lam - 1)
     return KhareRun(report=report, breaking=breaking, solved_r=solved, used_r=used, eta=eta)
 
 
@@ -448,26 +448,16 @@ def ssqm_check(rep: TruncatedFockRep, variant: str, tol: float = DEFAULT_SSQM_TO
     if variant not in ("unbroken", "broken"):
         raise ValueError(f"variant must be 'unbroken' or 'broken', got {variant!r}")
     margin = 2
-    lower_upper = rep.adag @ rep.a
-    upper_lower = rep.a @ rep.adag
-    if variant == "unbroken":
-        charge = rep.adag @ rep.P[1]
-        hamiltonian = lower_upper @ rep.P[0] + upper_lower @ rep.P[1]
-    else:
-        charge = rep.adag @ rep.P[0]
-        hamiltonian = upper_lower @ rep.P[0] + lower_upper @ rep.P[1]
+    low, high = (rep.P[0], rep.P[1]) if variant == "unbroken" else (rep.P[1], rep.P[0])
+    charge = rep.adag * high
+    hamiltonian = (rep.adag @ rep.a) * low + (rep.a @ rep.adag) * high
     adjoint = charge.conj().T
     nilpotency = interior_max_abs(charge @ charge, margin)
     anticommutator = interior_max_abs(adjoint @ charge + charge @ adjoint - hamiltonian, margin)
     commutator = interior_max_abs(hamiltonian @ charge - charge @ hamiltonian, margin)
 
-    values = structure_values(rep.spec, rep.dim + 1)
-    n = np.arange(rep.dim)
-    if variant == "unbroken":
-        diagonal = np.where(n % 2 == 0, values[n], values[n + 1])
-    else:
-        diagonal = np.where(n % 2 == 0, values[n + 1], values[n])
-    clusters = surviving_clusters(diagonal, drop_top=4)  # lam (p + 1) at lam = 2
+    values = structure_values(rep.spec, rep.dim + 1)  # F(n) = <n|adag a|n>, F(n+1) = <n|a adag|n>
+    clusters = surviving_clusters(values[:-1] * low + values[1:] * high, drop_top=4)  # lam (p + 1)
     ground = clusters[0]
     return SsqmReport(
         variant=variant,
@@ -517,7 +507,7 @@ def beckers_debergh_check(
     adjoint = charge.conj().T
     inner = adjoint @ charge - charge @ adjoint
     residual = interior_max_abs(
-        charge @ inner - inner @ charge - 2.0 * (charge * np.diag(hamiltonian)), 3
+        charge @ inner - inner @ charge - 2.0 * (charge * hamiltonian), 3
     )
     return BdReport(residual=residual, bd_compatible=residual <= tol, tolerance=tol)
 

@@ -1,4 +1,5 @@
-"""Bosonic Hamiltonians, sector-shifted variants, and degeneracy clustering."""
+"""Bosonic Hamiltonians as energy vectors, their sector-shifted variants, and
+degeneracy clustering."""
 
 from __future__ import annotations
 
@@ -13,12 +14,20 @@ from .fock import TruncatedFockRep
 DEFAULT_CLUSTER_TOL = 1e-8
 
 
-def _checked_energies(rep: TruncatedFockRep) -> np.ndarray:
-    """Closed-form E_n, checked to within 1e-13 max(1, |E_n|) of (F(n) + F(n+1))/2."""
+def hamiltonian_h0(rep: TruncatedFockRep) -> np.ndarray:
+    """Energies E_n of the oscillator Hamiltonian (1/2){adag, a}, one per kept state.
+
+    The closed form, not the truncated product, which corrupts the top
+    state.  It is checked against (F(n) + F(n+1))/2 to within
+    1e-13 max(1, |E_n|), else ValueError; at sector lam - 1 it exceeds that
+    average by exactly sum(alpha)/2, which the spec admits up to 1e-12.
+    """
+    spec = rep.spec
     rdtype = rep.a.real.dtype
-    energies = energy_values(rep.spec, rep.dim, dtype=rdtype)
-    f_values = structure_values(rep.spec, rep.dim + 1, dtype=rdtype)
-    gap = np.abs(energies - (f_values[:-1] + f_values[1:]) / 2)
+    energies = energy_values(spec, rep.dim, dtype=rdtype)
+    f_values = structure_values(spec, rep.dim + 1, dtype=rdtype)
+    wrap = np.where(np.arange(rep.dim) % spec.lam == spec.lam - 1, spec.alpha.sum() / 2, 0)
+    gap = np.abs(energies - (f_values[:-1] + f_values[1:]) / 2 - wrap)
     bad = np.flatnonzero(gap > 1e-13 * np.maximum(1, np.abs(energies)))
     if bad.size:
         n = bad[0]
@@ -26,18 +35,8 @@ def _checked_energies(rep: TruncatedFockRep) -> np.ndarray:
     return energies
 
 
-def hamiltonian_h0(rep: TruncatedFockRep) -> np.ndarray:
-    """Oscillator Hamiltonian (1/2){adag, a} as an exact diagonal matrix.
-
-    Diagonal entries are the closed-form energies E_n rather than the
-    truncated matrix product, which corrupts the top state.  Consistency
-    with (F(n) + F(n+1))/2 is checked; a disagreement raises ValueError.
-    """
-    return np.diag(_checked_energies(rep))
-
-
 def shifted_hamiltonian(rep: TruncatedFockRep, shifts) -> np.ndarray:
-    """Diagonal Hamiltonian with sector-dependent shifts.
+    """Energies of the Hamiltonian with sector-dependent shifts, one per kept state.
 
     Entry n equals E_n + shifts[n mod lam] / 2.  Adding the same constant
     to every shift moves all energies by half that constant.
@@ -49,7 +48,7 @@ def shifted_hamiltonian(rep: TruncatedFockRep, shifts) -> np.ndarray:
     rdtype = rep.a.real.dtype
     energies = energy_values(rep.spec, rep.dim, dtype=rdtype)
     n = np.arange(rep.dim)
-    return np.diag(energies + shifts.astype(rdtype)[n % lam] / 2)
+    return energies + shifts.astype(rdtype)[n % lam] / 2
 
 
 def report_dict(report) -> dict:
@@ -125,7 +124,7 @@ def surviving_clusters(values, drop_top: int) -> list[Cluster]:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Levels, degeneracy clusters, and ground-state data of a diagonal Hamiltonian."""
+    """Levels, degeneracy clusters, and ground-state data of a Hamiltonian's energies."""
 
     levels: tuple[tuple[int, float, int], ...]  # (n, energy, sector)
     clusters: tuple[Cluster, ...]
@@ -147,14 +146,14 @@ class SpectrumReport:
 
 
 def spectrum_report(rep: TruncatedFockRep, diagonal=None, drop_top: int = 0) -> SpectrumReport:
-    """Spectrum of a diagonal Hamiltonian over the truncation.
+    """Spectrum of a Hamiltonian's energies over the truncation.
 
-    Defaults to the oscillator energies E_n, checked as in
-    :func:`hamiltonian_h0`; pass ``diagonal`` to profile a shifted variant
-    instead.  Levels carry their grading sector n mod lam; clusters follow
-    :func:`degeneracy_profile` at ``DEFAULT_CLUSTER_TOL``.
+    Defaults to the oscillator energies of :func:`hamiltonian_h0`; pass
+    ``diagonal`` to profile a shifted variant instead.  Levels carry their
+    grading sector n mod lam; clusters follow :func:`degeneracy_profile` at
+    ``DEFAULT_CLUSTER_TOL``.
     """
-    diagonal = np.asarray(_checked_energies(rep) if diagonal is None else diagonal, dtype=float)
+    diagonal = np.asarray(hamiltonian_h0(rep) if diagonal is None else diagonal, dtype=float)
     levels = tuple((n, float(diagonal[n]), n % rep.spec.lam) for n in range(rep.dim))
     clusters = tuple(surviving_clusters(diagonal, drop_top))
     return SpectrumReport(

@@ -1,11 +1,13 @@
 """Numerical verification of the algebra's defining relations.
 
-Every relation is evaluated as dense matrix differences LHS - RHS, each
-reduced as soon as it is formed to the maximum absolute entry over the
-truncation interior, so no relation family is held in memory.  The
+Every relation is evaluated as a difference LHS - RHS, reduced as soon as
+it is formed to the maximum absolute entry over the truncation interior.
+N, T and P_mu are diagonals, so only the deformed commutator takes dense
+matrix products and memory is a few dense matrices whatever lam is.  The
 interior margin equals the relation's word length (the largest number of
 ladder factors in any term), because each ladder factor can propagate the
-truncation artifact at most one state down from the top.
+truncation artifact at most one state down from the top.  An exact
+finite-dimensional rep (dim = d with F(d) = 0) has no artifact: margin 0.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from .algebra import classify
 from .errors import MarginTooLargeError
 from .fock import TruncatedFockRep
 
@@ -32,12 +35,13 @@ def interior_projector(dim: int, margin: int) -> np.ndarray:
 
 
 def interior_max_abs(mat: np.ndarray, margin: int) -> float:
-    """Max |entry| of the interior block, i.e. of P_m @ mat @ P_m."""
+    """Max |entry| of the interior block, i.e. of P_m @ mat @ P_m; a 1-D
+    ``mat`` is a diagonal, whose interior is its first dim - margin entries."""
     dim = mat.shape[0]
     if not 0 <= margin < dim:
         raise MarginTooLargeError(f"margin {margin} does not fit in dimension {dim}")
     k = dim - margin
-    return float(np.max(np.abs(mat[:k, :k])))
+    return float(np.max(np.abs(mat[:k, :k] if mat.ndim == 2 else mat[:k])))
 
 
 @dataclass(frozen=True)
@@ -91,73 +95,79 @@ class ResidualReport:
         }
 
 
-def _collect(checks, tol: float, dim: int) -> ResidualReport:
+def _collect(checks, tol: float, rep: TruncatedFockRep) -> ResidualReport:
     """Reduce each ``(relation, word_length, diff)`` as it arrives.
 
     Consecutive yields of one relation form one entry whose residual is the
     largest over its differences, so only the difference being reduced is
-    held, never the whole family.
+    held, never the whole family.  Margins are 0 on an exact finite rep.
     """
+    truncated = classify(rep.spec).dim != rep.dim
     entries = []
     for (relation, word_length), group in groupby(checks, key=itemgetter(0, 1)):
-        residual = max(interior_max_abs(diff, word_length) for _, _, diff in group)
+        margin = word_length if truncated else 0
+        residual = max(interior_max_abs(diff, margin) for _, _, diff in group)
         entries.append(
             RelationResidual(
                 relation=relation,
                 word_length=word_length,
-                margin=word_length,
+                margin=margin,
                 residual=residual,
                 passed=residual <= tol,
             )
         )
-    return ResidualReport(entries=tuple(entries), tolerance=tol, dim=dim)
+    policy = "word-length" if truncated else "exact"
+    return ResidualReport(entries=tuple(entries), tolerance=tol, dim=rep.dim, margin_policy=policy)
 
 
-def _projector_checks(proj, identity):
+def _minus_diagonal(mat: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """mat - diag(diagonal) for a dense ``mat``, without forming diag(diagonal)."""
+    diff = mat.copy()
+    diff.flat[:: len(diagonal) + 1] -= diagonal
+    return diff
+
+
+def _projector_checks(proj):
     """Orthogonality P_m P_n = delta_mn P_m, then completeness sum(P) = 1."""
     for m in range(len(proj)):
         for n in range(len(proj)):
-            yield "projector_orthogonality", 0, proj[m] @ proj[n] - (proj[m] if m == n else 0.0)
-    yield "projector_completeness", 0, sum(proj) - identity
+            yield "projector_orthogonality", 0, proj[m] * proj[n] - (proj[m] if m == n else 0.0)
+    yield "projector_completeness", 0, sum(proj) - 1.0
 
 
 def _defining_checks(rep: TruncatedFockRep):
     spec = rep.spec
     lam = spec.lam
     a, adag, num, t_gen, proj = rep.a, rep.adag, rep.num, rep.T, rep.P
-    identity = np.eye(rep.dim, dtype=a.dtype)
     q = np.exp(2j * np.pi / lam)
-
-    t_powers = [identity]
-    for _ in range(lam):
-        t_powers.append(t_powers[-1] @ t_gen)
-
+    t_powers = np.cumprod([np.ones_like(t_gen)] + [t_gen] * lam, axis=0)  # row m: T^m
     commutator = a @ adag - adag @ a
 
-    yield "t_cyclic", 0, t_powers[lam] - identity
-    yield "commutator_T", 2, commutator - (
-        identity + sum(spec.kappa[m - 1] * t_powers[m] for m in range(1, lam))
+    yield "t_cyclic", 0, t_powers[lam] - 1.0
+    yield "commutator_T", 2, _minus_diagonal(
+        commutator, 1.0 + sum(spec.kappa[m - 1] * t_powers[m] for m in range(1, lam))
     )
-    yield "number_lowering", 1, num @ a - a @ num + a
-    yield "number_raising", 1, num @ adag - adag @ num - adag
-    yield "number_T_commutes", 0, num @ t_gen - t_gen @ num
-    yield "quommutation_a", 1, a @ t_gen - q * (t_gen @ a)
-    yield "quommutation_adag", 1, adag @ t_gen - np.conj(q) * (t_gen @ adag)
-    yield "hermiticity_N", 0, num - num.conj().T
+    # [N, x] +- x scales x[i, j] by n_i - n_j +- 1: integers, so exact
+    yield "number_lowering", 1, (num[:, None] - num + 1) * a
+    yield "number_raising", 1, (num[:, None] - num - 1) * adag
+    yield "number_T_commutes", 0, num * t_gen - t_gen * num
+    yield "quommutation_a", 1, a * t_gen - q * (t_gen[:, None] * a)
+    yield "quommutation_adag", 1, adag * t_gen - np.conj(q) * (t_gen[:, None] * adag)
+    yield "hermiticity_N", 0, num - num.conj()
     yield "hermiticity_a", 0, adag.conj().T - a
-    yield "unitarity_T", 0, t_gen.conj().T - np.diag(1.0 / np.diag(t_gen))
-    yield "commutator_P", 2, commutator - (
-        identity + sum(spec.alpha[m] * proj[m] for m in range(lam))
+    yield "unitarity_T", 0, t_gen.conj() - 1.0 / t_gen
+    yield "commutator_P", 2, _minus_diagonal(
+        commutator, 1.0 + sum(spec.alpha[m] * proj[m] for m in range(lam))
     )
     for p in proj:
-        yield "number_P_commutes", 0, num @ p - p @ num
+        yield "number_P_commutes", 0, num * p - p * num
     for m in range(lam):
-        yield "sector_shift_a", 1, a @ proj[m] - proj[(m - 1) % lam] @ a
+        yield "sector_shift_a", 1, a * proj[m] - proj[(m - 1) % lam][:, None] * a
     for m in range(lam):
-        yield "sector_shift_adag", 1, adag @ proj[m] - proj[(m + 1) % lam] @ adag
-    yield from _projector_checks(proj, identity)
+        yield "sector_shift_adag", 1, adag * proj[m] - proj[(m + 1) % lam][:, None] * adag
+    yield from _projector_checks(proj)
     for p in proj:
-        yield "hermiticity_P", 0, p - p.conj().T
+        yield "hermiticity_P", 0, p - p.conj()
 
 
 def verify_defining_relations(rep: TruncatedFockRep, tol: float = DEFAULT_TOL) -> ResidualReport:
@@ -169,19 +179,15 @@ def verify_defining_relations(rep: TruncatedFockRep, tol: float = DEFAULT_TOL) -
     projector orthogonality and completeness, and the Hermiticity and
     unitarity conditions.  Failures show up as report entries, not errors.
     """
-    return _collect(_defining_checks(rep), tol, rep.dim)
+    return _collect(_defining_checks(rep), tol, rep)
 
 
 def _projector_algebra_checks(rep: TruncatedFockRep):
     lam = rep.spec.lam
     proj = rep.P
-    identity = np.eye(rep.dim, dtype=rep.T.dtype)
+    t_powers = np.cumprod([np.ones_like(rep.T)] + [rep.T] * (lam - 1), axis=0)
 
-    t_powers = [identity]
-    for _ in range(lam - 1):
-        t_powers.append(t_powers[-1] @ rep.T)
-
-    yield from _projector_checks(proj, identity)
+    yield from _projector_checks(proj)
     for mu in range(lam):
         yield "projector_from_T", 0, proj[mu] - sum(
             np.exp(-2j * np.pi * mu * nu / lam) * t_powers[nu] for nu in range(lam)
@@ -199,4 +205,4 @@ def verify_projector_algebra(rep: TruncatedFockRep, tol: float = DEFAULT_TOL) ->
     each projector from the powers of T, and of each power of T from the
     projectors.  All operators are diagonal, so the margin is zero.
     """
-    return _collect(_projector_algebra_checks(rep), tol, rep.dim)
+    return _collect(_projector_algebra_checks(rep), tol, rep)

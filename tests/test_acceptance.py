@@ -104,7 +104,7 @@ def test_criterion_3_graded_harmonicity(relation_specs):
             e_high = Fraction(n + lam) + Fraction(1, 2) + gamma
             spacing_exact = spacing_exact and (e_high - e_low == lam)
         rep = build_fock_rep(spec, 60)
-        diag = np.diag(hamiltonian_h0(rep))
+        diag = hamiltonian_h0(rep)
         averages = np.array(
             [
                 (structure_function(spec, n) + structure_function(spec, n + 1)) / 2
@@ -154,7 +154,7 @@ def test_criterion_5_worked_example():
     shifts_ok = bool(np.max(np.abs(shifts - np.array([-2.5, 1.0, 0.0]))) <= 1e-12)
 
     rep = build_fock_rep(spec, 36)
-    diag = np.diag(shifted_hamiltonian(rep, shifts))
+    diag = shifted_hamiltonian(rep, shifts)
     clusters = degeneracy_profile(diag, cluster_tol=1e-8, drop_top=9)
     observed = [(round(c.energy, 9), c.multiplicity) for c in clusters[:3]]
     clusters_ok = observed == [(-0.25, 1), (2.75, 3), (5.75, 3)]

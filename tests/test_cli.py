@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from clext import energy_level, from_alpha
@@ -142,6 +143,20 @@ class TestSpectrumCommand:
         for n, (index, energy, sector) in enumerate(rows):
             assert (int(index), int(sector)) == (n, n % 3)
             assert float(energy) == float(format(energy_level(spec, n), ".15g"))
+
+    def test_admitted_alpha_sum_residue(self, capsys):
+        # from_alpha admits |sum(alpha)| <= 1e-12; at sector lam - 1 the
+        # closed-form E_n exceeds (F(n) + F(n+1))/2 by exactly sum(alpha)/2
+        alpha = [0.5, -0.4999999999995]
+        code, out, err = run_cli(
+            ["spectrum", "--alpha", ",".join(map(repr, alpha)), "--dim", "8",
+             "--format", "csv"],
+            capsys,
+        )
+        assert code == 0, err
+        spec = from_alpha(2, alpha)
+        energies = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+        assert energies == [float(format(energy_level(spec, n), ".15g")) for n in range(8)]
 
     def test_json_report_is_deterministic(self, capsys, tmp_path):
         first = tmp_path / "a.json"
@@ -321,6 +336,16 @@ class TestDumpCommand:
         )
         assert code == 0
         assert out.strip().splitlines() == ["0.0,0.0", "0.0,0.0", "0.0,0.0", "1.0,0.0"]
+
+    def test_cyclic_generator_dump(self, capsys):
+        code, out, _ = run_cli(
+            ["dump", "--lambda", "3", "--alpha", "0,0,0", "--dim", "3", "--matrix", "t"],
+            capsys,
+        )
+        assert code == 0
+        dense = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+        column_major = dense.T.ravel()
+        assert out.splitlines() == [f"{z.real!r},{z.imag!r}" for z in column_major.tolist()]
 
     def test_unknown_matrix(self, capsys):
         code, _, err = run_cli(

@@ -43,19 +43,24 @@ class TestBuild:
 
     def test_number_operator(self):
         rep = build_fock_rep(WORKED, 5)
-        np.testing.assert_array_equal(np.diag(rep.num), np.arange(5))
+        np.testing.assert_array_equal(rep.num, np.arange(5))
 
     def test_cyclic_generator_diagonal(self):
         rep = build_fock_rep(WORKED, 4)
         expected = np.exp(2j * np.pi * np.arange(4) / 3)
-        np.testing.assert_allclose(np.diag(rep.T), expected, atol=1e-15)
+        np.testing.assert_allclose(rep.T, expected, atol=1e-15)
+
+    def test_diagonal_generators_are_read_only_vectors(self):
+        rep = build_fock_rep(WORKED, 7)
+        for diagonal in (rep.num, rep.T, *rep.P):
+            assert diagonal.shape == (7,)
+            assert not diagonal.flags.writeable
 
     def test_projectors_partition_identity(self):
         rep = build_fock_rep(WORKED, 10)
         for mu in range(3):
-            diag = np.diag(rep.P[mu])
-            np.testing.assert_array_equal(diag, (np.arange(10) % 3 == mu).astype(float))
-        np.testing.assert_array_equal(sum(rep.P), np.eye(10))
+            np.testing.assert_array_equal(rep.P[mu], (np.arange(10) % 3 == mu).astype(float))
+        np.testing.assert_array_equal(sum(rep.P), np.ones(10))
 
     def test_finite_dim_truncation_guard(self):
         spec = from_alpha(2, [-1.0, 1.0])  # one-dimensional representation
@@ -86,17 +91,19 @@ class TestLadderProducts:
         # boundary effect: all matrices share the same shift structure
         rep = build_fock_rep(WORKED, 10)
         for mu in range(3):
-            np.testing.assert_array_equal(rep.a @ rep.P[mu], rep.P[(mu - 1) % 3] @ rep.a)
+            proj = [np.diag(p) for p in rep.P]
+            np.testing.assert_array_equal(rep.a @ proj[mu], proj[(mu - 1) % 3] @ rep.a)
             np.testing.assert_array_equal(
-                rep.adag @ rep.P[mu], rep.P[(mu + 1) % 3] @ rep.adag
+                rep.adag @ proj[mu], proj[(mu + 1) % 3] @ rep.adag
             )
 
     def test_projector_algebra_is_exact(self):
         rep = build_fock_rep(WORKED, 10)
+        proj = [np.diag(p) for p in rep.P]
         for mu in range(3):
             for nu in range(3):
-                expected = rep.P[mu] if mu == nu else np.zeros((10, 10))
-                np.testing.assert_array_equal(rep.P[mu] @ rep.P[nu], expected)
+                expected = proj[mu] if mu == nu else np.zeros((10, 10))
+                np.testing.assert_array_equal(proj[mu] @ proj[nu], expected)
 
     def test_lowering_then_raising_is_structure_diagonal(self):
         rep = build_fock_rep(WORKED, 9)

@@ -183,7 +183,7 @@ class TestSupercharge:
         spec = from_alpha(2, [0.3, -0.3])
         rep = build_fock_rep(spec, 8)
         charge = build_supercharge(rep, 1, [np.sqrt(2)])
-        np.testing.assert_allclose(charge, np.sqrt(2) * (rep.adag @ rep.P[0]), atol=1e-15)
+        np.testing.assert_allclose(charge, np.sqrt(2) * (rep.adag @ np.diag(rep.P[0])), atol=1e-15)
 
     def test_matches_projector_products(self):
         # the column-scaled form is bit-identical to sum_nu eta adag @ P
@@ -196,7 +196,8 @@ class TestSupercharge:
                 eta = random_admissible_eta(p, rng)
                 expected = np.zeros_like(rep.a)
                 for nu in range(1, lam):
-                    expected = expected + eta[nu - 1] * (rep.adag @ rep.P[(mu + nu) % lam])
+                    proj = np.diag(rep.P[(mu + nu) % lam])
+                    expected = expected + eta[nu - 1] * (rep.adag @ proj)
                 assert np.array_equal(build_supercharge(rep, mu, eta), expected)
 
     def test_nilpotency_is_exact(self):
@@ -247,7 +248,7 @@ class TestKhareCheck:
         # Q^2 = 0 and QQd + QdQ = 2H at order one
         rep = build_fock_rep(spec, 20, dtype=CHECK_DTYPE)
         charge = build_supercharge(rep, 0, [np.sqrt(2)])
-        hamiltonian = shifted_hamiltonian(rep, run.used_r)
+        hamiltonian = np.diag(shifted_hamiltonian(rep, run.used_r))
         adjoint = charge.conj().T
         diff = charge @ adjoint + adjoint @ charge - 2 * hamiltonian
         assert float(np.max(np.abs(diff[:16, :16]))) < 1e-12
@@ -291,8 +292,9 @@ class TestKhareCheck:
             spec = from_alpha(lam, sample_bfb_alpha(lam, rng))
             rep = build_fock_rep(spec, 10 * lam, dtype=CHECK_DTYPE)
             charge = build_supercharge(rep, 1)
-            hamiltonian = shifted_hamiltonian(rep, solve_r(spec, 1))
-            report = khare_check(rep, charge, hamiltonian)
+            energies = shifted_hamiltonian(rep, solve_r(spec, 1))
+            report = khare_check(rep, charge, energies)
+            hamiltonian = np.diag(energies)
             commutator = hamiltonian @ charge - charge @ hamiltonian
             assert report.residual_commutator == interior_max_abs(commutator, p + 1)
             powers = [np.eye(rep.dim, dtype=charge.dtype)]
@@ -318,7 +320,7 @@ class TestKhareCheck:
 class TestBreaking:
     def test_worked_unbroken(self):
         rep = build_fock_rep(WORKED, 36)
-        diag = np.diag(shifted_hamiltonian(rep, solve_r(WORKED, 0)))
+        diag = shifted_hamiltonian(rep, solve_r(WORKED, 0))
         result = classify_breaking(diag, mu=0, p=2)
         assert result.breaking == "unbroken"
         assert result.ground_multiplicity == 1
@@ -332,7 +334,7 @@ class TestBreaking:
             lam = p + 1
             spec = from_alpha(lam, sample_bfb_alpha(lam, rng))
             rep = build_fock_rep(spec, 12 * lam)
-            diag = np.diag(shifted_hamiltonian(rep, solve_r(spec, mu)))
+            diag = shifted_hamiltonian(rep, solve_r(spec, mu))
             result = classify_breaking(diag, mu=mu, p=p)
             assert result.breaking == "broken"
             assert result.ground_multiplicity == mu + 1

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import clext.spectrum as spectrum_module
+
 from clext import (
     LengthMismatchError,
     build_fock_rep,
@@ -21,16 +23,16 @@ WORKED = from_alpha(3, [1.0, -0.5, -0.5])
 class TestHamiltonian:
     def test_undeformed_diagonal(self):
         rep = build_fock_rep(from_alpha(2, [0.0, 0.0]), 6)
-        np.testing.assert_array_equal(np.diag(hamiltonian_h0(rep)), np.arange(6) + 0.5)
+        np.testing.assert_array_equal(hamiltonian_h0(rep), np.arange(6) + 0.5)
 
     def test_worked_diagonal(self):
         rep = build_fock_rep(WORKED, 4)
-        np.testing.assert_allclose(np.diag(hamiltonian_h0(rep)), [1.0, 2.25, 2.75, 4.0])
+        np.testing.assert_allclose(hamiltonian_h0(rep), [1.0, 2.25, 2.75, 4.0])
 
     def test_commutes_with_projectors(self):
         rep = build_fock_rep(WORKED, 12)
-        h0 = hamiltonian_h0(rep)
-        for proj in rep.P:
+        h0 = np.diag(hamiltonian_h0(rep))
+        for proj in map(np.diag, rep.P):
             np.testing.assert_array_equal(h0 @ proj, proj @ h0)
 
     def test_matches_structure_average(self):
@@ -38,18 +40,33 @@ class TestHamiltonian:
         for lam in (2, 3, 5):
             spec = from_alpha(lam, sample_bfb_alpha(lam, rng))
             rep = build_fock_rep(spec, 6 * lam)
-            diag = np.diag(hamiltonian_h0(rep))
+            diag = hamiltonian_h0(rep)
             expected = [
                 (structure_function(spec, n) + structure_function(spec, n + 1)) / 2
                 for n in range(rep.dim)
             ]
             np.testing.assert_allclose(diag, expected, atol=1e-13)
 
+    @pytest.mark.parametrize("sector", (0, 1))
+    def test_perturbed_energy_still_raises(self, monkeypatch, sector):
+        # only the sum(alpha)/2 residue at sector lam - 1 is forgiven
+        closed_form = spectrum_module.energy_values
+
+        def perturbed(spec, count, dtype=float):
+            energies = closed_form(spec, count, dtype)
+            energies[sector::spec.lam] += 1e-9  # gamma_sector moved by 1e-9
+            return energies
+
+        monkeypatch.setattr(spectrum_module, "energy_values", perturbed)
+        rep = build_fock_rep(from_alpha(2, [0.5, -0.4999999999995]), 8)
+        with pytest.raises(ValueError, match=f"E_{sector} differs"):
+            hamiltonian_h0(rep)
+
     def test_sector_restriction_is_arithmetic(self):
         rng = np.random.default_rng(43)
         spec = from_alpha(4, sample_bfb_alpha(4, rng))
         rep = build_fock_rep(spec, 24)
-        diag = np.diag(hamiltonian_h0(rep))
+        diag = hamiltonian_h0(rep)
         for mu in range(4):
             sector = diag[grading_sector(rep, mu)]
             steps = np.diff(sector)
@@ -65,13 +82,13 @@ class TestShiftedHamiltonian:
 
     def test_worked_shift(self):
         rep = build_fock_rep(WORKED, 7)
-        diag = np.diag(shifted_hamiltonian(rep, [-2.5, 1.0, 0.0]))
+        diag = shifted_hamiltonian(rep, [-2.5, 1.0, 0.0])
         np.testing.assert_allclose(diag, [-0.25, 2.75, 2.75, 2.75, 5.75, 5.75, 5.75])
 
     def test_constant_shift_moves_all_levels(self):
         rep = build_fock_rep(WORKED, 12)
-        base = np.diag(shifted_hamiltonian(rep, [-2.5, 1.0, 0.0]))
-        moved = np.diag(shifted_hamiltonian(rep, [-2.5 + 3.0, 1.0 + 3.0, 0.0 + 3.0]))
+        base = shifted_hamiltonian(rep, [-2.5, 1.0, 0.0])
+        moved = shifted_hamiltonian(rep, [-2.5 + 3.0, 1.0 + 3.0, 0.0 + 3.0])
         np.testing.assert_allclose(moved - base, 1.5, atol=1e-12)
 
     def test_length_guard(self):
@@ -93,7 +110,7 @@ class TestDegeneracyProfile:
 
     def test_nondegenerate_spacing(self):
         rep = build_fock_rep(from_alpha(2, [0.0, 0.0]), 10)
-        clusters = degeneracy_profile(np.diag(hamiltonian_h0(rep)))
+        clusters = degeneracy_profile(hamiltonian_h0(rep))
         assert all(c.multiplicity == 1 for c in clusters)
 
     def test_permutation_invariance(self):
@@ -137,7 +154,7 @@ class TestSpectrumReport:
 
     def test_ground_is_lowest_cluster(self):
         rep = build_fock_rep(WORKED, 9)
-        report = spectrum_report(rep, diagonal=np.diag(shifted_hamiltonian(rep, [-2.5, 1, 0])))
+        report = spectrum_report(rep, diagonal=shifted_hamiltonian(rep, [-2.5, 1, 0]))
         assert report.ground.energy == -0.25
         assert report.ground.multiplicity == 1
 

@@ -1,13 +1,20 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clext
 from clext import (
     AlgebraSpec,
     MarginTooLargeError,
     build_fock_rep,
+    classify,
     from_alpha,
     interior_max_abs,
     interior_projector,
@@ -157,20 +164,102 @@ class TestReportShape:
             assert tuple((e.relation, e.word_length) for e in report.entries) == order
 
     def test_peak_memory_is_linear_in_lam(self):
-        # Only the rep and the lam + 1 powers of T may stay alive; each
-        # relation difference is reduced before the next one is formed.
-        lam, dim = 16, 192
-        rng = np.random.default_rng(16)
-        rep = build_fock_rep(from_alpha(lam, sample_bfb_alpha(lam, rng)), dim)
-        tracemalloc.start()
-        try:
-            verify_defining_relations(rep)
-            verify_projector_algebra(rep)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        matrix_bytes = dim * dim * np.dtype(np.complex128).itemsize
-        assert peak <= 2 * (lam + 4) * matrix_bytes, peak / matrix_bytes
+        # N, T and P_mu are diagonals, so besides the rep only a few dense
+        # temporaries (the commutator and the difference being reduced) are
+        # alive: the same bound holds at every lam
+        for lam, dim in ((16, 192), (32, 384)):
+            rng = np.random.default_rng(lam)
+            rep = build_fock_rep(from_alpha(lam, sample_bfb_alpha(lam, rng)), dim)
+            tracemalloc.start()
+            try:
+                verify_defining_relations(rep)
+                verify_projector_algebra(rep)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            matrix_bytes = dim * dim * np.dtype(np.complex128).itemsize
+            assert peak <= 8 * matrix_bytes, (lam, peak / matrix_bytes)
+
+    def test_lambda_64_verifies_at_default_dim(self):
+        # the CLI's lambda cap at its default dim 768, in a child under a
+        # 512 MiB address-space limit, so that a dense-diagonal regression
+        # fails with MemoryError instead of exhausting the machine
+        script = (
+            "import resource, sys\n"
+            "limit = 512 << 20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "from clext.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(clext.__file__).parents[1]))
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = "1"
+        argv = ["verify", "--lambda", "64", "--alpha", ",".join(["0"] * 64)]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        body = json.loads(proc.stdout)["body"]
+        assert body["defining_relations"]["dim"] == 768
+        assert body["all_pass"] is True
+
+
+class TestNumberRelations:
+    def test_exact_on_random_reps(self):
+        # [N, a] + a and [N, adag] - adag scale each ladder entry by an
+        # integer factor that vanishes on the shift
+        rng = np.random.default_rng(64)
+        for lam in (2, 3, 5, 8, 16):
+            spec = from_alpha(lam, sample_bfb_alpha(lam, rng))
+            report = verify_defining_relations(build_fock_rep(spec, 12 * lam))
+            assert report.entry("number_lowering").residual == 0.0
+            assert report.entry("number_raising").residual == 0.0
+
+    def test_entry_off_the_shift_fails(self):
+        rep = build_fock_rep(WORKED, 12)
+        a = rep.a.copy()
+        a[3, 7] = 1e-6
+        report = verify_defining_relations(dataclasses.replace(rep, a=a, adag=a.conj().T))
+        for relation in ("number_lowering", "number_raising"):
+            entry = report.entry(relation)
+            assert not entry.passed
+            assert abs(entry.residual - 3e-6) < 1e-18
+
+
+def exact_finite_alpha(lam, d, rng):
+    """alpha with F(1) .. F(d-1) drawn in [0.2, 3] and F(d) = 0: a d-dim rep."""
+    f_values = np.concatenate([[0.0], rng.uniform(0.2, 3.0, d - 1), [0.0]])
+    head = np.diff(f_values) - 1.0  # alpha_m = F(m+1) - F(m) - 1
+    tail = rng.uniform(-1.0, 1.0, lam - d)
+    tail -= (head.sum() + tail.sum()) / (lam - d)
+    return np.concatenate([head, tail])
+
+
+class TestExactFiniteRep:
+    def test_worked_finite_rep_verifies_at_margin_zero(self):
+        # F(2) = 0: no truncation artifact, so no margin; word-length margins
+        # would not fit in dimension 2
+        rep = build_fock_rep(from_alpha(3, [-0.5, -1.5, 2.0]), 2)
+        for report in (verify_defining_relations(rep), verify_projector_algebra(rep)):
+            assert report.all_pass
+            assert report.margin_policy == "exact"
+            assert all(entry.margin == 0 for entry in report.entries)
+
+    @pytest.mark.parametrize("lam, d", ((3, 2), (4, 3), (6, 4), (6, 5), (8, 7)))
+    def test_random_finite_reps(self, lam, d):
+        rng = np.random.default_rng(100 * lam + d)
+        for _ in range(5):
+            spec = from_alpha(lam, exact_finite_alpha(lam, d, rng))
+            assert classify(spec).dim == d
+            exact = verify_defining_relations(build_fock_rep(spec, d))
+            assert exact.all_pass, [(e.relation, e.residual) for e in exact.entries]
+            assert all(entry.margin == 0 for entry in exact.entries)
+            if d > 3:  # below the exact dim the truncation artifact is back
+                truncated = verify_defining_relations(build_fock_rep(spec, d - 1))
+                assert truncated.margin_policy == "word-length"
+                assert all(e.margin == e.word_length for e in truncated.entries)
+                assert truncated.all_pass
 
 
 class TestProjectorAlgebra:
@@ -200,7 +289,7 @@ class TestProjectorAlgebra:
                         2j * np.pi * n * nu / lam
                     )
                 diag.append(total / lam)
-            np.testing.assert_allclose(np.diag(rep.P[mu]).astype(complex), diag, atol=1e-13)
+            np.testing.assert_allclose(rep.P[mu].astype(complex), diag, atol=1e-13)
 
     def test_lam2_klein_combination(self):
         rep = build_fock_rep(from_alpha(2, [0.5, -0.5]), 10)
