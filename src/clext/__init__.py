@@ -1,9 +1,9 @@
 """Cyclic-group extended oscillator algebras on truncated Fock spaces.
 
-Build number-basis representations (dense a and adag, the diagonals of N,
-T and P_mu), verify the defining relations numerically, compute spectra with
-their graded degeneracy structure, and solve the bosonization of order-p
-parasupersymmetric quantum mechanics on the same carrier space.
+Build number-basis representations (the bands of a and adag, the diagonals
+of N, T and P_mu), verify the defining relations numerically, compute
+spectra with their graded degeneracy structure, and solve the bosonization
+of order-p parasupersymmetric quantum mechanics on the same carrier space.
 """
 
 from .algebra import (
@@ -36,7 +36,14 @@ from .errors import (
     WrongLambdaError,
     WrongOrderError,
 )
-from .fock import TruncatedFockRep, build_fock_rep, casimir, grading_sector, norm_coefficient
+from .fock import (
+    TruncatedFockRep,
+    build_fock_rep,
+    casimir,
+    grading_sector,
+    ladder_matrices,
+    norm_coefficient,
+)
 from .pssqm import (
     BdReport,
     BdScanPoint,

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .algebra import AlgebraSpec, classify, from_alpha, from_kappa, sample_bfb_alpha
 from .errors import ClextError, NonUnitaryError, ParseError, ValidationError
-from .fock import build_fock_rep
+from .fock import build_fock_rep, ladder_matrices
 from .pssqm import (
     DEFAULT_PSSQM_TOL,
     DEFAULT_SSQM_TOL,
@@ -558,7 +558,8 @@ def _cmd_dump(cfg: RunConfig):
     spec = _build_spec(cfg)
     rep = build_fock_rep(spec, cfg.dim)
     name = cfg.matrix.lower()
-    matrices = {"a": rep.a, "adag": rep.adag, "num": rep.num, "t": rep.T}
+    a, adag = ladder_matrices(rep)
+    matrices = {"a": a, "adag": adag, "num": rep.num, "t": rep.T}
     for mu in range(spec.lam):
         matrices[f"p{mu}"] = rep.P[mu]
     if name not in matrices:

@@ -1,15 +1,20 @@
-"""Truncated number-basis matrices for the algebra generators.
+"""Truncated number-basis representations of the algebra generators.
 
 The representation keeps the first ``dim`` number states |0> .. |dim-1>.
-Ladder matrix elements follow the real non-negative square-root convention:
-a |n> = sqrt(F(n)) |n-1>, so the only nonzero entries of ``a`` sit on the
-superdiagonal, a[n-1, n] = sqrt(F(n)).  N, T and P_mu are functions of N,
+Every generator is a weighted shift, stored as its length-``dim`` band.
+Ladder elements follow the real non-negative square-root convention,
+a |n> = sqrt(F(n)) |n-1>, so a[n] = <n-1|a|n> = sqrt(F(n)) with a[0] = 0,
+and adag[n] = <n|adag|n-1> = conj(a[n]).  N, T and P_mu are functions of N,
 so they are stored as their diagonals: num[n] = n, T[n] = exp(2i pi n / lam),
-and P_mu[n] is the 0/1 indicator of n = mu (mod lam).  A product with one is
-an elementwise product: ``d * mat`` scales columns, ``d[:, None] * mat`` rows.
+and P_mu[n] is the 0/1 indicator of n = mu (mod lam).  Band entry n joins
+states n - 1 and n, so a product with a diagonal ``d`` is elementwise:
+``band * d`` takes d at the upper state and ``band * d_lo``, with
+d_lo[n] = d[n-1], at the lower one (a D and D adag are ``band * d``; D a
+and adag D are ``band * d_lo``).  :func:`ladder_matrices` expands the
+ladder bands to dense matrices.
 
-Truncation artifact: a @ adag is diagonal with entries F(n+1) except at the
-top state, where the missing |dim> contribution leaves a zero.  adag @ a is
+Truncation artifact: a adag is diagonal with entries F(n+1) except at the
+top state, where the missing |dim> contribution leaves a zero.  adag a is
 exact on every kept state.  Verifiers mask the artifact with an interior
 margin instead of padding.
 """
@@ -27,7 +32,7 @@ from .errors import DimensionTooLargeError, NonUnitaryTruncationError
 
 @dataclass(frozen=True, eq=False)
 class TruncatedFockRep:
-    """Dense, read-only a and adag, and the read-only diagonals of N, T, P_mu."""
+    """Read-only bands of a and adag and read-only diagonals of N, T, P_mu."""
 
     spec: AlgebraSpec
     dim: int
@@ -43,7 +48,7 @@ def build_fock_rep(spec: AlgebraSpec, dim: int, dtype=np.complex128) -> Truncate
 
     Bounded-from-below specs accept any dim >= 1; finite-dimensional specs
     accept dim up to their dimension.  ``dtype`` selects the precision of
-    the ladder matrices; their square roots and the diagonals of N and P_mu
+    the ladder bands; their square roots and the diagonals of N and P_mu
     are computed in the matching real dtype, which matters for long relation
     words checked at tight absolute tolerances.  T is complex128.
     """
@@ -61,9 +66,9 @@ def build_fock_rep(spec: AlgebraSpec, dim: int, dtype=np.complex128) -> Truncate
         raise NonUnitaryTruncationError(f"F({bad}) < 0 inside the truncation window")
 
     n = np.arange(dim)
-    a = np.zeros((dim, dim), dtype=dtype)
-    a[n[:-1], n[1:]] = np.sqrt(values[1:])
-    adag = a.conj().T.copy()
+    a = np.zeros(dim, dtype=dtype)
+    a[1:] = np.sqrt(values[1:])
+    adag = a.copy()  # conj(a): the square roots are real
     num = n.astype(rdtype)
     t_gen = np.exp(2j * np.pi * n / spec.lam)
     projectors = tuple((n % spec.lam == mu).astype(rdtype) for mu in range(spec.lam))
@@ -79,14 +84,19 @@ def norm_coefficient(spec: AlgebraSpec, n: int) -> float:
     return float(math.prod(structure_function(spec, m) for m in range(1, n + 1)))
 
 
-def casimir(rep: TruncatedFockRep) -> np.ndarray:
-    """Casimir matrix F(num) - adag @ a; identically zero on the Fock space.
+def ladder_matrices(rep: TruncatedFockRep) -> tuple[np.ndarray, np.ndarray]:
+    """Dense a and adag: the bands placed on the super- and the subdiagonal."""
+    return np.diag(rep.a[1:], 1), np.diag(rep.adag[1:], -1)
 
-    The identity survives truncation exactly (including the top diagonal
-    entry) because adag @ a never reaches past the kept states.
+
+def casimir(rep: TruncatedFockRep) -> np.ndarray:
+    """Diagonal of the Casimir F(N) - adag a; identically zero on the Fock space.
+
+    The identity survives truncation exactly (including the top entry)
+    because adag a never reaches past the kept states.
     """
     values = structure_values(rep.spec, rep.dim, dtype=rep.a.real.dtype)
-    return np.diag(values).astype(rep.a.dtype) - rep.adag @ rep.a
+    return values - rep.adag * rep.a
 
 
 def grading_sector(rep: TruncatedFockRep, mu: int) -> list[int]:

@@ -52,7 +52,7 @@ from .errors import (
     WrongLambdaError,
     WrongOrderError,
 )
-from .fock import TruncatedFockRep, build_fock_rep
+from .fock import TruncatedFockRep, build_fock_rep, ladder_matrices
 from .spectrum import report_dict, shifted_hamiltonian, surviving_clusters
 from .verify import interior_max_abs
 
@@ -188,15 +188,15 @@ def build_supercharge(rep: TruncatedFockRep, mu: int, eta=None) -> np.ndarray:
     """Parasupercharge Q = sum_nu eta_{mu+nu} adag P_{mu+nu}.
 
     Annihilates grading sector mu and raises every other sector by one.
-    Each P_{mu+nu} is diagonal, so Q is adag with column n scaled by the
-    weight of sector n mod lam (eta_{mu+nu}, or 0 for sector mu).
+    Each P_{mu+nu} is diagonal, so Q is the dense adag with column n scaled
+    by the weight of sector n mod lam (eta_{mu+nu}, or 0 for sector mu).
     """
     lam = rep.spec.lam
     if not 0 <= mu < lam:
         raise ValueError(f"mu must lie in 0..{lam - 1}, got {mu}")
     weights = np.zeros(lam, dtype=complex)
     weights[(mu + np.arange(1, lam)) % lam] = _normalized_eta(lam, eta)
-    return rep.adag * weights[np.arange(rep.dim) % lam]
+    return ladder_matrices(rep)[1] * weights[np.arange(rep.dim) % lam]
 
 
 @dataclass(frozen=True)
@@ -449,8 +449,9 @@ def ssqm_check(rep: TruncatedFockRep, variant: str, tol: float = DEFAULT_SSQM_TO
         raise ValueError(f"variant must be 'unbroken' or 'broken', got {variant!r}")
     margin = 2
     low, high = (rep.P[0], rep.P[1]) if variant == "unbroken" else (rep.P[1], rep.P[0])
-    charge = rep.adag * high
-    hamiltonian = (rep.adag @ rep.a) * low + (rep.a @ rep.adag) * high
+    a, adag = ladder_matrices(rep)
+    charge = adag * high
+    hamiltonian = (adag @ a) * low + (a @ adag) * high
     adjoint = charge.conj().T
     nilpotency = interior_max_abs(charge @ charge, margin)
     anticommutator = interior_max_abs(adjoint @ charge + charge @ adjoint - hamiltonian, margin)

@@ -35,8 +35,10 @@ def interior_projector(dim: int, margin: int) -> np.ndarray:
 
 
 def interior_max_abs(mat: np.ndarray, margin: int) -> float:
-    """Max |entry| of the interior block, i.e. of P_m @ mat @ P_m; a 1-D
-    ``mat`` is a diagonal, whose interior is its first dim - margin entries."""
+    """Max |entry| of the interior block, i.e. of P_m @ mat @ P_m.
+
+    A 1-D ``mat`` is a diagonal or a ladder band, whose interior is its
+    first dim - margin entries: band entry n joins states n - 1 and n."""
     dim = mat.shape[0]
     if not 0 <= margin < dim:
         raise MarginTooLargeError(f"margin {margin} does not fit in dimension {dim}")
@@ -120,18 +122,20 @@ def _collect(checks, tol: float, rep: TruncatedFockRep) -> ResidualReport:
     return ResidualReport(entries=tuple(entries), tolerance=tol, dim=rep.dim, margin_policy=policy)
 
 
-def _minus_diagonal(mat: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """mat - diag(diagonal) for a dense ``mat``, without forming diag(diagonal)."""
-    diff = mat.copy()
-    diff.flat[:: len(diagonal) + 1] -= diagonal
-    return diff
+def _lo(diagonal: np.ndarray) -> np.ndarray:
+    """d_lo[n] = d[n-1], the diagonal at the lower state of band entry n.
+    Entry 0 wraps to d[dim-1], which meets only a[0] = adag[0] = 0."""
+    return np.roll(diagonal, 1)
 
 
 def _projector_checks(proj):
-    """Orthogonality P_m P_n = delta_mn P_m, then completeness sum(P) = 1."""
-    for m in range(len(proj)):
-        for n in range(len(proj)):
-            yield "projector_orthogonality", 0, proj[m] * proj[n] - (proj[m] if m == n else 0.0)
+    """Orthogonality P_m P_n = delta_mn P_m, one (lam, dim) product per m
+    reduced over n, then completeness sum(P) = 1."""
+    stack = np.array(proj)
+    for m, p in enumerate(proj):
+        diff = p * stack
+        diff[m] -= p
+        yield "projector_orthogonality", 0, np.max(np.abs(diff), axis=0)
     yield "projector_completeness", 0, sum(proj) - 1.0
 
 
@@ -139,32 +143,35 @@ def _defining_checks(rep: TruncatedFockRep):
     spec = rep.spec
     lam = spec.lam
     a, adag, num, t_gen, proj = rep.a, rep.adag, rep.num, rep.T, rep.P
+    num_lo, t_lo = _lo(num), _lo(t_gen)
     q = np.exp(2j * np.pi / lam)
     t_powers = np.cumprod([np.ones_like(t_gen)] + [t_gen] * lam, axis=0)  # row m: T^m
-    commutator = a @ adag - adag @ a
+    # [a, adag] is diagonal: (a adag)[n] = a[n+1] adag[n+1], zero at the top
+    commutator = np.append(a[1:] * adag[1:], 0) - adag * a
 
     yield "t_cyclic", 0, t_powers[lam] - 1.0
-    yield "commutator_T", 2, _minus_diagonal(
-        commutator, 1.0 + sum(spec.kappa[m - 1] * t_powers[m] for m in range(1, lam))
+    yield "commutator_T", 2, commutator - (
+        1.0 + sum(spec.kappa[m - 1] * t_powers[m] for m in range(1, lam))
     )
-    # [N, x] +- x scales x[i, j] by n_i - n_j +- 1: integers, so exact
-    yield "number_lowering", 1, (num[:, None] - num + 1) * a
-    yield "number_raising", 1, (num[:, None] - num - 1) * adag
+    # [N, x] +- x scales band entry n by n_row - n_col +- 1: integers, so exact
+    yield "number_lowering", 1, (num_lo - num + 1) * a
+    yield "number_raising", 1, (num - num_lo - 1) * adag
     yield "number_T_commutes", 0, num * t_gen - t_gen * num
-    yield "quommutation_a", 1, a * t_gen - q * (t_gen[:, None] * a)
-    yield "quommutation_adag", 1, adag * t_gen - np.conj(q) * (t_gen[:, None] * adag)
+    yield "quommutation_a", 1, a * t_gen - q * (t_lo * a)
+    yield "quommutation_adag", 1, adag * t_lo - np.conj(q) * (t_gen * adag)
     yield "hermiticity_N", 0, num - num.conj()
-    yield "hermiticity_a", 0, adag.conj().T - a
+    yield "hermiticity_a", 0, adag.conj() - a
     yield "unitarity_T", 0, t_gen.conj() - 1.0 / t_gen
-    yield "commutator_P", 2, _minus_diagonal(
-        commutator, 1.0 + sum(spec.alpha[m] * proj[m] for m in range(lam))
+    yield "commutator_P", 2, commutator - (
+        1.0 + sum(spec.alpha[m] * proj[m] for m in range(lam))
     )
     for p in proj:
         yield "number_P_commutes", 0, num * p - p * num
+    proj_lo = [_lo(p) for p in proj]
     for m in range(lam):
-        yield "sector_shift_a", 1, a * proj[m] - proj[(m - 1) % lam][:, None] * a
+        yield "sector_shift_a", 1, a * proj[m] - proj_lo[(m - 1) % lam] * a
     for m in range(lam):
-        yield "sector_shift_adag", 1, adag * proj[m] - proj[(m + 1) % lam][:, None] * adag
+        yield "sector_shift_adag", 1, adag * proj_lo[m] - proj[(m + 1) % lam] * adag
     yield from _projector_checks(proj)
     for p in proj:
         yield "hermiticity_P", 0, p - p.conj()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from clext import energy_level, from_alpha
+from clext import energy_level, from_alpha, structure_function
 from clext.cli import main
 
 
@@ -346,6 +346,22 @@ class TestDumpCommand:
         dense = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
         column_major = dense.T.ravel()
         assert out.splitlines() == [f"{z.real!r},{z.imag!r}" for z in column_major.tolist()]
+
+    @pytest.mark.parametrize("matrix", ("a", "adag"))
+    def test_ladder_dump(self, capsys, matrix):
+        code, out, _ = run_cli(
+            ["dump", "--lambda", "3", "--alpha", "1,-0.5,-0.5", "--dim", "7",
+             "--matrix", matrix],
+            capsys,
+        )
+        assert code == 0
+        spec = from_alpha(3, [1.0, -0.5, -0.5])
+        dense = np.diag(np.sqrt([structure_function(spec, n) for n in range(1, 7)]), 1)
+        if matrix == "adag":
+            dense = dense.T
+        column_major = dense.astype(complex).T.ravel()
+        expected = "".join(f"{z.real!r},{z.imag!r}\n" for z in column_major.tolist())
+        assert out == expected
 
     def test_unknown_matrix(self, capsys):
         code, _, err = run_cli(

@@ -10,6 +10,7 @@ from clext import (
     casimir,
     from_alpha,
     grading_sector,
+    ladder_matrices,
     norm_coefficient,
     sample_bfb_alpha,
     structure_function,
@@ -29,17 +30,28 @@ def loop_built_ladder(spec, dim):
 class TestBuild:
     def test_undeformed_entries(self):
         rep = build_fock_rep(from_alpha(2, [0.0, 0.0]), 3)
-        np.testing.assert_allclose(np.diag(rep.a, k=1), [1.0, math.sqrt(2.0)])
+        np.testing.assert_allclose(rep.a, [0.0, 1.0, math.sqrt(2.0)])
 
     def test_worked_entries(self):
         rep = build_fock_rep(WORKED, 4)
         expected = [math.sqrt(2.0), math.sqrt(2.5), math.sqrt(3.0)]
-        np.testing.assert_allclose(np.diag(rep.a, k=1), expected, atol=1e-15)
-        np.testing.assert_array_equal(rep.a, loop_built_ladder(WORKED, 4))
+        np.testing.assert_allclose(rep.a[1:], expected, atol=1e-15)
+        np.testing.assert_array_equal(ladder_matrices(rep)[0], loop_built_ladder(WORKED, 4))
 
     def test_adag_is_conjugate_transpose(self):
         rep = build_fock_rep(WORKED, 12)
-        np.testing.assert_array_equal(rep.adag, rep.a.conj().T)
+        np.testing.assert_array_equal(rep.adag, rep.a.conj())
+        a, adag = ladder_matrices(rep)
+        np.testing.assert_array_equal(adag, a.conj().T)
+
+    def test_ladders_are_read_only_bands(self):
+        for dtype in (np.complex128, np.clongdouble):
+            rep = build_fock_rep(WORKED, 7, dtype=dtype)
+            for band in (rep.a, rep.adag):
+                assert band.shape == (7,)
+                assert band.dtype == dtype
+                assert band[0] == 0
+                assert not band.flags.writeable
 
     def test_number_operator(self):
         rep = build_fock_rep(WORKED, 5)
@@ -81,7 +93,7 @@ class TestBuild:
         rep = build_fock_rep(WORKED, 8, dtype=np.clongdouble)
         assert rep.a.dtype == np.clongdouble
         np.testing.assert_allclose(
-            rep.a.astype(complex), loop_built_ladder(WORKED, 8), atol=1e-15
+            ladder_matrices(rep)[0].astype(complex), loop_built_ladder(WORKED, 8), atol=1e-15
         )
 
 
@@ -90,12 +102,11 @@ class TestLadderProducts:
         # a P_mu = P_{mu-1} a and adag P_mu = P_{mu+1} adag hold with no
         # boundary effect: all matrices share the same shift structure
         rep = build_fock_rep(WORKED, 10)
+        a, adag = ladder_matrices(rep)
         for mu in range(3):
             proj = [np.diag(p) for p in rep.P]
-            np.testing.assert_array_equal(rep.a @ proj[mu], proj[(mu - 1) % 3] @ rep.a)
-            np.testing.assert_array_equal(
-                rep.adag @ proj[mu], proj[(mu + 1) % 3] @ rep.adag
-            )
+            np.testing.assert_array_equal(a @ proj[mu], proj[(mu - 1) % 3] @ a)
+            np.testing.assert_array_equal(adag @ proj[mu], proj[(mu + 1) % 3] @ adag)
 
     def test_projector_algebra_is_exact(self):
         rep = build_fock_rep(WORKED, 10)
@@ -106,14 +117,14 @@ class TestLadderProducts:
                 np.testing.assert_array_equal(proj[mu] @ proj[nu], expected)
 
     def test_lowering_then_raising_is_structure_diagonal(self):
-        rep = build_fock_rep(WORKED, 9)
-        product = rep.adag @ rep.a
+        a, adag = ladder_matrices(build_fock_rep(WORKED, 9))
+        product = adag @ a
         expected = [structure_function(WORKED, n) for n in range(9)]
         np.testing.assert_allclose(product, np.diag(expected), atol=1e-13)
 
     def test_raising_then_lowering_has_top_artifact(self):
-        rep = build_fock_rep(WORKED, 9)
-        product = rep.a @ rep.adag
+        a, adag = ladder_matrices(build_fock_rep(WORKED, 9))
+        product = a @ adag
         expected = [structure_function(WORKED, n + 1) for n in range(8)] + [0.0]
         np.testing.assert_allclose(product, np.diag(expected), atol=1e-13)
 
@@ -140,7 +151,7 @@ class TestCasimir:
         f_diag = np.diag([structure_function(spec, n) for n in range(8)]).astype(complex)
         oracle = f_diag - a.conj().T @ a
         assert np.max(np.abs(oracle)) <= 1e-13
-        np.testing.assert_allclose(casimir(rep), oracle, atol=1e-15)
+        np.testing.assert_allclose(np.diag(casimir(rep)), oracle, atol=1e-15)
 
     def test_undeformed(self):
         # a dag a equals the number operator up to sqrt rounding
@@ -167,12 +178,13 @@ class TestGradingSector:
 
     def test_ladders_shift_sectors(self):
         rep = build_fock_rep(WORKED, 9)
+        a, adag = ladder_matrices(rep)
         vec = np.zeros(9, dtype=complex)
         vec[3] = 1.0  # sector 0
-        lowered = rep.a @ vec
+        lowered = a @ vec
         support = np.nonzero(np.abs(lowered) > 1e-14)[0]
         assert set(support) <= set(grading_sector(rep, 2))
-        raised = rep.adag @ vec
+        raised = adag @ vec
         support = np.nonzero(np.abs(raised) > 1e-14)[0]
         assert set(support) <= set(grading_sector(rep, 1))
 

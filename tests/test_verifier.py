@@ -164,21 +164,21 @@ class TestReportShape:
             assert tuple((e.relation, e.word_length) for e in report.entries) == order
 
     def test_peak_memory_is_linear_in_lam(self):
-        # N, T and P_mu are diagonals, so besides the rep only a few dense
-        # temporaries (the commutator and the difference being reduced) are
-        # alive: the same bound holds at every lam
-        for lam, dim in ((16, 192), (32, 384)):
+        # every generator is a band or a diagonal, so building the rep and
+        # both reports stays below one dense matrix at any lam
+        for lam, dim in ((16, 192), (64, 768)):
             rng = np.random.default_rng(lam)
-            rep = build_fock_rep(from_alpha(lam, sample_bfb_alpha(lam, rng)), dim)
+            spec = from_alpha(lam, sample_bfb_alpha(lam, rng))
             tracemalloc.start()
             try:
+                rep = build_fock_rep(spec, dim)
                 verify_defining_relations(rep)
                 verify_projector_algebra(rep)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             matrix_bytes = dim * dim * np.dtype(np.complex128).itemsize
-            assert peak <= 8 * matrix_bytes, (lam, peak / matrix_bytes)
+            assert peak < matrix_bytes, (lam, peak / matrix_bytes)
 
     def test_lambda_64_verifies_at_default_dim(self):
         # the CLI's lambda cap at its default dim 768, in a child under a
@@ -216,15 +216,100 @@ class TestNumberRelations:
             assert report.entry("number_lowering").residual == 0.0
             assert report.entry("number_raising").residual == 0.0
 
-    def test_entry_off_the_shift_fails(self):
+    def test_tampered_number_fails_number_relations(self):
         rep = build_fock_rep(WORKED, 12)
-        a = rep.a.copy()
-        a[3, 7] = 1e-6
-        report = verify_defining_relations(dataclasses.replace(rep, a=a, adag=a.conj().T))
-        for relation in ("number_lowering", "number_raising"):
+        num = rep.num.copy()
+        num[5] += 1e-6
+        report = verify_defining_relations(dataclasses.replace(rep, num=num))
+        # band entry n of [N, a] + a is (n_(n-1) - n_n + 1) a[n]; of
+        # [N, adag] - adag it is (n_n - n_(n-1) - 1) adag[n]
+        expected = {
+            "number_lowering": max(
+                abs((4.0 - num[5] + 1) * rep.a[5]), abs((num[5] - 6.0 + 1) * rep.a[6])
+            ),
+            "number_raising": max(
+                abs((num[5] - 4.0 - 1) * rep.adag[5]), abs((6.0 - num[5] - 1) * rep.adag[6])
+            ),
+        }
+        for relation, residual in expected.items():
             entry = report.entry(relation)
             assert not entry.passed
-            assert abs(entry.residual - 3e-6) < 1e-18
+            assert entry.residual == residual
+            assert abs(residual - 1e-6 * np.sqrt(6.0)) < 1e-15  # sqrt(F(6)) = sqrt(6)
+        assert [e.relation for e in report.entries if not e.passed] == list(expected)
+
+    def test_tampered_ladder_fails_hermiticity_and_commutators(self):
+        rep = build_fock_rep(WORKED, 12)
+        a = rep.a.copy()
+        a[5] *= 1 + 1e-6  # adag unchanged
+        tampered = dataclasses.replace(rep, a=a)
+        report = verify_defining_relations(tampered)
+        oracle = dense_residuals(tampered)
+        assert report.entry("hermiticity_a").residual == abs(rep.adag[5].conj() - a[5])
+        for relation in ("commutator_T", "commutator_P"):
+            residual = report.entry(relation).residual
+            assert residual == oracle[relation]
+            # the diagonal of [a, adag] moves by F(5) 1e-6 at states 4 and 5
+            assert abs(residual - 5.5e-6) < 1e-12
+        failed = [e.relation for e in report.entries if not e.passed]
+        assert failed == ["commutator_T", "hermiticity_a", "commutator_P"]
+
+
+def dense_residuals(rep):
+    """Residuals of the ladder relations from dense a and adag rebuilt from
+    the bands: each diagonal scales rows (``d[:, None] * x``) or columns
+    (``x * d``), and [a, adag] is a dense matrix product."""
+    lam = rep.spec.lam
+    a = np.diag(rep.a[1:], 1)
+    adag = np.diag(rep.adag[1:], -1)
+    num, t_gen, proj = rep.num, rep.T, rep.P
+    q = np.exp(2j * np.pi / lam)
+    t_powers = np.cumprod([np.ones_like(t_gen)] + [t_gen] * lam, axis=0)
+    commutator = a @ adag - adag @ a
+    kappa_side = 1.0 + sum(rep.spec.kappa[m - 1] * t_powers[m] for m in range(1, lam))
+    alpha_side = 1.0 + sum(rep.spec.alpha[m] * proj[m] for m in range(lam))
+    diffs = {
+        "commutator_T": (2, [commutator - np.diag(kappa_side)]),
+        "commutator_P": (2, [commutator - np.diag(alpha_side)]),
+        "number_lowering": (1, [(num[:, None] - num + 1) * a]),
+        "number_raising": (1, [(num[:, None] - num - 1) * adag]),
+        "number_T_commutes": (0, [np.diag(num * t_gen - t_gen * num)]),
+        "number_P_commutes": (0, [np.diag(num * p - p * num) for p in proj]),
+        "quommutation_a": (1, [a * t_gen - q * (t_gen[:, None] * a)]),
+        "quommutation_adag": (1, [adag * t_gen - np.conj(q) * (t_gen[:, None] * adag)]),
+        "hermiticity_a": (0, [adag.conj().T - a]),
+        "sector_shift_a": (
+            1, [a * proj[m] - proj[(m - 1) % lam][:, None] * a for m in range(lam)]
+        ),
+        "sector_shift_adag": (
+            1, [adag * proj[m] - proj[(m + 1) % lam][:, None] * adag for m in range(lam)]
+        ),
+    }
+    truncated = classify(rep.spec).dim != rep.dim
+    return {
+        relation: max(interior_max_abs(d, word if truncated else 0) for d in family)
+        for relation, (word, family) in diffs.items()
+    }
+
+
+class TestDenseOracle:
+    """The band residuals equal the dense-matrix residuals bit for bit."""
+
+    @pytest.mark.parametrize("lam", (2, 3, 5, 8, 16))
+    def test_random_bfb_reps(self, lam):
+        rng = np.random.default_rng(700 + lam)
+        rep = build_fock_rep(from_alpha(lam, sample_bfb_alpha(lam, rng)), 12 * lam)
+        report = verify_defining_relations(rep)
+        for relation, residual in dense_residuals(rep).items():
+            assert report.entry(relation).residual == residual, relation
+
+    def test_exact_finite_rep(self):
+        spec = from_alpha(6, exact_finite_alpha(6, 5, np.random.default_rng(65)))
+        rep = build_fock_rep(spec, 5)
+        report = verify_defining_relations(rep)
+        assert report.margin_policy == "exact"
+        for relation, residual in dense_residuals(rep).items():
+            assert report.entry(relation).residual == residual, relation
 
 
 def exact_finite_alpha(lam, d, rng):
