@@ -78,7 +78,6 @@ from .verify import (
     RelationResidual,
     ResidualReport,
     interior_max_abs,
-    interior_projector,
     verify_defining_relations,
     verify_projector_algebra,
 )

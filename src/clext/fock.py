@@ -5,8 +5,10 @@ Every generator is a weighted shift, stored as its length-``dim`` band.
 Ladder elements follow the real non-negative square-root convention,
 a |n> = sqrt(F(n)) |n-1>, so a[n] = <n-1|a|n> = sqrt(F(n)) with a[0] = 0,
 and adag[n] = <n|adag|n-1> = conj(a[n]).  N, T and P_mu are functions of N,
-so they are stored as their diagonals: num[n] = n, T[n] = exp(2i pi n / lam),
-and P_mu[n] is the 0/1 indicator of n = mu (mod lam).  Band entry n joins
+so they are stored as their diagonals: num[n] = n and T[n] = exp(2i pi n / lam).
+The lam projector diagonals form one (lam, dim) array ``P`` whose row mu is
+P_mu, the 0/1 indicator of n = mu (mod lam); ``P[mu]``, iteration over the
+sectors and ``sum(P)`` work as on a sequence of diagonals.  Band entry n joins
 states n - 1 and n, so a product with a diagonal ``d`` is elementwise:
 ``band * d`` takes d at the upper state and ``band * d_lo``, with
 d_lo[n] = d[n-1], at the lower one (a D and D adag are ``band * d``; D a
@@ -32,7 +34,8 @@ from .errors import DimensionTooLargeError, NonUnitaryTruncationError
 
 @dataclass(frozen=True, eq=False)
 class TruncatedFockRep:
-    """Read-only bands of a and adag and read-only diagonals of N, T, P_mu."""
+    """Read-only bands of a and adag, read-only diagonals of N and T, and the
+    read-only (lam, dim) array P whose row mu is the diagonal of P_mu."""
 
     spec: AlgebraSpec
     dim: int
@@ -40,7 +43,7 @@ class TruncatedFockRep:
     adag: np.ndarray
     num: np.ndarray
     T: np.ndarray
-    P: tuple[np.ndarray, ...]
+    P: np.ndarray
 
 
 def build_fock_rep(spec: AlgebraSpec, dim: int, dtype=np.complex128) -> TruncatedFockRep:
@@ -71,8 +74,8 @@ def build_fock_rep(spec: AlgebraSpec, dim: int, dtype=np.complex128) -> Truncate
     adag = a.copy()  # conj(a): the square roots are real
     num = n.astype(rdtype)
     t_gen = np.exp(2j * np.pi * n / spec.lam)
-    projectors = tuple((n % spec.lam == mu).astype(rdtype) for mu in range(spec.lam))
-    for arr in (a, adag, num, t_gen, *projectors):
+    projectors = (n % spec.lam == np.arange(spec.lam)[:, None]).astype(rdtype)
+    for arr in (a, adag, num, t_gen, projectors):
         arr.setflags(write=False)
     return TruncatedFockRep(spec=spec, dim=dim, a=a, adag=adag, num=num, T=t_gen, P=projectors)
 

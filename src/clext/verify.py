@@ -1,9 +1,13 @@
 """Numerical verification of the algebra's defining relations.
 
-Every relation is evaluated as a difference LHS - RHS, reduced as soon as
-it is formed to the maximum absolute entry over the truncation interior.
-N, T and P_mu are diagonals, so only the deformed commutator takes dense
-matrix products and memory is a few dense matrices whatever lam is.  The
+Every relation is evaluated as one length-dim difference LHS - RHS, reduced
+as soon as it is formed to the maximum absolute entry over the truncation
+interior.  a and adag are bands and N, T and P_mu diagonals, so a relation
+among them is elementwise arithmetic on vectors.  A family of lam relations
+indexed by sector is one (lam, dim) array operation, reduced per state over
+the sector axis, and the Fourier relations between the P_mu and the powers
+of T are one FFT along that axis: time is O(lam log lam * dim) and memory a
+few (lam, dim) arrays, with no matrix product anywhere.  The
 interior margin equals the relation's word length (the largest number of
 ladder factors in any term), because each ladder factor can propagate the
 truncation artifact at most one state down from the top.  An exact
@@ -13,8 +17,6 @@ finite-dimensional rep (dim = d with F(d) = 0) has no artifact: margin 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -23,15 +25,6 @@ from .errors import MarginTooLargeError
 from .fock import TruncatedFockRep
 
 DEFAULT_TOL = 1e-12
-
-
-def interior_projector(dim: int, margin: int) -> np.ndarray:
-    """Diagonal 0/1 matrix keeping basis states 0 .. dim-1-margin."""
-    if not 0 <= margin < dim:
-        raise MarginTooLargeError(f"margin {margin} does not fit in dimension {dim}")
-    keep = np.zeros(dim)
-    keep[: dim - margin] = 1.0
-    return np.diag(keep)
 
 
 def interior_max_abs(mat: np.ndarray, margin: int) -> float:
@@ -98,17 +91,15 @@ class ResidualReport:
 
 
 def _collect(checks, tol: float, rep: TruncatedFockRep) -> ResidualReport:
-    """Reduce each ``(relation, word_length, diff)`` as it arrives.
-
-    Consecutive yields of one relation form one entry whose residual is the
-    largest over its differences, so only the difference being reduced is
-    held, never the whole family.  Margins are 0 on an exact finite rep.
+    """Reduce each ``(relation, word_length, diff)`` to one entry as it
+    arrives, so only the difference being reduced is held.  Margins are 0 on
+    an exact finite rep.
     """
     truncated = classify(rep.spec).dim != rep.dim
     entries = []
-    for (relation, word_length), group in groupby(checks, key=itemgetter(0, 1)):
+    for relation, word_length, diff in checks:
         margin = word_length if truncated else 0
-        residual = max(interior_max_abs(diff, margin) for _, _, diff in group)
+        residual = interior_max_abs(diff, margin)
         entries.append(
             RelationResidual(
                 relation=relation,
@@ -123,35 +114,57 @@ def _collect(checks, tol: float, rep: TruncatedFockRep) -> ResidualReport:
 
 
 def _lo(diagonal: np.ndarray) -> np.ndarray:
-    """d_lo[n] = d[n-1], the diagonal at the lower state of band entry n.
-    Entry 0 wraps to d[dim-1], which meets only a[0] = adag[0] = 0."""
-    return np.roll(diagonal, 1)
+    """d_lo[n] = d[n-1], the diagonal at the lower state of band entry n,
+    taken along the last axis.  Entry 0 wraps to d[dim-1], which meets only
+    a[0] = adag[0] = 0."""
+    return np.roll(diagonal, 1, axis=-1)
+
+
+def _t_powers(t_gen: np.ndarray, count: int) -> np.ndarray:
+    """Rows T^0 .. T^(count-1), each the previous row times T."""
+    powers = np.empty((count, t_gen.size), dtype=t_gen.dtype)
+    powers[0] = 1.0
+    powers[1:] = t_gen
+    return np.cumprod(powers, axis=0, out=powers)
+
+
+def _per_state(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Max over the sector axis of |lhs - rhs|: the per-state residual of a
+    (lam, dim) family of relations.  ``rhs`` is a temporary of the
+    difference's dtype and receives the difference, which saves allocating
+    one more stack."""
+    return np.abs(np.subtract(lhs, rhs, out=rhs)).max(axis=0)
 
 
 def _projector_checks(proj):
-    """Orthogonality P_m P_n = delta_mn P_m, one (lam, dim) product per m
-    reduced over n, then completeness sum(P) = 1."""
-    stack = np.array(proj)
-    for m, p in enumerate(proj):
-        diff = p * stack
-        diff[m] -= p
-        yield "projector_orthogonality", 0, np.max(np.abs(diff), axis=0)
-    yield "projector_completeness", 0, sum(proj) - 1.0
+    """Orthogonality P_m P_n = delta_mn P_m, then completeness sum(P) = 1.
+
+    At state n, with v = P[:, n], the orthogonality residual over all pairs
+    is max(max_m |v_m^2 - v_m|, max_(m != k) |v_m v_k|).  P is real, so
+    |v_m v_k| rounds to |v_m| |v_k|, and rounding is monotone: the second
+    term is the product of the two largest |v_m|, exactly."""
+    mag = np.abs(proj)
+    mag.partition(-2, axis=0)  # rows -2 and -1: the two largest
+    off_diagonal = mag[-2] * mag[-1]
+    # |v - v^2| = |v^2 - v|: rounding is symmetric
+    yield "projector_orthogonality", 0, np.maximum(_per_state(proj, proj * proj), off_diagonal)
+    yield "projector_completeness", 0, proj.sum(axis=0) - 1.0
 
 
 def _defining_checks(rep: TruncatedFockRep):
     spec = rep.spec
     lam = spec.lam
     a, adag, num, t_gen, proj = rep.a, rep.adag, rep.num, rep.T, rep.P
-    num_lo, t_lo = _lo(num), _lo(t_gen)
+    num_lo, t_lo, proj_lo = _lo(num), _lo(t_gen), _lo(proj)
     q = np.exp(2j * np.pi / lam)
-    t_powers = np.cumprod([np.ones_like(t_gen)] + [t_gen] * lam, axis=0)  # row m: T^m
+    t_powers = _t_powers(t_gen, lam + 1)  # row m: T^m
     # [a, adag] is diagonal: (a adag)[n] = a[n+1] adag[n+1], zero at the top
     commutator = np.append(a[1:] * adag[1:], 0) - adag * a
 
     yield "t_cyclic", 0, t_powers[lam] - 1.0
+    # the coupling sums add the rows in order, T^1 (or P_0) first
     yield "commutator_T", 2, commutator - (
-        1.0 + sum(spec.kappa[m - 1] * t_powers[m] for m in range(1, lam))
+        1.0 + (spec.kappa[:, None] * t_powers[1:lam]).sum(axis=0)
     )
     # [N, x] +- x scales band entry n by n_row - n_col +- 1: integers, so exact
     yield "number_lowering", 1, (num_lo - num + 1) * a
@@ -162,19 +175,16 @@ def _defining_checks(rep: TruncatedFockRep):
     yield "hermiticity_N", 0, num - num.conj()
     yield "hermiticity_a", 0, adag.conj() - a
     yield "unitarity_T", 0, t_gen.conj() - 1.0 / t_gen
-    yield "commutator_P", 2, commutator - (
-        1.0 + sum(spec.alpha[m] * proj[m] for m in range(lam))
-    )
-    for p in proj:
-        yield "number_P_commutes", 0, num * p - p * num
-    proj_lo = [_lo(p) for p in proj]
-    for m in range(lam):
-        yield "sector_shift_a", 1, a * proj[m] - proj_lo[(m - 1) % lam] * a
-    for m in range(lam):
-        yield "sector_shift_adag", 1, adag * proj_lo[m] - proj[(m + 1) % lam] * adag
+    yield "commutator_P", 2, commutator - (1.0 + (spec.alpha[:, None] * proj).sum(axis=0))
+    yield "number_P_commutes", 0, _per_state(num * proj, proj * num)
+    # a P_m - P_(m-1) a is the band a times the diagonal P_m - (P_(m-1))_lo,
+    # so the family's per-state residual is |a| max_m |P_m - (P_(m-1))_lo|;
+    # likewise adag P_m - P_(m+1) adag.  Rounding is monotone, so this equals
+    # the termwise max whenever the products are exact, as for 0/1 projectors
+    yield "sector_shift_a", 1, np.abs(a) * _per_state(proj, np.roll(proj_lo, 1, axis=0))
+    yield "sector_shift_adag", 1, np.abs(adag) * _per_state(proj_lo, np.roll(proj, -1, axis=0))
     yield from _projector_checks(proj)
-    for p in proj:
-        yield "hermiticity_P", 0, p - p.conj()
+    yield "hermiticity_P", 0, _per_state(proj, np.conj(proj))
 
 
 def verify_defining_relations(rep: TruncatedFockRep, tol: float = DEFAULT_TOL) -> ResidualReport:
@@ -192,17 +202,14 @@ def verify_defining_relations(rep: TruncatedFockRep, tol: float = DEFAULT_TOL) -
 def _projector_algebra_checks(rep: TruncatedFockRep):
     lam = rep.spec.lam
     proj = rep.P
-    t_powers = np.cumprod([np.ones_like(rep.T)] + [rep.T] * (lam - 1), axis=0)
+    t_powers = _t_powers(rep.T, lam)
 
     yield from _projector_checks(proj)
-    for mu in range(lam):
-        yield "projector_from_T", 0, proj[mu] - sum(
-            np.exp(-2j * np.pi * mu * nu / lam) * t_powers[nu] for nu in range(lam)
-        ) / lam
-    for nu in range(lam):
-        yield "T_from_projectors", 0, t_powers[nu] - sum(
-            np.exp(2j * np.pi * mu * nu / lam) * proj[mu] for mu in range(lam)
-        )
+    # P_mu = sum_nu exp(-2i pi mu nu / lam) T^nu / lam and its inverse
+    # T^nu = sum_mu exp(2i pi mu nu / lam) P_mu are DFTs along the sector
+    # axis; norm="forward" puts the 1/lam on the forward one, as here
+    yield "projector_from_T", 0, _per_state(proj, np.fft.fft(t_powers, axis=0, norm="forward"))
+    yield "T_from_projectors", 0, _per_state(t_powers, np.fft.ifft(proj, axis=0, norm="forward"))
 
 
 def verify_projector_algebra(rep: TruncatedFockRep, tol: float = DEFAULT_TOL) -> ResidualReport:

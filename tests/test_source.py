@@ -1,7 +1,10 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import clext
+from clext import verify
 
 SOURCES = sorted(Path(clext.__file__).parent.glob("*.py"))
 
@@ -18,6 +21,20 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
+
+
+def _is_matrix_product(node) -> bool:
+    """x @ y, x @= y, or a call to np.dot, x.dot, matmul, einsum and kin."""
+    if isinstance(getattr(node, "op", None), ast.MatMult):
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in MATRIX_PRODUCTS
+
+
 def test_no_matrix_products_in_fock_or_verify():
     # a and adag are bands and N, T, P_mu diagonals: building a rep and
     # verifying it needs elementwise products only, never a dense one
@@ -26,7 +43,27 @@ def test_no_matrix_products_in_fock_or_verify():
         f"{path.name}:{node.lineno}"
         for path in scanned
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(getattr(node, "op", None), ast.MatMult)  # x @ y and x @= y
+        if _is_matrix_product(node)
     ]
     assert len(scanned) == 2
     assert found == []
+
+
+def test_matrix_product_scan_sees_every_form():
+    snippets = ("a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "numpy.matmul(a, b)",
+                "np.einsum('ij,jk', a, b)", "np.tensordot(a, b)", "np.inner(a, b)",
+                "np.vdot(a, b)", "matmul(a, b)")
+    for snippet in snippets:
+        assert any(map(_is_matrix_product, ast.walk(ast.parse(snippet)))), snippet
+    assert not any(map(_is_matrix_product, ast.walk(ast.parse("np.multiply(a, b) * c"))))
+
+
+@pytest.mark.parametrize("lam", (3, 64))
+def test_verify_yields_one_difference_per_relation(lam):
+    # a family of lam relations is one (lam, dim) array operation, so the
+    # number of differences does not grow with lam
+    rep = clext.build_fock_rep(clext.from_alpha(lam, [0.0] * lam), 2 * lam)
+    for checks, count in ((verify._defining_checks, 17), (verify._projector_algebra_checks, 4)):
+        diffs = list(checks(rep))
+        assert len(diffs) == count
+        assert all(diff.shape == (rep.dim,) for _, _, diff in diffs)

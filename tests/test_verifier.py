@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,6 @@ from clext import (
     classify,
     from_alpha,
     interior_max_abs,
-    interior_projector,
     sample_bfb_alpha,
     verify_defining_relations,
     verify_projector_algebra,
@@ -52,24 +53,41 @@ PROJECTOR_ORDER = (
 )
 
 
+def interior_projector(dim, margin):
+    """Dense 0/1 diagonal keeping basis states 0 .. dim-1-margin: the
+    projector whose sandwich ``interior_max_abs`` reduces."""
+    keep = np.zeros(dim)
+    keep[: dim - margin] = 1.0
+    return np.diag(keep)
+
+
 class TestInteriorProjector:
+    """``interior_max_abs`` against the dense interior projector sandwich."""
+
     def test_zero_margin_is_identity(self):
         np.testing.assert_array_equal(interior_projector(6, 0), np.eye(6))
+        mat = np.random.default_rng(1).normal(size=(6, 6))
+        assert interior_max_abs(mat, 0) == np.max(np.abs(mat))
 
     def test_rank(self):
         proj = interior_projector(10, 2)
         assert np.trace(proj) == 8
+        band = np.arange(10.0)  # a band or diagonal keeps its first dim - margin entries
+        assert interior_max_abs(band, 2) == 7.0
+        assert interior_max_abs(band, 2) == np.max(np.abs(proj @ np.diag(band) @ proj))
 
     def test_nesting(self):
+        mat = np.random.default_rng(2).normal(size=(10, 10))
         for m, k in ((1, 3), (3, 1), (2, 2)):
             left = interior_projector(10, m) @ interior_projector(10, k)
             np.testing.assert_array_equal(left, interior_projector(10, max(m, k)))
+            assert interior_max_abs(mat, max(m, k)) == np.max(np.abs(left @ mat @ left))
 
     def test_margin_too_large(self):
         with pytest.raises(MarginTooLargeError):
-            interior_projector(5, 5)
+            interior_max_abs(np.ones((5, 5)), 5)
         with pytest.raises(MarginTooLargeError):
-            interior_projector(5, -1)
+            interior_max_abs(np.ones(5), -1)
 
     def test_max_abs_matches_projector_sandwich(self):
         rng = np.random.default_rng(3)
@@ -379,3 +397,116 @@ class TestProjectorAlgebra:
     def test_lam2_klein_combination(self):
         rep = build_fock_rep(from_alpha(2, [0.5, -0.5]), 10)
         np.testing.assert_allclose(rep.T, rep.P[0] - rep.P[1], atol=1e-15)
+
+
+def _loop_checks(rep):
+    """Every relation of both reports, one difference per sector, sector
+    pair or Fourier coefficient, in the report order: the defining
+    relations, then the projector algebra."""
+    spec, lam = rep.spec, rep.spec.lam
+    a, adag, num, t_gen = rep.a, rep.adag, rep.num, rep.T
+    proj = list(rep.P)
+    num_lo, t_lo = np.roll(num, 1), np.roll(t_gen, 1)
+    proj_lo = [np.roll(p, 1) for p in proj]
+    q = np.exp(2j * np.pi / lam)
+    t_powers = np.cumprod([np.ones_like(t_gen)] + [t_gen] * lam, axis=0)
+    commutator = np.append(a[1:] * adag[1:], 0) - adag * a
+
+    def projector_checks():
+        stack = np.array(proj)
+        for m, p in enumerate(proj):
+            diff = p * stack
+            diff[m] -= p
+            yield "projector_orthogonality", 0, np.max(np.abs(diff), axis=0)
+        yield "projector_completeness", 0, sum(proj) - 1.0
+
+    defining = [
+        ("t_cyclic", 0, t_powers[lam] - 1.0),
+        ("commutator_T", 2, commutator - (
+            1.0 + sum(spec.kappa[m - 1] * t_powers[m] for m in range(1, lam)))),
+        ("number_lowering", 1, (num_lo - num + 1) * a),
+        ("number_raising", 1, (num - num_lo - 1) * adag),
+        ("number_T_commutes", 0, num * t_gen - t_gen * num),
+        ("quommutation_a", 1, a * t_gen - q * (t_lo * a)),
+        ("quommutation_adag", 1, adag * t_lo - np.conj(q) * (t_gen * adag)),
+        ("hermiticity_N", 0, num - num.conj()),
+        ("hermiticity_a", 0, adag.conj() - a),
+        ("unitarity_T", 0, t_gen.conj() - 1.0 / t_gen),
+        ("commutator_P", 2, commutator - (1.0 + sum(spec.alpha[m] * proj[m] for m in range(lam)))),
+    ]
+    defining += [("number_P_commutes", 0, num * p - p * num) for p in proj]
+    defining += [
+        ("sector_shift_a", 1, a * proj[m] - proj_lo[(m - 1) % lam] * a) for m in range(lam)
+    ]
+    defining += [
+        ("sector_shift_adag", 1, adag * proj_lo[m] - proj[(m + 1) % lam] * adag)
+        for m in range(lam)
+    ]
+    defining += list(projector_checks())
+    defining += [("hermiticity_P", 0, p - p.conj()) for p in proj]
+
+    algebra = list(projector_checks())
+    algebra += [
+        ("projector_from_T", 0, proj[mu] - sum(
+            np.exp(-2j * np.pi * mu * nu / lam) * t_powers[nu] for nu in range(lam)) / lam)
+        for mu in range(lam)
+    ]
+    algebra += [
+        ("T_from_projectors", 0, t_powers[nu] - sum(
+            np.exp(2j * np.pi * mu * nu / lam) * proj[mu] for mu in range(lam)))
+        for nu in range(lam)
+    ]
+    return defining, algebra
+
+
+def loop_oracle(rep, tol=1e-12):
+    """(relation, word_length, margin, residual, passed) per report entry,
+    each residual the largest over its relation's differences."""
+    margin_of = (lambda w: w) if classify(rep.spec).dim != rep.dim else (lambda w: 0)
+    reports = []
+    for checks in _loop_checks(rep):
+        entries = []
+        for (relation, word), group in groupby(checks, key=itemgetter(0, 1)):
+            residual = max(interior_max_abs(d, margin_of(word)) for _, _, d in group)
+            entries.append((relation, word, margin_of(word), residual, residual <= tol))
+        reports.append(entries)
+    return reports
+
+
+FOURIER = ("projector_from_T", "T_from_projectors")
+
+
+class TestLoopOracle:
+    """Each relation family is one (lam, dim) array operation; the loop form
+    gives the same entries, bit for bit outside the two Fourier relations,
+    which an FFT evaluates to within 1e-14."""
+
+    @staticmethod
+    def assert_matches(rep):
+        reports = (verify_defining_relations(rep), verify_projector_algebra(rep))
+        for report, expected in zip(reports, loop_oracle(rep)):
+            got = [(e.relation, e.word_length, e.margin, e.residual, e.passed)
+                   for e in report.entries]
+            assert [g[:3] + g[4:] for g in got] == [x[:3] + x[4:] for x in expected]
+            for (relation, _, _, residual, _), (*_, oracle, _) in zip(got, expected):
+                if relation in FOURIER:
+                    assert abs(residual - oracle) <= 1e-14, relation
+                else:
+                    assert residual.hex() == oracle.hex(), relation
+        return reports
+
+    @pytest.mark.parametrize("dtype", (np.complex128, np.clongdouble))
+    @pytest.mark.parametrize("lam", (2, 3, 8, 16, 64))
+    def test_random_reps_and_tampers(self, lam, dtype):
+        rng = np.random.default_rng(900 + lam)
+        dim = 12 * lam
+        rep = build_fock_rep(from_alpha(lam, sample_bfb_alpha(lam, rng)), dim, dtype)
+        assert all(r.all_pass for r in self.assert_matches(rep))
+
+        n = dim // 2 + 1
+        proj = np.array(rep.P)
+        proj[(n + 1) % lam, n] = 0.5  # state n now lies in two sectors
+        t_gen = rep.T.copy()
+        t_gen[n] *= 1 + 1e-6
+        for tampered in (dataclasses.replace(rep, P=proj), dataclasses.replace(rep, T=t_gen)):
+            assert not all(r.all_pass for r in self.assert_matches(tampered))
