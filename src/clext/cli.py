@@ -7,9 +7,10 @@ parasupersymmetry, ``ssqm`` covers the two lam = 2 variants, ``bd-scan``
 sweeps the double-commutator obstruction, ``classify`` names the admissible
 representation, and ``dump`` writes raw generator matrices.
 
-A JSON config file (``--config``) may supply any parameter; flags override
-file values.  Reports are deterministic: fixed key order, floats rounded to
-15 significant digits, files written atomically.  Exit code 0 means every
+A JSON config file (``--config``) may supply any parameter; its values are
+converted and checked exactly like flag text, and flags override them.
+Reports are deterministic: fixed key order, floats rounded to 15
+significant digits, files written atomically.  Exit code 0 means every
 emitted pass flag is true, 1 means some check failed, 2 means a usage or
 validation problem.
 """
@@ -17,11 +18,12 @@ validation problem.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .pssqm import (
     DEFAULT_PSSQM_TOL,
     DEFAULT_SSQM_TOL,
     bd_scan,
-    default_eta,
     ground_energy,
     solve_and_check,
     solve_config,
@@ -43,48 +44,12 @@ from .spectrum import spectrum_report
 from .verify import DEFAULT_TOL, verify_defining_relations, verify_projector_algebra
 
 MAX_LAMBDA = 64  # CLI cap to bound report sizes; the library imposes none
-DEFAULT_SEED = 42
-DEFAULT_TOLS = {
-    "verify": DEFAULT_TOL,
-    "spectrum": 1e-12,
+DEFAULT_TOLS = {  # every other command takes verify's
     "pssqm-solve": DEFAULT_PSSQM_TOL,
     "pssqm-check": DEFAULT_PSSQM_TOL,
     "ssqm": DEFAULT_SSQM_TOL,
     "bd-scan": DEFAULT_PSSQM_TOL,
-    "classify": 1e-12,
-    "dump": 1e-12,
 }
-
-_CONFIG_KEYS = {
-    "command", "lambda", "alpha", "kappa", "dim", "tol", "p", "mu", "eta", "r",
-    "samples", "seed", "out", "format", "variant", "matrix",
-    "scan_from", "scan_to", "scan_points",
-}
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    command: str
-    lam: int
-    alpha: list | None
-    kappa: list | None
-    dim: int
-    tol: float
-    p: int | None
-    mu: int
-    eta: list | None
-    r: list | None
-    samples: int | None
-    seed: int
-    out: str | None
-    fmt: str
-    variant: str
-    matrix: str
-    scan_from: float
-    scan_to: float
-    scan_points: int
 
 
 def _parse_floats(text, name: str) -> list[float]:
@@ -104,7 +69,7 @@ def _parse_complexes(text, name: str) -> list[complex]:
         out = []
         for v in text:
             if isinstance(v, (list, tuple)) and len(v) == 2:
-                out.append(complex(float(v[0]), float(v[1])))
+                out.append(complex(*_parse_floats(v, name)))
             elif isinstance(v, (int, float, complex)):
                 out.append(complex(v))
             else:
@@ -118,56 +83,123 @@ def _parse_complexes(text, name: str) -> list[complex]:
         ) from exc
 
 
+#: What a config value of each scalar kind may be: flag text, or a JSON value
+#: that the kind's converter takes without loss.
+_SCALARS = {int: (str, int), float: (str, int, float), str: (str,)}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Param:
+    """One parameter: config key ``key``, flag ``--key`` with dashes for underscores."""
+
+    key: str
+    kind: Callable  # int, float or str; or a vector parser taking (value, key)
+    help: str
+    commands: tuple[str, ...] | None = None  # None: every command
+    default: object = None  # None: absent, or derived in parse_config
+    choices: tuple[str, ...] = ()
+    dest: str = ""  # the RunConfig field, when it is not the key
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+    @property
+    def field(self) -> str:
+        return self.dest or self.key
+
+
+_PSSQM = ("pssqm-solve", "pssqm-check", "bd-scan")
+
+#: Every parameter, in the order the flags appear in each command's usage.
+_PARAMS = (
+    _Param("lambda", int, "cyclic order (>= 2)", dest="lam"),
+    _Param("alpha", _parse_floats, "comma-separated sector couplings, sum zero"),
+    _Param("kappa", _parse_complexes, "comma-separated complex couplings kappa_1.."),
+    _Param("dim", int, "truncation dimension (default 12*lambda)"),
+    _Param("tol", float, "residual tolerance"),
+    _Param("seed", int, "RNG seed for sampling", default=42),
+    _Param("out", str, "write the report to this path (atomic)"),
+    _Param("format", str, "report format: csv/tsv for spectrum and bd-scan rows",
+           default="json", choices=("json", "csv", "tsv"), dest="fmt"),
+    _Param("p", int, "parasupersymmetry order (lambda = p + 1)", _PSSQM),
+    _Param("mu", int, "distinguished sector index", _PSSQM, default=0),
+    _Param("eta", _parse_complexes, "supercharge coefficients (comma-separated complex)",
+           _PSSQM),
+    _Param("r", _parse_floats, "override the solved sector shifts (comma-separated)",
+           ("pssqm-check",)),
+    _Param("samples", int, "check this many random admissible alpha draws instead",
+           ("pssqm-check",)),
+    _Param("variant", str, "which realization to check", ("ssqm",), default="both",
+           choices=("unbroken", "broken", "both")),
+    _Param("scan_from", float, "scan start", ("bd-scan",), default=-2.0),
+    _Param("scan_to", float, "scan end", ("bd-scan",), default=0.0),
+    _Param("scan_points", int, "grid points", ("bd-scan",), default=41),
+    _Param("matrix", str, "a, adag, num, t, or p<i>", ("dump",), default="a"),
+)
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    ["command", *(param.field for param in _PARAMS)],
+    namespace={"__doc__": "Validated parameters of one CLI invocation."},
+)
+
+
+def _convert(param: _Param, value):
+    """A flag's value or a config value, through the flag's converter and choices."""
+    if param.kind not in _SCALARS:
+        return param.kind(value, param.key)
+    try:
+        if type(value) not in _SCALARS[param.kind]:
+            raise TypeError
+        value = param.kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(
+            f"{param.key}: invalid {param.kind.__name__} value: {value!r}"
+        ) from None
+    if param.choices and value not in param.choices:
+        raise ParseError(
+            f"{param.key}: invalid choice: {value!r} "
+            f"(choose from {', '.join(map(repr, param.choices))})"
+        )
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file supplying any of the flags")
-    common.add_argument("--lambda", dest="lam", type=int, help="cyclic order (>= 2)")
-    common.add_argument("--alpha", help="comma-separated sector couplings, sum zero")
-    common.add_argument("--kappa", help="comma-separated complex couplings kappa_1..")
-    common.add_argument("--dim", type=int, help="truncation dimension (default 12*lambda)")
-    common.add_argument("--tol", type=float, help="residual tolerance")
-    common.add_argument("--seed", type=int, help="RNG seed for sampling (default 42)")
-    common.add_argument("--out", help="write the report to this path (atomic)")
-    common.add_argument("--format", dest="fmt", choices=["json", "csv", "tsv"],
-                        help="report format (csv/tsv for spectrum and bd-scan rows)")
-
-    pssqm = argparse.ArgumentParser(add_help=False)
-    pssqm.add_argument("--p", type=int, help="parasupersymmetry order (lambda = p + 1)")
-    pssqm.add_argument("--mu", type=int, help="distinguished sector index (default 0)")
-    pssqm.add_argument("--eta", help="supercharge coefficients (comma-separated complex)")
-
     parser = argparse.ArgumentParser(
         prog="clext",
         description="cyclic-group extended oscillator algebras: representations, "
         "relation verification, spectra, parasupersymmetry",
     )
     parser.add_argument("--version", action="version", version=f"clext {__version__}")
+
+    def add_flag(container, param: _Param) -> None:
+        help_text = param.help
+        if param.default is not None:
+            help_text += f" (default {param.default})"
+        container.add_argument(
+            param.flag,
+            dest=param.field,
+            type=param.kind if param.kind in _SCALARS else None,
+            choices=param.choices or None,
+            help=help_text,
+        )
+
+    # a flag that several commands take is built once, in a parent parser
+    shared = {None: argparse.ArgumentParser(add_help=False),
+              _PSSQM: argparse.ArgumentParser(add_help=False)}
+    shared[None].add_argument("--config", help="JSON file supplying any of the flags")
+    for param in _PARAMS:
+        if param.commands in shared:
+            add_flag(shared[param.commands], param)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("verify", parents=[common], help="check all defining relations")
-    sub.add_parser("spectrum", parents=[common], help="oscillator levels and clusters")
-    sub.add_parser("classify", parents=[common], help="which Fock representation exists")
-
-    sub.add_parser("pssqm-solve", parents=[common, pssqm], help="solve the sector-shift chain")
-
-    check = sub.add_parser("pssqm-check", parents=[common, pssqm],
-                           help="verify the order-p relations")
-    check.add_argument("--r", help="override the solved sector shifts (comma-separated)")
-    check.add_argument("--samples", type=int,
-                       help="check this many random admissible alpha draws instead")
-
-    ssqm = sub.add_parser("ssqm", parents=[common], help="lam = 2 supersymmetry variants")
-    ssqm.add_argument("--variant", choices=["unbroken", "broken", "both"],
-                      help="which realization to check (default both)")
-
-    scan = sub.add_parser("bd-scan", parents=[common, pssqm],
-                          help="scan alpha_{mu+2} for the double-commutator variant")
-    scan.add_argument("--scan-from", type=float, help="scan start (default -2)")
-    scan.add_argument("--scan-to", type=float, help="scan end (default 0)")
-    scan.add_argument("--scan-points", type=int, help="grid points (default 41)")
-
-    dump = sub.add_parser("dump", parents=[common], help="write one generator matrix as text")
-    dump.add_argument("--matrix", help="a, adag, num, t, or p<i> (default a)")
+    for command, handler in _HANDLERS.items():
+        parents = [group for commands, group in shared.items()
+                   if commands is None or command in commands]
+        cmd = sub.add_parser(command, parents=parents, help=handler.__doc__)
+        for param in _PARAMS:
+            if param.commands not in shared and command in param.commands:
+                add_flag(cmd, param)
     return parser
 
 
@@ -181,33 +213,29 @@ def _load_config_file(path: str) -> dict:
         raise ParseError(f"config file {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - {"command", *(param.key for param in _PARAMS)}
     if unknown:
         raise ParseError(f"config file {path} has unknown keys: {sorted(unknown)}")
     return data
 
 
-_VECTOR_FLAGS = ("--alpha", "--kappa", "--eta", "--r")
-
-
 def _merge_vector_flags(argv) -> list[str]:
     """Join vector flags with their values so leading minus signs survive argparse."""
-    merged = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in _VECTOR_FLAGS and i + 1 < len(argv):
-            merged.append(f"{token}={argv[i + 1]}")
-            skip = True
-        else:
-            merged.append(token)
+    vector_flags = {param.flag for param in _PARAMS if param.kind not in _SCALARS}
+    merged, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in vector_flags else None
+        merged.append(token if value is None else f"{token}={value}")
     return merged
 
 
 def parse_config(argv) -> RunConfig:
-    """Parse argv (plus an optional config file) into a validated RunConfig."""
+    """Parse argv (plus an optional config file) into a validated RunConfig.
+
+    Every config value and flag value meets the same converter and choices;
+    flags override file values.  The rules below are those that tie
+    parameters together.
+    """
     namespace = _build_parser().parse_args(_merge_vector_flags(list(argv)))
     command = namespace.command
     file_values = _load_config_file(namespace.config) if namespace.config else {}
@@ -216,31 +244,21 @@ def parse_config(argv) -> RunConfig:
             f"config file requests command {file_values['command']!r}; "
             f"invoked as {command!r}"
         )
-
-    def pick(flag_name, file_key, default=None):
-        value = getattr(namespace, flag_name, None)
-        if value is not None:
-            return value
-        return file_values.get(file_key, default)
-
-    lam = pick("lam", "lambda")
-    alpha_raw = pick("alpha", "alpha")
-    kappa_raw = pick("kappa", "kappa")
-    p = pick("p", "p")
-    mu = pick("mu", "mu", 0)
-    eta_raw = pick("eta", "eta")
-    r_raw = pick("r", "r")
-
-    alpha = _parse_floats(alpha_raw, "alpha") if alpha_raw is not None else None
-    kappa = _parse_complexes(kappa_raw, "kappa") if kappa_raw is not None else None
-    eta = _parse_complexes(eta_raw, "eta") if eta_raw is not None else None
-    shifts = _parse_floats(r_raw, "r") if r_raw is not None else None
+    given = dict(file_values)
+    for param in _PARAMS:
+        if getattr(namespace, param.field, None) is not None:
+            given[param.key] = getattr(namespace, param.field)
+    values = {
+        param.field: _convert(param, given[param.key]) if param.key in given else param.default
+        for param in _PARAMS
+    }
+    lam, alpha, kappa, p = values["lam"], values["alpha"], values["kappa"], values["p"]
 
     if alpha is not None and kappa is not None:
         raise ValidationError("give either --alpha or --kappa, not both")
 
     if lam is None and p is not None:
-        lam = int(p) + 1
+        lam = p + 1
     if lam is None and alpha is not None:
         lam = len(alpha)
     if lam is None and kappa is not None:
@@ -249,27 +267,25 @@ def parse_config(argv) -> RunConfig:
         lam = 3
     if lam is None:
         raise ValidationError("cyclic order unknown: give --lambda (or --alpha/--kappa/--p)")
-    lam = int(lam)
     if lam < 2:
         raise ValidationError(f"lambda must be >= 2, got {lam}")
     if lam > MAX_LAMBDA:
         raise ValidationError(f"lambda capped at {MAX_LAMBDA} on the command line, got {lam}")
 
-    pssqm_command = command in ("pssqm-solve", "pssqm-check", "bd-scan")
-    if p is not None and int(p) + 1 != lam:
+    if p is not None and p + 1 != lam:
         raise ValidationError(
             f"lambda must equal p + 1 (got lambda = {lam}, p = {p}); "
-            f"set --lambda {int(p) + 1} or drop one of the flags"
+            f"set --lambda {p + 1} or drop one of the flags"
         )
-    if pssqm_command and p is None:
+    if command in _PSSQM and p is None:
         p = lam - 1
     if command == "bd-scan" and lam != 3:
         raise ValidationError(f"bd-scan runs at order p = 2 (lambda = 3), got lambda = {lam}")
     if command == "ssqm" and lam != 2:
         raise ValidationError(f"ssqm needs lambda = 2, got lambda = {lam}")
 
-    samples = pick("samples", "samples")
-    if samples is not None and int(samples) < 1:
+    samples = values["samples"]
+    if samples is not None and samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     if alpha is None and kappa is None:
         if command == "bd-scan":
@@ -277,38 +293,17 @@ def parse_config(argv) -> RunConfig:
         elif not (command == "pssqm-check" and samples is not None):
             raise ValidationError("no algebra parameters: give --alpha or --kappa")
 
-    dim = pick("dim", "dim")
-    dim = int(dim) if dim is not None else 12 * lam
+    dim = values["dim"] if values["dim"] is not None else 12 * lam
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
+    tol = values["tol"] if values["tol"] is not None else DEFAULT_TOLS.get(command, DEFAULT_TOL)
+    if values["fmt"] != "json" and command not in ("spectrum", "bd-scan"):
+        raise ValidationError(
+            f"format {values['fmt']!r} is only available for spectrum and bd-scan"
+        )
 
-    tol = pick("tol", "tol")
-    tol = float(tol) if tol is not None else DEFAULT_TOLS[command]
-    fmt = pick("fmt", "format", "json")
-    if fmt != "json" and command not in ("spectrum", "bd-scan"):
-        raise ValidationError(f"format {fmt!r} is only available for spectrum and bd-scan")
-
-    return RunConfig(
-        command=command,
-        lam=lam,
-        alpha=alpha,
-        kappa=kappa,
-        dim=dim,
-        tol=tol,
-        p=int(p) if p is not None else None,
-        mu=int(mu),
-        eta=eta,
-        r=shifts,
-        samples=int(samples) if samples is not None else None,
-        seed=int(pick("seed", "seed", DEFAULT_SEED)),
-        out=pick("out", "out"),
-        fmt=fmt,
-        variant=pick("variant", "variant", "both"),
-        matrix=pick("matrix", "matrix", "a"),
-        scan_from=float(pick("scan_from", "scan_from", -2.0)),
-        scan_to=float(pick("scan_to", "scan_to", 0.0)),
-        scan_points=int(pick("scan_points", "scan_points", 41)),
-    )
+    values.update(lam=lam, alpha=alpha, dim=dim, tol=tol, p=p)
+    return RunConfig(command=command, **values)
 
 
 def _build_spec(cfg: RunConfig) -> AlgebraSpec:
@@ -353,37 +348,43 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(cfg: RunConfig, text: str, summary_lines) -> None:
+def _emit(cfg: RunConfig, text: str, summary_lines, passed=True, written="report") -> int:
+    """Write text to stdout, or to ``--out`` with the summary lines on stdout;
+    return the exit code, 0 when every emitted pass flag is true."""
     if cfg.out:
         _write_atomic(cfg.out, text)
         for line in summary_lines:
             print(line)
-        print(f"report written to {cfg.out}")
+        print(f"{written} written to {cfg.out}")
     else:
         sys.stdout.write(text)
+    return 0 if passed else 1
 
 
-def _header(cfg: RunConfig, spec: AlgebraSpec | None) -> dict:
-    return {
+def _report(cfg: RunConfig, spec: AlgebraSpec | None, body: dict, rows=None) -> str:
+    """The csv/tsv rows when asked for and given, else the JSON document."""
+    if cfg.fmt in ("csv", "tsv") and rows is not None:
+        header_row, data_rows = rows
+        sep = "," if cfg.fmt == "csv" else "\t"
+        lines = [sep.join(header_row)]
+        for row in data_rows:
+            lines.append(sep.join("" if v is None else str(_clean(v)) for v in row))
+        return "\n".join(lines) + "\n"
+    header = {
         "command": cfg.command,
         "version": __version__,
         "lambda": cfg.lam,
-        "alpha": list(spec.alpha) if spec is not None else None,
-        "kappa": [[z.real, z.imag] for z in spec.kappa] if spec is not None else None,
+        "alpha": spec.alpha if spec is not None else None,
+        "kappa": spec.kappa if spec is not None else None,
         "dim": cfg.dim,
         "tol": cfg.tol,
         "seed": cfg.seed,
     }
+    return json.dumps(_clean({"header": header, "body": body}), indent=2) + "\n"
 
 
-def _rows_text(header_row: list[str], rows: list[list], sep: str) -> str:
-    lines = [sep.join(header_row)]
-    for row in rows:
-        lines.append(sep.join("" if v is None else str(_clean(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_verify(cfg: RunConfig):
+def _cmd_verify(cfg: RunConfig) -> int:
+    """check all defining relations"""
     spec = _build_spec(cfg)
     rep = build_fock_rep(spec, cfg.dim)
     defining = verify_defining_relations(rep, tol=cfg.tol)
@@ -397,10 +398,11 @@ def _cmd_verify(cfg: RunConfig):
         f"{e.relation:<26} residual {e.residual:9.3e}  {'ok' if e.passed else 'FAIL'}"
         for e in defining.entries + projectors.entries
     ]
-    return spec, body, body["all_pass"], None, summary
+    return _emit(cfg, _report(cfg, spec, body), summary, body["all_pass"])
 
 
-def _cmd_spectrum(cfg: RunConfig):
+def _cmd_spectrum(cfg: RunConfig) -> int:
+    """oscillator levels and clusters"""
     spec = _build_spec(cfg)
     rep = build_fock_rep(spec, cfg.dim)
     report = spectrum_report(rep)
@@ -412,10 +414,11 @@ def _cmd_spectrum(cfg: RunConfig):
     if len(report.levels) > 8:
         summary.append(f"... {len(report.levels)} levels, "
                        f"{len(report.clusters)} clusters")
-    return spec, body, True, (["n", "energy", "sector"], rows), summary
+    return _emit(cfg, _report(cfg, spec, body, (["n", "energy", "sector"], rows)), summary)
 
 
-def _cmd_classify(cfg: RunConfig):
+def _cmd_classify(cfg: RunConfig) -> int:
+    """which Fock representation exists"""
     spec = _build_spec(cfg)
     try:
         result = classify(spec)
@@ -427,42 +430,40 @@ def _cmd_classify(cfg: RunConfig):
     except NonUnitaryError as exc:
         body = {"kind": "non-unitary", "dim": None, "detail": str(exc)}
     summary = [f"kind: {body['kind']}" + (f" (dim {body['dim']})" if body.get("dim") else "")]
-    return spec, body, True, None, summary
+    return _emit(cfg, _report(cfg, spec, body), summary)
 
 
-def _cmd_pssqm_solve(cfg: RunConfig):
+def _cmd_pssqm_solve(cfg: RunConfig) -> int:
+    """solve the sector-shift chain"""
     spec = _build_spec(cfg)
     config = solve_config(spec, cfg.mu, cfg.eta)
     body = {
         "p": config.p,
         "mu": cfg.mu,
-        "eta": [[z.real, z.imag] for z in config.eta],
-        "eta_norm_sq": float((np.abs(config.eta) ** 2).sum()),
-        "r": list(config.r),
+        "eta": config.eta,
+        "eta_norm_sq": (np.abs(config.eta) ** 2).sum(),
+        "r": config.r,
         "ground_energy": ground_energy(spec, cfg.mu, cfg.eta),
     }
     summary = [f"r = {list(config.r)}", f"ground energy = {body['ground_energy']:.12g}"]
-    return spec, body, True, None, summary
+    return _emit(cfg, _report(cfg, spec, body), summary)
 
 
-def _single_khare_body(cfg: RunConfig, spec: AlgebraSpec) -> dict:
-    run = solve_and_check(spec, cfg.mu, dim=cfg.dim, eta=cfg.eta, r=cfg.r, tol=cfg.tol)
-    return {
-        "p": spec.lam - 1,
-        "mu": cfg.mu,
-        "eta": [[z.real, z.imag] for z in run.eta],
-        "solved_r": list(run.solved_r),
-        "used_r": list(run.used_r),
-        "relations": run.report.to_dict(),
-        "breaking": run.breaking.to_dict(),
-        "pass": run.report.passed and run.breaking.matches_prediction,
-    }
-
-
-def _cmd_pssqm_check(cfg: RunConfig):
+def _cmd_pssqm_check(cfg: RunConfig) -> int:
+    """verify the order-p relations"""
     if cfg.samples is None:
         spec = _build_spec(cfg)
-        body = _single_khare_body(cfg, spec)
+        run = solve_and_check(spec, cfg.mu, dim=cfg.dim, eta=cfg.eta, r=cfg.r, tol=cfg.tol)
+        body = {
+            "p": spec.lam - 1,
+            "mu": cfg.mu,
+            "eta": run.eta,
+            "solved_r": run.solved_r,
+            "used_r": run.used_r,
+            "relations": run.report.to_dict(),
+            "breaking": run.breaking.to_dict(),
+            "pass": run.report.passed and run.breaking.matches_prediction,
+        }
         rel = body["relations"]
         summary = [
             f"nilpotency    {rel['residual_nilpotency']:.3e}",
@@ -472,7 +473,7 @@ def _cmd_pssqm_check(cfg: RunConfig):
             f"(ground x{body['breaking']['ground_multiplicity']})",
             f"pass          {body['pass']}",
         ]
-        return spec, body, body["pass"], None, summary
+        return _emit(cfg, _report(cfg, spec, body), summary, body["pass"])
 
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -510,10 +511,11 @@ def _cmd_pssqm_check(cfg: RunConfig):
         "all_pass": all_pass,
     }
     summary = [f"{cfg.samples} samples, sign counts {signs}", f"all pass: {all_pass}"]
-    return None, body, all_pass, None, summary
+    return _emit(cfg, _report(cfg, None, body), summary, all_pass)
 
 
-def _cmd_ssqm(cfg: RunConfig):
+def _cmd_ssqm(cfg: RunConfig) -> int:
+    """lam = 2 supersymmetry variants"""
     spec = _build_spec(cfg)
     rep = build_fock_rep(spec, cfg.dim)
     variants = ["unbroken", "broken"] if cfg.variant == "both" else [cfg.variant]
@@ -527,10 +529,11 @@ def _cmd_ssqm(cfg: RunConfig):
         f"{'ok' if r.passed else 'FAIL'}"
         for r in reports
     ]
-    return spec, body, body["all_pass"], None, summary
+    return _emit(cfg, _report(cfg, spec, body), summary, body["all_pass"])
 
 
-def _cmd_bd_scan(cfg: RunConfig):
+def _cmd_bd_scan(cfg: RunConfig) -> int:
+    """scan alpha_{mu+2} for the double-commutator variant"""
     spec = _build_spec(cfg)
     points = bd_scan(
         spec.alpha,
@@ -551,10 +554,11 @@ def _cmd_bd_scan(cfg: RunConfig):
     }
     rows = [[pt.parameter, pt.residual] for pt in points]
     summary = [f"{len(points)} points, compatible at {compatible}"]
-    return spec, body, True, (["parameter", "residual"], rows), summary
+    return _emit(cfg, _report(cfg, spec, body, (["parameter", "residual"], rows)), summary)
 
 
-def _cmd_dump(cfg: RunConfig):
+def _cmd_dump(cfg: RunConfig) -> int:
+    """write one generator matrix as text"""
     spec = _build_spec(cfg)
     rep = build_fock_rep(spec, cfg.dim)
     name = cfg.matrix.lower()
@@ -574,12 +578,7 @@ def _cmd_dump(cfg: RunConfig):
             value = mat[row, col]
             lines.append(f"{float(value.real)!r},{float(value.imag)!r}")
     text = "\n".join(lines) + "\n"
-    if cfg.out:
-        _write_atomic(cfg.out, text)
-        print(f"{name}: {rep.dim}x{rep.dim} column-major entries written to {cfg.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(cfg, text, [], written=f"{name}: {rep.dim}x{rep.dim} column-major entries")
 
 
 _HANDLERS = {
@@ -590,31 +589,19 @@ _HANDLERS = {
     "pssqm-check": _cmd_pssqm_check,
     "ssqm": _cmd_ssqm,
     "bd-scan": _cmd_bd_scan,
+    "dump": _cmd_dump,
 }
 
 
 def run(cfg: RunConfig) -> int:
     """Execute a validated config; returns the process exit code."""
-    if cfg.command == "dump":
-        return _cmd_dump(cfg)
-    spec, body, all_pass, rows, summary = _HANDLERS[cfg.command](cfg)
-    if cfg.fmt in ("csv", "tsv") and rows is not None:
-        header_row, data_rows = rows
-        text = _rows_text(header_row, data_rows, "," if cfg.fmt == "csv" else "\t")
-    else:
-        document = {"header": _header(cfg, spec), "body": body}
-        text = json.dumps(_clean(document), indent=2) + "\n"
-    _emit(cfg, text, summary)
-    return 0 if all_pass else 1
+    return _HANDLERS[cfg.command](cfg)
 
 
 def main(argv=None) -> int:
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
         return run(cfg)
-    except (ParseError, ValidationError) as exc:
-        print(f"clext: error: {exc}", file=sys.stderr)
-        return 2
     except (ClextError, ValueError) as exc:
         print(f"clext: error: {exc}", file=sys.stderr)
         return 2

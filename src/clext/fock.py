@@ -73,7 +73,7 @@ def build_fock_rep(spec: AlgebraSpec, dim: int, dtype=np.complex128) -> Truncate
     a[1:] = np.sqrt(values[1:])
     adag = a.copy()  # conj(a): the square roots are real
     num = n.astype(rdtype)
-    t_gen = np.exp(2j * np.pi * n / spec.lam)
+    t_gen = np.exp(2j * np.pi * (n % spec.lam) / spec.lam)  # reduced: one rounding at any n
     projectors = (n % spec.lam == np.arange(spec.lam)[:, None]).astype(rdtype)
     for arr in (a, adag, num, t_gen, projectors):
         arr.setflags(write=False)

@@ -105,6 +105,116 @@ class TestConfigFile:
         assert code == 2
         assert "JSON" in err
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["verify", "--alpha", "0,0"], {"seed": None}),
+            (["pssqm-solve", "--alpha", "1,-0.5,-0.5"], {"mu": [1]}),
+            (["verify", "--alpha", "0,0"], {"out": 5}),
+            (["bd-scan"], {"scan_points": [1]}),
+            (["dump", "--alpha", "0,0"], {"matrix": 5}),
+            (["spectrum", "--alpha", "0,0"], {"format": "xml"}),
+            (["verify", "--alpha", "0,0"], {"lambda": 2.7}),
+            (["verify", "--alpha", "0,0"], {"dim": 30.9}),
+        ],
+        ids=["seed", "mu", "out", "scan_points", "matrix", "format", "lambda", "dim"],
+    )
+    def test_value_meets_the_flag_converter(self, capsys, tmp_path, argv, config):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(argv + ["--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        (key,) = config
+        assert err.startswith("clext: error: ") and key in err
+
+
+W3 = "1,-0.5,-0.5"
+#: Flags that fix a small algebra for each command.
+BASE_FLAGS = {
+    "verify": ["--alpha", W3],
+    "spectrum": ["--alpha", W3],
+    "classify": ["--alpha", W3],
+    "pssqm-solve": ["--alpha", W3],
+    "pssqm-check": ["--alpha", W3],
+    "ssqm": ["--alpha", "0.4,-0.4"],
+    "bd-scan": ["--scan-points", "3", "--dim", "18"],
+    "dump": ["--alpha", W3, "--dim", "4"],
+}
+COMMON = ("lambda", "alpha", "kappa", "dim", "tol", "seed", "out", "format")
+PSSQM = COMMON + ("p", "mu", "eta")
+TAKES = {
+    "verify": COMMON,
+    "spectrum": COMMON,
+    "classify": COMMON,
+    "pssqm-solve": PSSQM,
+    "pssqm-check": PSSQM + ("r", "samples"),
+    "ssqm": COMMON + ("variant",),
+    "bd-scan": PSSQM + ("scan_from", "scan_to", "scan_points"),
+    "dump": COMMON + ("matrix",),
+}
+#: key -> (flag text, config value); ssqm runs at lambda = 2.
+VALUES = {
+    "lambda": ("3", 3),
+    "alpha": (W3, [1, -0.5, -0.5]),
+    "kappa": ("0.25+0.25j,0.25-0.25j", [[0.25, 0.25], [0.25, -0.25]]),
+    "dim": ("15", 15),
+    "tol": ("1e-9", 1e-9),
+    "seed": ("7", 7),
+    "format": ("json", "json"),
+    "p": ("2", 2),
+    "mu": ("1", 1),
+    "eta": ("1.7320508075688772,1", [1.7320508075688772, 1]),
+    "r": ("-2.4,1,0", [-2.4, 1, 0]),
+    "samples": ("2", 2),
+    "variant": ("broken", "broken"),
+    "scan_from": ("-1.5", -1.5),
+    "scan_to": ("-0.5", -0.5),
+    "scan_points": ("5", 5),
+    "matrix": ("adag", "adag"),
+}
+SSQM_VALUES = {"lambda": ("2", 2), "alpha": ("0.4,-0.4", [0.4, -0.4]), "kappa": ("0.4", [0.4])}
+
+
+class TestConfigFlagParity:
+    """A config value and the same value as a flag give the same run."""
+
+    @pytest.mark.parametrize(
+        "command, key", [(command, key) for command, keys in TAKES.items() for key in keys]
+    )
+    def test_config_matches_flag(self, capsys, tmp_path, command, key):
+        report = tmp_path / "report.txt"
+        text, value = {**VALUES, "out": (str(report), str(report))}[key]
+        if command == "ssqm":
+            text, value = SSQM_VALUES.get(key, (text, value))
+        if key == "format" and command in ("spectrum", "bd-scan"):
+            text = value = "csv"
+        base = BASE_FLAGS[command]
+        drop = {"--alpha"} if key in ("alpha", "kappa") else {"--" + key.replace("_", "-")}
+        base = [t for pair in zip(base[::2], base[1::2]) if pair[0] not in drop for t in pair]
+        flag = "--" + key.replace("_", "-")
+
+        runs = []
+        for argv, config in (([flag, text], None), ([], {key: value})):
+            if config is not None:
+                path = tmp_path / "run.json"
+                path.write_text(json.dumps(config))
+                argv = ["--config", str(path)]
+            code, out, err = run_cli([command, *base, *argv], capsys)
+            written = report.read_text() if report.exists() else None
+            report.unlink(missing_ok=True)
+            runs.append((code, out, err, written))
+        assert runs[0] == runs[1]
+        assert runs[0][0] in (0, 1), runs[0][2]
+
+
+@pytest.mark.parametrize("command", list(TAKES))
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: clext {command} ")
+
 
 class TestSpectrumCommand:
     def test_csv_rows(self, capsys):

@@ -121,6 +121,14 @@ class TestDefiningRelations:
                 (e.relation, e.residual) for e in report.entries if not e.passed
             )
 
+    @pytest.mark.parametrize("lam, dim", ((3, 1200), (2, 4000)))
+    def test_plain_oscillator_t_form_at_large_dim(self, lam, dim):
+        # T built from the unreduced phase 2 pi n / lam carries an error that
+        # grows with n, and its T-form relations fail these correct reps
+        rep = build_fock_rep(from_alpha(lam, [0.0] * lam), dim)
+        for report in (verify_defining_relations(rep), verify_projector_algebra(rep)):
+            assert report.all_pass, [e.relation for e in report.entries if not e.passed]
+
     def test_margins_follow_word_length(self):
         report = verify_defining_relations(build_fock_rep(WORKED, 12))
         for entry in report.entries:
@@ -448,12 +456,12 @@ def _loop_checks(rep):
     algebra = list(projector_checks())
     algebra += [
         ("projector_from_T", 0, proj[mu] - sum(
-            np.exp(-2j * np.pi * mu * nu / lam) * t_powers[nu] for nu in range(lam)) / lam)
+            np.exp(-2j * np.pi * (mu * nu % lam) / lam) * t_powers[nu] for nu in range(lam)) / lam)
         for mu in range(lam)
     ]
     algebra += [
         ("T_from_projectors", 0, t_powers[nu] - sum(
-            np.exp(2j * np.pi * mu * nu / lam) * proj[mu] for mu in range(lam)))
+            np.exp(2j * np.pi * (mu * nu % lam) / lam) * proj[mu] for mu in range(lam)))
         for nu in range(lam)
     ]
     return defining, algebra
