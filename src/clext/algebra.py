@@ -89,13 +89,9 @@ class AlgebraSpec:
 
 def _conjugation_mismatch(kappa: np.ndarray) -> float:
     """Worst |conj(kappa_mu) - kappa_{lam-mu}| over mu = 1 .. lam-1."""
-    lam = len(kappa) + 1
-    if lam == 1:
-        return 0.0
-    mism = 0.0
-    for mu in range(1, lam):
-        mism = max(mism, abs(np.conj(kappa[mu - 1]) - kappa[lam - mu - 1]))
-    return float(mism)
+    diff = np.conj(kappa) - kappa[::-1]
+    # hypot is abs() of one complex scalar; fmax skips NaN as the builtin max does
+    return float(np.fmax.reduce(np.hypot(diff.real, diff.imag), initial=0.0))
 
 
 def from_kappa(lam: int, kappa) -> AlgebraSpec:

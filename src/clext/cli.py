@@ -445,7 +445,7 @@ def _cmd_pssqm_solve(cfg: RunConfig) -> int:
         "r": config.r,
         "ground_energy": ground_energy(spec, cfg.mu, cfg.eta),
     }
-    summary = [f"r = {list(config.r)}", f"ground energy = {body['ground_energy']:.12g}"]
+    summary = [f"r = {config.r.tolist()}", f"ground energy = {body['ground_energy']:.12g}"]
     return _emit(cfg, _report(cfg, spec, body), summary)
 
 

@@ -21,11 +21,13 @@ and the multilinear relation holds on every Fock state iff the coefficient
 norms satisfy sum |eta|^2 = 2p together with one linear condition that
 pins r_{mu+2} (and with it the whole chain).  :func:`solve_r` implements
 that chain; :func:`khare_check` measures the relation residuals on the
-truncation interior.
+truncation interior.  Q is a weighted shift, its +1 band q[n] = <n|Q|n-1>;
+only khare_check still multiplies its dense words.
 
 The order-2 double-commutator variant ([Q, [Qd, Q]] = 2QH with Q^3 = 0) is
 compatible with the same shifted Hamiltonian only where alpha_{mu+2} = -1;
-:func:`beckers_debergh_check` and :func:`bd_scan` probe that obstruction.
+:func:`beckers_debergh_check` and :func:`bd_scan` probe that obstruction, and
+:func:`ssqm_check` the lam = 2 case, both as O(dim) band arithmetic.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .errors import (
     WrongLambdaError,
     WrongOrderError,
 )
-from .fock import TruncatedFockRep, build_fock_rep, ladder_matrices
+from .fock import TruncatedFockRep, build_fock_rep
 from .spectrum import report_dict, shifted_hamiltonian, surviving_clusters
 from .verify import interior_max_abs
 
@@ -184,19 +186,26 @@ def solve_config(spec: AlgebraSpec, mu: int, eta=None) -> PssqmConfig:
     return PssqmConfig(spec=spec, mu=mu, eta=eta, r=solve_r(spec, mu, eta))
 
 
-def build_supercharge(rep: TruncatedFockRep, mu: int, eta=None) -> np.ndarray:
-    """Parasupercharge Q = sum_nu eta_{mu+nu} adag P_{mu+nu}.
-
-    Annihilates grading sector mu and raises every other sector by one.
-    Each P_{mu+nu} is diagonal, so Q is the dense adag with column n scaled
-    by the weight of sector n mod lam (eta_{mu+nu}, or 0 for sector mu).
-    """
+def _charge_band(rep: TruncatedFockRep, mu: int, eta) -> np.ndarray:
+    """Q as its +1 band q[n] = <n|Q|n-1> = w[(n-1) mod lam] adag[n], with the
+    sector weight w = eta_{mu+nu} on sector mu + nu and 0 on sector mu."""
     lam = rep.spec.lam
     if not 0 <= mu < lam:
         raise ValueError(f"mu must lie in 0..{lam - 1}, got {mu}")
     weights = np.zeros(lam, dtype=complex)
     weights[(mu + np.arange(1, lam)) % lam] = _normalized_eta(lam, eta)
-    return ladder_matrices(rep)[1] * weights[np.arange(rep.dim) % lam]
+    return rep.adag * weights[(np.arange(rep.dim) - 1) % lam]
+
+
+def _lo(x: np.ndarray) -> np.ndarray:
+    """x_lo[n] = x[n-1], 0 at n = 0 (and x_up[n] = x[n+1] is np.append(x[1:], 0))."""
+    return np.append(0, x[:-1])
+
+
+def build_supercharge(rep: TruncatedFockRep, mu: int, eta=None) -> np.ndarray:
+    """Dense parasupercharge Q = sum_nu eta_{mu+nu} adag P_{mu+nu}, for :func:`khare_check`:
+    zero on sector mu, every other sector raised by one, its band on the subdiagonal."""
+    return np.diag(_charge_band(rep, mu, eta)[1:], -1)
 
 
 @dataclass(frozen=True)
@@ -300,8 +309,7 @@ def classify_breaking(h_diagonal, mu: int, p: int) -> BreakingReport:
     excited = tuple(c.multiplicity for c in clusters[1:])
     breaking = "unbroken" if ground.multiplicity == 1 else "broken"
     matches = (
-        ground.multiplicity == mu + 1
-        and breaking == ("unbroken" if mu == 0 else "broken")
+        ground.multiplicity == mu + 1  # so unbroken exactly for mu = 0
         and all(m == p + 1 for m in excited)
     )
     return BreakingReport(
@@ -342,9 +350,7 @@ def solve_and_check(
     eta = _normalized_eta(lam, eta)
     solved = solve_r(spec, mu, eta)
     used = solved if r is None else np.asarray(r, dtype=float)
-    if dim is None:
-        dim = 10 * lam
-    rep = build_fock_rep(spec, dim, dtype=CHECK_DTYPE)
+    rep = build_fock_rep(spec, 10 * lam if dim is None else dim, dtype=CHECK_DTYPE)
     charge = build_supercharge(rep, mu, eta)
     hamiltonian = shifted_hamiltonian(rep, used)
     report = khare_check(rep, charge, hamiltonian, tol=tol)
@@ -438,10 +444,10 @@ def ssqm_check(rep: TruncatedFockRep, variant: str, tol: float = DEFAULT_SSQM_TO
 
     unbroken: Q = adag P_1, H = adag a P_0 + a adag P_1 (nondegenerate
     ground state, doubly degenerate excited states); broken: Q = adag P_0,
-    H = a adag P_0 + adag a P_1 (every level doubly degenerate).  Residuals
-    of Q^2, {Qd, Q} - H, and [H, Q] are taken on interior margin 2; the
-    degeneracy profile uses the exact diagonal of H, since the product form
-    zeroes the top state.
+    H = a adag P_0 + adag a P_1 (every level doubly degenerate).  Q^2,
+    {Qd, Q} - H and [H, Q] are band products, O(dim), on interior margin 2;
+    the degeneracy profile uses the exact diagonal of H, since the product
+    form zeroes the top state.
     """
     if rep.spec.lam != 2:
         raise WrongLambdaError(f"supersymmetry check needs lam = 2, got {rep.spec.lam}")
@@ -449,13 +455,12 @@ def ssqm_check(rep: TruncatedFockRep, variant: str, tol: float = DEFAULT_SSQM_TO
         raise ValueError(f"variant must be 'unbroken' or 'broken', got {variant!r}")
     margin = 2
     low, high = (rep.P[0], rep.P[1]) if variant == "unbroken" else (rep.P[1], rep.P[0])
-    a, adag = ladder_matrices(rep)
-    charge = adag * high
-    hamiltonian = (adag @ a) * low + (a @ adag) * high
-    adjoint = charge.conj().T
-    nilpotency = interior_max_abs(charge @ charge, margin)
-    anticommutator = interior_max_abs(adjoint @ charge + charge @ adjoint - hamiltonian, margin)
-    commutator = interior_max_abs(hamiltonian @ charge - charge @ hamiltonian, margin)
+    q = _charge_band(rep, 0 if variant == "unbroken" else 1, [1.0])
+    hamiltonian = (rep.adag * rep.a) * low + np.append(rep.a[1:] * rep.adag[1:], 0) * high
+    q_up = np.append(q[1:], 0)
+    nilpotency = interior_max_abs(q * _lo(q), margin)
+    anticommutator = interior_max_abs(np.conj(q_up) * q_up + q * np.conj(q) - hamiltonian, margin)
+    commutator = interior_max_abs(hamiltonian * q - q * _lo(hamiltonian), margin)
 
     values = structure_values(rep.spec, rep.dim + 1)  # F(n) = <n|adag a|n>, F(n+1) = <n|a adag|n>
     clusters = surviving_clusters(values[:-1] * low + values[1:] * high, drop_top=4)  # lam (p + 1)
@@ -493,9 +498,9 @@ def beckers_debergh_check(
 ) -> BdReport:
     """Residual of [Q, [Qd, Q]] = 2 Q H at order p = 2.
 
-    Uses the same charge and solved shifted Hamiltonian as the order-2
-    check (``r`` defaults to the solved chain); interior margin 3.  The
-    relation holds only where alpha_{mu+2} = -1.
+    Uses the charge band and the solved shifted Hamiltonian of the order-2
+    check (``r`` defaults to the solved chain); the residual is a band, O(dim),
+    on interior margin 3.  The relation holds only where alpha_{mu+2} = -1.
     """
     if rep.spec.lam != 3:
         raise WrongOrderError(
@@ -503,13 +508,11 @@ def beckers_debergh_check(
         )
     eta = _normalized_eta(rep.spec.lam, eta)
     shifts = solve_r(rep.spec, mu, eta) if r is None else np.asarray(r, dtype=float)
-    charge = build_supercharge(rep, mu, eta)
+    q = _charge_band(rep, mu, eta)
     hamiltonian = shifted_hamiltonian(rep, shifts)
-    adjoint = charge.conj().T
-    inner = adjoint @ charge - charge @ adjoint
-    residual = interior_max_abs(
-        charge @ inner - inner @ charge - 2.0 * (charge * hamiltonian), 3
-    )
+    q_up = np.append(q[1:], 0)
+    inner = np.conj(q_up) * q_up - q * np.conj(q)  # the diagonal [Qd, Q]
+    residual = interior_max_abs(q * _lo(inner) - inner * q - 2.0 * (q * _lo(hamiltonian)), 3)
     return BdReport(residual=residual, bd_compatible=residual <= tol, tolerance=tol)
 
 

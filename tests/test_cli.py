@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from clext import energy_level, from_alpha, structure_function
+from clext import energy_level, from_alpha, solve_r, structure_function
 from clext.cli import main
 
 
@@ -309,6 +309,17 @@ class TestPssqmCommands:
         assert abs(body["r"][1] - 1.0) < 1e-12
         assert abs(body["r"][2]) < 1e-12
         assert abs(body["ground_energy"] - (-0.25)) < 1e-12
+
+    def test_solve_summary_prints_plain_floats(self, capsys, tmp_path):
+        target = tmp_path / "solve.json"
+        code, out, _ = run_cli(
+            ["pssqm-solve", "--p", "2", "--mu", "1", "--alpha", "1,-0.5,-0.5",
+             "--out", str(target)],
+            capsys,
+        )
+        assert code == 0
+        r = [float(v) for v in solve_r(from_alpha(3, [1.0, -0.5, -0.5]), 1)]
+        assert out.splitlines()[0] == f"r = {r}"
 
     def test_check_passes_end_to_end(self, capsys):
         code, out, _ = run_cli(

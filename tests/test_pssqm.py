@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -70,6 +71,43 @@ def random_admissible_eta(p, rng):
     weights *= 2 * p / weights.sum()
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, p))
     return np.sqrt(weights) * phases
+
+
+def dense_ssqm_residuals(rep, variant):
+    """Q^2, {Qd, Q} - H and [H, Q] on margin 2 as dense products (the oracle)."""
+    low, high = (rep.P[0], rep.P[1]) if variant == "unbroken" else (rep.P[1], rep.P[0])
+    a, adag = ladder_matrices(rep)
+    charge = adag * high
+    hamiltonian = (adag @ a) * low + (a @ adag) * high
+    adjoint = charge.conj().T
+    words = (
+        charge @ charge,
+        adjoint @ charge + charge @ adjoint - hamiltonian,
+        hamiltonian @ charge - charge @ hamiltonian,
+    )
+    return [interior_max_abs(word, 2) for word in words]
+
+
+def dense_bd_residual(rep, mu, eta, shifts):
+    """[Q, [Qd, Q]] - 2 Q H on margin 3 as dense products (the oracle)."""
+    weights = np.zeros(3, dtype=complex)
+    weights[[(mu + 1) % 3, (mu + 2) % 3]] = default_eta(2) if eta is None else eta
+    charge = ladder_matrices(rep)[1] * weights[np.arange(rep.dim) % 3]
+    hamiltonian = shifted_hamiltonian(rep, shifts)
+    adjoint = charge.conj().T
+    inner = adjoint @ charge - charge @ adjoint
+    return interior_max_abs(charge @ inner - inner @ charge - 2.0 * (charge * hamiltonian), 3)
+
+
+def scaled_entries(rep, name, entries, factor=1 + 1e-6):
+    """``rep`` with some entries of its band ``name`` scaled: the relations break."""
+    band = getattr(rep, name).copy()
+    band[list(entries)] *= factor
+    return dataclasses.replace(rep, **{name: band})
+
+
+def hexes(*values):
+    return [float(value).hex() for value in values]
 
 
 class TestDefaultEta:
@@ -188,9 +226,9 @@ class TestSupercharge:
         np.testing.assert_allclose(charge, np.sqrt(2) * (adag @ np.diag(rep.P[0])), atol=1e-15)
 
     def test_matches_projector_products(self):
-        # the column-scaled form is bit-identical to sum_nu eta adag @ P
+        # the expanded band is bit-identical to sum_nu eta adag @ P
         rng = np.random.default_rng(21)
-        for p in (2, 3):
+        for p in (1, 2, 3, 7):
             lam = p + 1
             rep = build_fock_rep(from_alpha(lam, sample_bfb_alpha(lam, rng)), 4 * lam,
                                  dtype=CHECK_DTYPE)
@@ -398,6 +436,23 @@ class TestSsqm:
         assert abs(broken.ground_energy - (1 + nu)) < 1e-12
         assert unbroken.passed and broken.passed
 
+    @pytest.mark.parametrize("dtype", (np.complex128, CHECK_DTYPE))
+    @pytest.mark.parametrize("variant", ("unbroken", "broken"))
+    def test_residuals_match_dense_oracle(self, variant, dtype):
+        # the band products equal the dense ones bit for bit, also on a rep
+        # whose a no longer matches adag, where {Qd, Q} - H is nonzero
+        rng = np.random.default_rng(31)
+        reps = [build_fock_rep(from_alpha(2, sample_bfb_alpha(2, rng)), dim, dtype=dtype)
+                for dim in (8, 9, 30)]
+        reps.append(scaled_entries(reps[-1], "a", (5, 6)))
+        for rep in reps:
+            report = ssqm_check(rep, variant)
+            residuals = (report.residual_nilpotency, report.residual_anticommutator,
+                         report.residual_commutator)
+            assert hexes(*residuals) == hexes(*dense_ssqm_residuals(rep, variant))
+        # the scaled rep; [H, Q] vanishes for any a in the product form of H
+        assert report.residual_anticommutator > 1e-6 and report.residual_commutator == 0.0
+
     def test_wrong_lambda(self):
         rep = build_fock_rep(WORKED, 9)
         with pytest.raises(WrongLambdaError):
@@ -433,6 +488,31 @@ class TestBeckersDebergh:
         rep = build_fock_rep(spec, 30, dtype=CHECK_DTYPE)
         assert beckers_debergh_check(rep, 2).residual < 1e-10
         assert beckers_debergh_check(rep, 0).residual > 0.1
+
+    # bd_scan's dtype; on complex128 a random-phase eta lets BLAS round the
+    # dense products differently from the elementwise ones
+    @pytest.mark.parametrize("dtype, phases", [
+        (CHECK_DTYPE, False), (CHECK_DTYPE, True), (np.complex128, False),
+    ])
+    @pytest.mark.parametrize("mu", (0, 1, 2))
+    def test_residual_matches_dense_oracle(self, mu, dtype, phases):
+        rng = np.random.default_rng(41 + mu)
+        spec = from_alpha(3, sample_bfb_alpha(3, rng))
+        eta = random_admissible_eta(2, rng) if phases else None
+        solved = solve_r(spec, mu, eta)
+        for dim in (9, 30):
+            rep = build_fock_rep(spec, dim, dtype=dtype)
+            for r in (None, solved + [0.0, 1e-3, 0.0]):
+                residual = beckers_debergh_check(rep, mu, eta=eta, r=r).residual
+                shifts = solved if r is None else r
+                assert hexes(residual) == hexes(dense_bd_residual(rep, mu, eta, shifts))
+
+    def test_residual_matches_dense_oracle_off_the_ladder(self):
+        spec = from_alpha(3, [0.5, 0.5, -1.0])
+        rep = scaled_entries(build_fock_rep(spec, 30, dtype=CHECK_DTYPE), "adag", (8,))
+        residual = beckers_debergh_check(rep, 0).residual
+        assert residual > 1e-6
+        assert hexes(residual) == hexes(dense_bd_residual(rep, 0, None, solve_r(spec, 0)))
 
     def test_wrong_order(self):
         rep = build_fock_rep(from_alpha(2, [0.0, 0.0]), 10)

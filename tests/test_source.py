@@ -35,18 +35,37 @@ def _is_matrix_product(node) -> bool:
     return name in MATRIX_PRODUCTS
 
 
+def _matrix_products(path, allowed=()):
+    """file:line of each matrix product outside the functions named in ``allowed``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exempt = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in allowed
+        for node in ast.walk(func)
+    }
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if _is_matrix_product(node) and id(node) not in exempt
+    ]
+
+
 def test_no_matrix_products_in_fock_or_verify():
     # a and adag are bands and N, T, P_mu diagonals: building a rep and
     # verifying it needs elementwise products only, never a dense one
     scanned = [path for path in SOURCES if path.name in ("fock.py", "verify.py")]
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in scanned
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if _is_matrix_product(node)
-    ]
     assert len(scanned) == 2
-    assert found == []
+    assert [hit for path in scanned for hit in _matrix_products(path)] == []
+
+
+def test_pssqm_multiplies_dense_words_only_in_khare_check():
+    # the supercharge is a +1 band, so ssqm and the double commutator are
+    # band arithmetic; khare_check is the one dense path left
+    (path,) = [path for path in SOURCES if path.name == "pssqm.py"]
+    assert _matrix_products(path, allowed={"khare_check"}) == []
+    assert _matrix_products(path)  # the exemption is what keeps khare_check's words
+    assert "ladder_matrices" not in path.read_text(encoding="utf-8")
 
 
 def test_matrix_product_scan_sees_every_form():
