@@ -26,6 +26,7 @@ from .errors import (
     EtaNormViolationError,
     LengthMismatchError,
     MarginTooLargeError,
+    NonFiniteError,
     NonUnitaryError,
     NonUnitaryTruncationError,
     NotBoundedFromBelowError,

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     ConjugationViolationError,
     LengthMismatchError,
+    NonFiniteError,
     NonUnitaryError,
     SumNotZeroError,
 )
@@ -39,6 +40,13 @@ def _locked(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr)
     arr.setflags(write=False)
     return arr
+
+
+def require_finite(name: str, values: np.ndarray) -> None:
+    """Reject NaN and infinite entries, which every ``abs(x) > tol`` check
+    lets through (NaN compares false)."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"{name} must be finite, got {values.tolist()}")
 
 
 def _partial_sums(alpha: np.ndarray) -> np.ndarray:
@@ -73,6 +81,8 @@ class AlgebraSpec:
             raise LengthMismatchError(f"kappa must have {lam - 1} entries, got {self.kappa.shape}")
         if self.alpha.shape != (lam,):
             raise LengthMismatchError(f"alpha must have {lam} entries, got {self.alpha.shape}")
+        require_finite("alpha", self.alpha)
+        require_finite("kappa", self.kappa)
 
         total = float(self.alpha.sum())
         if abs(total) > CONSTRAINT_TOL:
@@ -106,6 +116,7 @@ def from_kappa(lam: int, kappa) -> AlgebraSpec:
     kappa = np.asarray(kappa, dtype=complex)
     if kappa.shape != (lam - 1,):
         raise LengthMismatchError(f"kappa must have {lam - 1} entries, got {kappa.shape}")
+    require_finite("kappa", kappa)
     mism = _conjugation_mismatch(kappa)
     if mism > CONSTRAINT_TOL:
         raise ConjugationViolationError(
@@ -131,6 +142,7 @@ def from_alpha(lam: int, alpha) -> AlgebraSpec:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (lam,):
         raise LengthMismatchError(f"alpha must have {lam} entries, got {alpha.shape}")
+    require_finite("alpha", alpha)  # before the transform, which warns on inf
     nu = np.arange(1, lam)[:, None]
     mu = np.arange(lam)[None, :]
     kappa = (np.exp(-2j * np.pi * mu * nu / lam) * alpha[None, :]).sum(axis=1) / lam
@@ -182,7 +194,7 @@ def classify(spec: AlgebraSpec) -> RepClass:
     any zero means no unitary Fock representation of either type exists
     and raises :class:`NonUnitaryError`.
     """
-    witnesses = _locked(np.array([structure_function(spec, m) for m in range(1, spec.lam)]))
+    witnesses = _locked(np.arange(1, spec.lam) + spec.beta[1:])  # F(m) = m + beta_m
     for m, value in enumerate(witnesses, start=1):
         if abs(value) <= CONSTRAINT_TOL:
             return RepClass(kind=RepKind.FINITE_DIM, dim=m, witnesses=witnesses)

@@ -13,6 +13,10 @@ class ConjugationViolationError(ClextError):
     """kappa vector breaks the constraint conj(kappa_mu) = kappa_{lam-mu}."""
 
 
+class NonFiniteError(ClextError):
+    """A parameter vector has a NaN or infinite entry."""
+
+
 class SumNotZeroError(ClextError):
     """alpha vector does not sum to zero."""
 

@@ -18,7 +18,11 @@ ladder bands to dense matrices.
 Truncation artifact: a adag is diagonal with entries F(n+1) except at the
 top state, where the missing |dim> contribution leaves a zero.  adag a is
 exact on every kept state.  Verifiers mask the artifact with an interior
-margin instead of padding.
+margin instead of padding.  The artifact is absent only on an exact
+finite rep, whose ``dim`` equals the dimension d of a finite-dimensional
+spec (F(d) = 0, so |d> is never reached): :func:`build_fock_rep` records
+that as ``exact`` from the classification it already makes, and the
+verifiers read it instead of classifying the spec again.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ from .errors import DimensionTooLargeError, NonUnitaryTruncationError
 
 @dataclass(frozen=True, eq=False)
 class TruncatedFockRep:
-    """Read-only bands of a and adag, read-only diagonals of N and T, and the
-    read-only (lam, dim) array P whose row mu is the diagonal of P_mu."""
+    """Read-only bands of a and adag, read-only diagonals of N and T, the
+    read-only (lam, dim) array P whose row mu is the diagonal of P_mu, and
+    whether the rep is an exact finite one (``dim`` equals its dimension)."""
 
     spec: AlgebraSpec
     dim: int
@@ -44,6 +49,7 @@ class TruncatedFockRep:
     num: np.ndarray
     T: np.ndarray
     P: np.ndarray
+    exact: bool
 
 
 def build_fock_rep(spec: AlgebraSpec, dim: int, dtype=np.complex128) -> TruncatedFockRep:
@@ -64,20 +70,26 @@ def build_fock_rep(spec: AlgebraSpec, dim: int, dtype=np.complex128) -> Truncate
         )
     rdtype = np.finfo(dtype).dtype
     values = structure_values(spec, dim, dtype=rdtype)
-    if np.any(values[1:] < 0):
-        bad = int(np.argmax(values[1:] < 0)) + 1
+    negative = values[1:] < 0
+    if negative.any():
+        bad = int(negative.argmax()) + 1
         raise NonUnitaryTruncationError(f"F({bad}) < 0 inside the truncation window")
 
     n = np.arange(dim)
+    sector = n % spec.lam
     a = np.zeros(dim, dtype=dtype)
     a[1:] = np.sqrt(values[1:])
     adag = a.copy()  # conj(a): the square roots are real
     num = n.astype(rdtype)
-    t_gen = np.exp(2j * np.pi * (n % spec.lam) / spec.lam)  # reduced: one rounding at any n
-    projectors = (n % spec.lam == np.arange(spec.lam)[:, None]).astype(rdtype)
+    # T is exp(2i pi mu / lam) on sector mu: reduced, so one rounding at any n
+    t_gen = np.exp(2j * np.pi * np.arange(spec.lam) / spec.lam)[sector]
+    projectors = (sector == np.arange(spec.lam)[:, None]).astype(rdtype)
     for arr in (a, adag, num, t_gen, projectors):
         arr.setflags(write=False)
-    return TruncatedFockRep(spec=spec, dim=dim, a=a, adag=adag, num=num, T=t_gen, P=projectors)
+    return TruncatedFockRep(
+        spec=spec, dim=dim, a=a, adag=adag, num=num, T=t_gen, P=projectors,
+        exact=rep_class.dim == dim,
+    )
 
 
 def norm_coefficient(spec: AlgebraSpec, n: int) -> float:

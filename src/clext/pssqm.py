@@ -44,6 +44,7 @@ from .algebra import (
     classify,
     energy_level,
     from_alpha,
+    require_finite,
     sample_bfb_alpha,
     structure_values,
 )
@@ -89,6 +90,7 @@ def _normalized_eta(lam: int, eta) -> np.ndarray:
         raise OrderMismatchError(
             f"eta must have p = lam - 1 = {p} entries, got {eta.shape}"
         )
+    require_finite("eta", eta)
     if np.any(np.abs(eta) == 0):
         raise ValueError("eta entries must be nonzero")
     return eta
@@ -159,6 +161,7 @@ class PssqmConfig:
         object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
         if self.r.shape != (lam,):
             raise OrderMismatchError(f"r must have {lam} entries, got {self.r.shape}")
+        require_finite("r", self.r)
         total = float((np.abs(self.eta) ** 2).sum())
         if abs(total - 2 * self.p) > CONSTRAINT_TOL:
             raise EtaNormViolationError(
@@ -178,6 +181,13 @@ class PssqmConfig:
         )
         if worst > CONSTRAINT_TOL:
             raise ValueError(f"sector shifts break the commutation recursion by {worst:.3e}")
+
+
+def _given_r(r) -> np.ndarray:
+    """Sector shifts given in place of the solved ones, as finite floats."""
+    r = np.asarray(r, dtype=float)
+    require_finite("r", r)
+    return r
 
 
 def solve_config(spec: AlgebraSpec, mu: int, eta=None) -> PssqmConfig:
@@ -349,7 +359,7 @@ def solve_and_check(
     lam = spec.lam
     eta = _normalized_eta(lam, eta)
     solved = solve_r(spec, mu, eta)
-    used = solved if r is None else np.asarray(r, dtype=float)
+    used = solved if r is None else _given_r(r)
     rep = build_fock_rep(spec, 10 * lam if dim is None else dim, dtype=CHECK_DTYPE)
     charge = build_supercharge(rep, mu, eta)
     hamiltonian = shifted_hamiltonian(rep, used)
@@ -507,7 +517,7 @@ def beckers_debergh_check(
             f"double-commutator variant is order 2 only (lam = 3), got lam = {rep.spec.lam}"
         )
     eta = _normalized_eta(rep.spec.lam, eta)
-    shifts = solve_r(rep.spec, mu, eta) if r is None else np.asarray(r, dtype=float)
+    shifts = solve_r(rep.spec, mu, eta) if r is None else _given_r(r)
     q = _charge_band(rep, mu, eta)
     hamiltonian = shifted_hamiltonian(rep, shifts)
     q_up = np.append(q[1:], 0)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import classify
 from .errors import MarginTooLargeError
 from .fock import TruncatedFockRep
 
@@ -36,7 +35,7 @@ def interior_max_abs(mat: np.ndarray, margin: int) -> float:
     if not 0 <= margin < dim:
         raise MarginTooLargeError(f"margin {margin} does not fit in dimension {dim}")
     k = dim - margin
-    return float(np.max(np.abs(mat[:k, :k] if mat.ndim == 2 else mat[:k])))
+    return float(np.abs(mat[:k, :k] if mat.ndim == 2 else mat[:k]).max())
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,9 @@ def _collect(checks, tol: float, rep: TruncatedFockRep) -> ResidualReport:
     arrives, so only the difference being reduced is held.  Margins are 0 on
     an exact finite rep.
     """
-    truncated = classify(rep.spec).dim != rep.dim
     entries = []
     for relation, word_length, diff in checks:
-        margin = word_length if truncated else 0
+        margin = 0 if rep.exact else word_length
         residual = interior_max_abs(diff, margin)
         entries.append(
             RelationResidual(
@@ -109,15 +107,16 @@ def _collect(checks, tol: float, rep: TruncatedFockRep) -> ResidualReport:
                 passed=residual <= tol,
             )
         )
-    policy = "word-length" if truncated else "exact"
+    policy = "exact" if rep.exact else "word-length"
     return ResidualReport(entries=tuple(entries), tolerance=tol, dim=rep.dim, margin_policy=policy)
 
 
 def _lo(diagonal: np.ndarray) -> np.ndarray:
     """d_lo[n] = d[n-1], the diagonal at the lower state of band entry n,
     taken along the last axis.  Entry 0 wraps to d[dim-1], which meets only
-    a[0] = adag[0] = 0."""
-    return np.roll(diagonal, 1, axis=-1)
+    a[0] = adag[0] = 0.  The same as ``np.roll(diagonal, 1, axis=-1)``,
+    without its generic set-up."""
+    return np.concatenate((diagonal[..., -1:], diagonal[..., :-1]), axis=-1)
 
 
 def _t_powers(t_gen: np.ndarray, count: int) -> np.ndarray:
@@ -179,10 +178,14 @@ def _defining_checks(rep: TruncatedFockRep):
     yield "number_P_commutes", 0, _per_state(num * proj, proj * num)
     # a P_m - P_(m-1) a is the band a times the diagonal P_m - (P_(m-1))_lo,
     # so the family's per-state residual is |a| max_m |P_m - (P_(m-1))_lo|;
-    # likewise adag P_m - P_(m+1) adag.  Rounding is monotone, so this equals
-    # the termwise max whenever the products are exact, as for 0/1 projectors
-    yield "sector_shift_a", 1, np.abs(a) * _per_state(proj, np.roll(proj_lo, 1, axis=0))
-    yield "sector_shift_adag", 1, np.abs(adag) * _per_state(proj_lo, np.roll(proj, -1, axis=0))
+    # likewise adag P_(m-1) - P_m adag is adag times (P_(m-1))_lo - P_m, whose
+    # magnitude is the same (rounding is symmetric), so both families share
+    # one max over m.  Rounding is monotone, so this equals the termwise max
+    # whenever the products are exact, as for 0/1 projectors
+    prev_lo = np.concatenate((proj_lo[-1:], proj_lo[:-1]))  # row m: (P_(m-1))_lo
+    shift = _per_state(proj, prev_lo)
+    yield "sector_shift_a", 1, np.abs(a) * shift
+    yield "sector_shift_adag", 1, np.abs(adag) * shift
     yield from _projector_checks(proj)
     yield "hermiticity_P", 0, _per_state(proj, np.conj(proj))
 

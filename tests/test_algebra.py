@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from clext import (
+    AlgebraSpec,
     ConjugationViolationError,
     LengthMismatchError,
+    NonFiniteError,
     NonUnitaryError,
     RepKind,
     SumNotZeroError,
@@ -140,6 +142,28 @@ class TestFromAlpha:
             spec.alpha[0] = 1.0
 
 
+class TestNonFinite:
+    """NaN passes every ``abs(x) > tol`` check, so finiteness is checked first."""
+
+    @pytest.mark.parametrize(
+        "alpha", ([np.nan, 0.0, 0.0], [np.inf, -np.inf, 0.0], [np.inf, 0.0, 0.0])
+    )
+    def test_from_alpha(self, alpha):
+        with pytest.raises(NonFiniteError, match="^alpha must be finite"):
+            from_alpha(3, alpha)
+
+    @pytest.mark.parametrize("kappa", ([np.nan, 1.0, 2.0], [0.5, complex(0.0, np.inf), 0.5]))
+    def test_from_kappa(self, kappa):
+        with pytest.raises(NonFiniteError, match="^kappa must be finite"):
+            from_kappa(4, kappa)
+
+    def test_direct_construction(self):
+        with pytest.raises(NonFiniteError, match="^alpha"):
+            AlgebraSpec(lam=2, kappa=[0.0], alpha=[np.nan, 0.0])
+        with pytest.raises(NonFiniteError, match="^kappa"):
+            AlgebraSpec(lam=2, kappa=[np.nan], alpha=[0.0, 0.0])
+
+
 class TestStructureFunction:
     def test_vanishes_at_zero(self):
         for lam in LAMBDAS:
@@ -185,6 +209,14 @@ class TestClassify:
 
     def test_undeformed_is_bfb(self):
         assert classify(from_alpha(2, [0.0, 0.0])).is_bounded_from_below
+
+    @pytest.mark.parametrize("lam", (2, 3, 7, 64))
+    def test_witnesses_are_the_structure_function(self, lam):
+        rng = np.random.default_rng(70 + lam)
+        for _ in range(5):
+            spec = from_alpha(lam, sample_bfb_alpha(lam, rng))
+            loop = [structure_function(spec, m) for m in range(1, lam)]
+            assert classify(spec).witnesses.tolist() == loop
 
     def test_non_unitary_region(self):
         # F(1) < 0 with no earlier zero: neither representation exists

@@ -297,6 +297,25 @@ class TestClassifyCommand:
         assert json.loads(out)["body"]["kind"] == "non-unitary"
 
 
+class TestNonFiniteInputs:
+    """Non-finite couplings are usage errors, not NaN in a report."""
+
+    @pytest.mark.parametrize("argv, name", (
+        (["classify", "--lambda", "3", "--alpha", "nan,0,0"], "alpha"),
+        (["classify", "--lambda", "4", "--kappa", "nan,1,2"], "kappa"),
+        (["verify", "--lambda", "3", "--alpha", "inf,0,0"], "alpha"),
+        (["pssqm-solve", "--alpha", "inf,-inf,0"], "alpha"),
+        (["pssqm-solve", "--alpha", "1,-0.5,-0.5", "--eta", "nan,1.4"], "eta"),
+        (["pssqm-check", "--alpha", "1,-0.5,-0.5", "--r", "nan,0,0"], "r"),
+        (["bd-scan", "--eta", "inf,1"], "eta"),
+    ))
+    def test_rejected(self, capsys, argv, name):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"clext: error: {name} must be finite")
+
+
 class TestPssqmCommands:
     def test_solve_worked_example(self, capsys):
         code, out, _ = run_cli(

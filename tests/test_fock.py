@@ -62,6 +62,13 @@ class TestBuild:
         expected = np.exp(2j * np.pi * np.arange(4) / 3)
         np.testing.assert_allclose(rep.T, expected, atol=1e-15)
 
+    @pytest.mark.parametrize("lam, dim", ((2, 4000), (3, 1200), (7, 84), (64, 768)))
+    def test_cyclic_generator_is_the_reduced_phase(self, lam, dim):
+        # one complex exponential per sector, the same bits as per state
+        rep = build_fock_rep(from_alpha(lam, [0.0] * lam), dim)
+        n = np.arange(dim)
+        assert rep.T.tobytes() == np.exp(2j * np.pi * (n % lam) / lam).tobytes()
+
     def test_diagonal_generators_are_read_only_vectors(self):
         rep = build_fock_rep(WORKED, 7)
         for diagonal in (rep.num, rep.T, *rep.P):
@@ -80,6 +87,13 @@ class TestBuild:
         assert rep.dim == 1
         with pytest.raises(DimensionTooLargeError):
             build_fock_rep(spec, 2)
+
+    def test_exact_only_at_the_finite_dimension(self):
+        finite = from_alpha(3, [-0.5, -1.5, 2.0])  # F(2) = 0: a two-dimensional rep
+        assert build_fock_rep(finite, 2).exact
+        assert not build_fock_rep(finite, 1).exact
+        assert not build_fock_rep(WORKED, 2).exact  # bounded from below: always truncated
+        assert not build_fock_rep(WORKED, 30).exact
 
     def test_non_unitary_propagates(self):
         with pytest.raises(NonUnitaryError):

@@ -24,15 +24,19 @@ def test_no_assert_statements_in_package():
 MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
 
 
+def _call_name(node):
+    """The name called by f(...) or x.f(...); None for any other node."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def _is_matrix_product(node) -> bool:
     """x @ y, x @= y, or a call to np.dot, x.dot, matmul, einsum and kin."""
     if isinstance(getattr(node, "op", None), ast.MatMult):
         return True
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-    return name in MATRIX_PRODUCTS
+    return _call_name(node) in MATRIX_PRODUCTS
 
 
 def _matrix_products(path, allowed=()):
@@ -57,6 +61,20 @@ def test_no_matrix_products_in_fock_or_verify():
     scanned = [path for path in SOURCES if path.name in ("fock.py", "verify.py")]
     assert len(scanned) == 2
     assert [hit for path in scanned for hit in _matrix_products(path)] == []
+
+
+def _calls(source: str, names) -> list[int]:
+    """Line of each call to a function named in ``names``, as f(...) or x.f(...)."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if _call_name(node) in names]
+
+
+def test_verify_neither_classifies_nor_rolls():
+    # build_fock_rep classifies once and records rep.exact; a shift is two
+    # slices, without np.roll's generic set-up on every call
+    (path,) = [path for path in SOURCES if path.name == "verify.py"]
+    assert _calls(path.read_text(encoding="utf-8"), {"classify", "roll"}) == []
+    sample = "classify(spec)\nnp.roll(x, 1)\nalgebra.classify(s)\nnp.concatenate(x)"
+    assert _calls(sample, {"classify", "roll"}) == [1, 2, 3]
 
 
 def test_pssqm_multiplies_dense_words_only_in_khare_check():

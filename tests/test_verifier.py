@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from clext import (
     verify_defining_relations,
     verify_projector_algebra,
 )
+from clext.cli import main
 
 WORKED = from_alpha(3, [1.0, -0.5, -0.5])
 
@@ -518,3 +520,82 @@ class TestLoopOracle:
         t_gen[n] *= 1 + 1e-6
         for tampered in (dataclasses.replace(rep, P=proj), dataclasses.replace(rep, T=t_gen)):
             assert not all(r.all_pass for r in self.assert_matches(tampered))
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def report_digest(rep) -> str:
+    """Every field of both reports, residuals as ``float.hex``."""
+    lines = []
+    for report in (verify_defining_relations(rep), verify_projector_algebra(rep)):
+        lines.append(f"{report.dim} {report.margin_policy} {report.all_pass}")
+        lines += [f"{e.relation} {e.word_length} {e.margin} {e.residual.hex()} {e.passed}"
+                  for e in report.entries]
+    return _digest(lines)
+
+
+def golden_reps(key):
+    """The reps behind one golden digest: a seeded bounded-from-below spec at
+    dims lam + 1, 12 lam and 600 in both dtypes, an exact finite rep, or a
+    rep with one ``a`` entry scaled by 1 + 1e-6."""
+    if key == "finite":
+        alpha = exact_finite_alpha(6, 5, np.random.default_rng(65))
+        return [build_fock_rep(from_alpha(6, alpha), 5)]
+    if key == "tampered":
+        rep = build_fock_rep(from_alpha(5, sample_bfb_alpha(5, np.random.default_rng(5))), 60)
+        a = rep.a.copy()
+        a[31] *= 1 + 1e-6
+        return [dataclasses.replace(rep, a=a)]
+    spec = from_alpha(key, sample_bfb_alpha(key, np.random.default_rng(key)))
+    return [build_fock_rep(spec, dim, dtype)
+            for dim in (key + 1, 12 * key, 600) for dtype in (np.complex128, np.clongdouble)]
+
+
+#: Digests of the reports as first recorded (x86-64, numpy 2.4, where
+#: clongdouble is the 80-bit extended type); any change in arithmetic or
+#: order of evaluation shows up here as a changed bit.
+GOLDEN_REPORTS = {
+    2: ["fa4bfb73a5c820a9", "fc50c0e9d8eab354", "71495f32656e4d7d",
+        "870b4d4618f3a62c", "5672ae74f2ddeb60", "81c2779c9bb3fc78"],
+    3: ["7728bbd8493e99ff", "894a4e0e2bfa0dc8", "77d951b16a5d8de4",
+        "a0467d9e3ec3badb", "833f91eece795bad", "b31d179ca834c979"],
+    7: ["2cedf057d1f992bb", "6eed04359913909a", "0a0729fdc704cd75",
+        "818e319f53bbb880", "6623d322e3635b69", "b362bb06d56abd23"],
+    11: ["e8a14ad8e183d4ad", "15242a12f9f21dd7", "e71dda622062e3ae",
+         "80710de394703ec5", "bfc125232812fd20", "a0b80a2b1324b069"],
+    24: ["9e7aad16385584a0", "1a905dc655d868b1", "ac81e33e320947d8",
+         "d4aab2abc65705d4", "d45700e4a592956d", "fc777edd57196e1c"],
+    64: ["82ba2bb0329f8880", "d75624c60d2446f5", "db078ea3f9b6835b",
+         "2962f96df282b392", "27f9376fd45748dd", "1ecb999c40951d18"],
+    "finite": ["1fd2defa43695b56"],
+    "tampered": ["3a14403e7e805042"],
+}
+
+#: Digest of ``clext verify`` stdout for each argv, with its exit code.
+GOLDEN_CLI = {
+    "--lambda 3 --alpha 1,-0.5,-0.5": ("43f71df25f847f21", 0),
+    "--lambda 2 --alpha 0.3,-0.3 --dim 600 --tol 1e-14": ("1a7371be58fca179", 1),
+}
+
+
+class TestGoldenDigests:
+    """Residuals are pinned bit for bit, so a faster evaluation of the same
+    arithmetic must leave every report and the CLI output unchanged."""
+
+    @pytest.mark.parametrize("key", list(GOLDEN_REPORTS))
+    def test_reports(self, key):
+        assert [report_digest(rep) for rep in golden_reps(key)] == GOLDEN_REPORTS[key]
+
+    def test_exact_and_tampered_inputs_are_what_they_claim(self):
+        (finite,) = golden_reps("finite")
+        assert verify_defining_relations(finite).margin_policy == "exact"
+        (tampered,) = golden_reps("tampered")
+        assert not verify_defining_relations(tampered).all_pass
+
+    @pytest.mark.parametrize("argv", list(GOLDEN_CLI))
+    def test_cli_stdout(self, argv, capsys):
+        code = main(["verify", *argv.split()])
+        out = capsys.readouterr().out
+        assert (_digest([out]), code) == GOLDEN_CLI[argv]
