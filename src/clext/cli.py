@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import AlgebraSpec, classify, from_alpha, from_kappa, sample_bfb_alpha
-from .errors import ClextError, NonUnitaryError, ParseError, ValidationError
+from .errors import ClextError, NonFiniteError, NonUnitaryError, ParseError, ValidationError
 from .fock import build_fock_rep, ladder_matrices
 from .pssqm import (
     DEFAULT_PSSQM_TOL,
@@ -157,6 +158,8 @@ def _convert(param: _Param, value):
         raise ParseError(
             f"{param.key}: invalid {param.kind.__name__} value: {value!r}"
         ) from None
+    if param.kind is float and not math.isfinite(value):
+        raise NonFiniteError(f"{param.key} must be finite, got {value!r}")
     if param.choices and value not in param.choices:
         raise ParseError(
             f"{param.key}: invalid choice: {value!r} "

@@ -21,8 +21,11 @@ and the multilinear relation holds on every Fock state iff the coefficient
 norms satisfy sum |eta|^2 = 2p together with one linear condition that
 pins r_{mu+2} (and with it the whole chain).  :func:`solve_r` implements
 that chain; :func:`khare_check` measures the relation residuals on the
-truncation interior.  Q is a weighted shift, its +1 band q[n] = <n|Q|n-1>;
-only khare_check still multiplies its dense words.
+truncation interior.  Q is a weighted shift, its +1 band q[n] = <n|Q|n-1>,
+and Q^n is the +n band of products of n consecutive q entries, so
+Q^{p+1} = 0, the nonvanishing of Q^n and [H, Q] = 0 are O(p dim) band
+arithmetic.  Only the multilinear sum still multiplies dense words: 2p
+products of the band expansions, with no identity factor.
 
 The order-2 double-commutator variant ([Q, [Qd, Q]] = 2QH with Q^3 = 0) is
 compatible with the same shifted Hamiltonian only where alpha_{mu+2} = -1;
@@ -207,9 +210,9 @@ def _charge_band(rep: TruncatedFockRep, mu: int, eta) -> np.ndarray:
     return rep.adag * weights[(np.arange(rep.dim) - 1) % lam]
 
 
-def _lo(x: np.ndarray) -> np.ndarray:
-    """x_lo[n] = x[n-1], 0 at n = 0 (and x_up[n] = x[n+1] is np.append(x[1:], 0))."""
-    return np.append(0, x[:-1])
+def _lo(x: np.ndarray, k: int = 1) -> np.ndarray:
+    """x_lo[n] = x[n-k], 0 for n < k (and x_up[n] = x[n+1] is np.append(x[1:], 0))."""
+    return np.append(np.zeros(k, x.dtype), x)[: len(x)]
 
 
 def build_supercharge(rep: TruncatedFockRep, mu: int, eta=None) -> np.ndarray:
@@ -236,6 +239,18 @@ class PssqmReport:
     to_dict = report_dict
 
 
+def _multilinear_lhs(powers: list) -> np.ndarray:
+    """sum_k Q^(p-k) Qd Q^k, k = 0..p, from the dense Q^m = ``powers[m]``,
+    m = 1..p: the 2p dense products of :func:`khare_check`, no identity factor."""
+    p = len(powers) - 1
+    adjoint = powers[1].conj().T
+    lhs = powers[p] @ adjoint
+    for k in range(1, p):
+        lhs += powers[p - k] @ adjoint @ powers[k]
+    lhs += adjoint @ powers[p]
+    return lhs
+
+
 def khare_check(
     rep: TruncatedFockRep,
     charge: np.ndarray,
@@ -247,31 +262,47 @@ def khare_check(
     Checks Q^{p+1} = 0, [H, Q] = 0, and the multilinear relation, all
     masked with interior margin p + 1, plus the nonvanishing of Q^n for
     n <= p (reported as the smallest unmasked max-entry, which must stay
-    positive).  ``hamiltonian`` holds the energies of H, as returned by
-    :func:`shifted_hamiltonian`.  The breaking classification is read off
-    the spectrum of H: a nondegenerate ground cluster means unbroken.  Needs
-    dim > lam (p + 1) so that at least one complete multiplet survives the
-    cluster cutoff.
+    positive).  ``charge`` is the dense Q of :func:`build_supercharge`, zero
+    off its subdiagonal (else ValueError); ``hamiltonian`` holds the energies
+    of H, as returned by :func:`shifted_hamiltonian`.  Q^n is the +n band
+    of products of n consecutive entries of the +1 band q, so nilpotency,
+    the witness and [H, Q] are O(p dim) band arithmetic; only the
+    multilinear sum multiplies dense words, 2p products.  Each entry is one
+    nonzero product plus exact zeros, so every residual equals the dense
+    one bit for bit.  The breaking classification is read off the spectrum
+    of H: a nondegenerate ground cluster means unbroken.  Needs dim > lam
+    (p + 1) so that at least one complete multiplet survives the cluster
+    cutoff; that cut is taken before any dense word is formed.
     """
     p = rep.spec.lam - 1
     lam = rep.spec.lam
     margin = p + 1
+    if charge.shape != (rep.dim, rep.dim):
+        raise ValueError(f"charge must be {rep.dim} x {rep.dim}, got {charge.shape}")
+    subdiagonal = np.diagonal(charge, -1)
+    if np.count_nonzero(charge) != np.count_nonzero(subdiagonal):
+        raise ValueError("charge must be zero off its subdiagonal")
 
-    powers = [np.eye(rep.dim, dtype=charge.dtype)]
-    for _ in range(p + 1):
-        powers.append(powers[-1] @ charge)
-    nilpotency = interior_max_abs(powers[p + 1], margin)
+    # bands[m][n] = <n|Q^m|n-m> = bands[m-1][n] q[n-m+1], the dense chain's
+    # order of factors; bands[0] = 1 stands for Q^0
+    q = np.append(0, subdiagonal)
+    bands = [1, q]
+    for m in range(2, p + 2):
+        bands.append(bands[-1] * _lo(q, m - 1))
+    nilpotency = interior_max_abs(bands[p + 1], margin)
     # nonvanishing needs no interior mask: every entry of Q^n is a true
     # matrix element (truncation only removes paths, never adds them)
-    witness = min(float(np.max(np.abs(powers[n]))) for n in range(1, p + 1))
-    commutator = interior_max_abs(hamiltonian[:, None] * charge - charge * hamiltonian, margin)
-
-    adjoint = charge.conj().T
-    lhs = sum(powers[p - k] @ adjoint @ powers[k] for k in range(p + 1))
-    rhs = (2 * p) * (powers[p - 1] * hamiltonian)
-    multilinear = interior_max_abs(lhs - rhs, margin)
-
+    witness = min(float(np.abs(bands[n]).max()) for n in range(1, p + 1))
+    commutator = interior_max_abs(hamiltonian * q - q * _lo(hamiltonian), margin)
     ground = surviving_clusters(np.real(hamiltonian), drop_top=lam * (p + 1))[0]
+
+    powers = [None, charge] + [np.diag(bands[m][m:], -m) for m in range(2, p + 1)]
+    lhs = _multilinear_lhs(powers)
+    # 2p Q^(p-1) H as a -(p-1) band: H scales column n - p + 1
+    rows = np.arange(p - 1, rep.dim)
+    lhs[rows, rows - (p - 1)] -= ((2 * p) * (bands[p - 1] * _lo(hamiltonian, p - 1)))[p - 1:]
+    multilinear = interior_max_abs(lhs, margin)
+
     return PssqmReport(
         order=p,
         residual_nilpotency=nilpotency,

@@ -308,12 +308,29 @@ class TestNonFiniteInputs:
         (["pssqm-solve", "--alpha", "1,-0.5,-0.5", "--eta", "nan,1.4"], "eta"),
         (["pssqm-check", "--alpha", "1,-0.5,-0.5", "--r", "nan,0,0"], "r"),
         (["bd-scan", "--eta", "inf,1"], "eta"),
+        (["verify", "--lambda", "3", "--alpha", "1,-0.5,-0.5", "--tol", "nan"], "tol"),
+        (["pssqm-check", "--alpha", "1,-0.5,-0.5", "--tol", "inf"], "tol"),
+        (["bd-scan", "--scan-from", "nan", "--scan-points", "3"], "scan_from"),
+        (["bd-scan", "--scan-to=-inf"], "scan_to"),
     ))
     def test_rejected(self, capsys, argv, name):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
         assert err.startswith(f"clext: error: {name} must be finite")
+
+    @pytest.mark.parametrize("argv, config", (
+        (["verify", "--lambda", "3", "--alpha", "1,-0.5,-0.5"], {"tol": float("nan")}),
+        (["bd-scan"], {"scan_from": "nan"}),
+        (["bd-scan"], {"scan_to": float("inf")}),
+    ))
+    def test_rejected_from_config(self, capsys, tmp_path, argv, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))  # NaN and Infinity, which json.load reads
+        code, out, err = run_cli(argv + ["--config", str(path)], capsys)
+        (key,) = config
+        assert (code, out) == (2, "")
+        assert err.startswith(f"clext: error: {key} must be finite")
 
 
 class TestPssqmCommands:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from clext import (
     BreakingReport,
     Cluster,
     EtaNormViolationError,
+    MarginTooLargeError,
     NotBoundedFromBelowError,
     OrderMismatchError,
     PssqmConfig,
@@ -37,6 +39,7 @@ from clext import (
     solve_r,
     ssqm_check,
 )
+from clext.cli import main
 from clext.pssqm import CHECK_DTYPE
 
 WORKED = from_alpha(3, [1.0, -0.5, -0.5])
@@ -357,6 +360,58 @@ class TestKhareCheck:
                 powers = powers @ charge
                 assert float(np.max(np.abs(powers))) > 0.1
 
+    def khare_inputs(self, lam, dim, mu=0):
+        spec = from_alpha(lam, np.zeros(lam))
+        rep = build_fock_rep(spec, dim, dtype=CHECK_DTYPE)
+        return rep, build_supercharge(rep, mu), shifted_hamiltonian(rep, solve_r(spec, mu))
+
+    @pytest.mark.parametrize("p", (1, 2, 3, 4))
+    def test_multiplies_2p_dense_words(self, p):
+        # Q^n, nilpotency and [H, Q] come from the +1 band; only the
+        # multilinear sum multiplies dense words, with no identity factor
+        rep, charge, energies = self.khare_inputs(p + 1, 10 * (p + 1), mu=1)
+        counting, products = counting_matrix(charge)
+        assert khare_check(rep, counting, energies) == khare_check(rep, charge, energies)
+        assert len(products) == 2 * p
+
+    def test_cluster_cut_fails_before_any_dense_word(self):
+        rep, charge, energies = self.khare_inputs(11, 110)
+        counting, products = counting_matrix(charge)
+        with pytest.raises(ValueError, match="drop_top 121 does not fit in 110 values"):
+            khare_check(rep, counting, energies)
+        assert products == []
+
+    def test_margin_error_comes_before_the_cluster_cut(self):
+        rep, charge, energies = self.khare_inputs(3, 3)
+        with pytest.raises(MarginTooLargeError):
+            khare_check(rep, charge, energies)
+
+    @pytest.mark.parametrize("entry", ((7, 7), (7, 5), (6, 7)))
+    def test_charge_off_the_subdiagonal_rejected(self, entry):
+        rep, charge, energies = self.khare_inputs(3, 30)
+        charge = charge.copy()
+        charge[entry] = 1e-300
+        with pytest.raises(ValueError, match="zero off its subdiagonal"):
+            khare_check(rep, charge, energies)
+
+
+def counting_matrix(matrix):
+    """``matrix`` as an array that records, in the returned list, each matrix
+    product taken with it or with any array computed from it."""
+    products = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(ufunc)
+            inputs = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
+            if "out" in kwargs:
+                kwargs["out"] = tuple(x.view(np.ndarray) for x in kwargs["out"])
+            result = getattr(ufunc, method)(*inputs, **kwargs)
+            return result.view(Counting) if isinstance(result, np.ndarray) else result
+
+    return matrix.view(Counting), products
+
 
 class TestBreaking:
     def test_worked_unbroken(self):
@@ -546,3 +601,94 @@ def test_report_to_dict_key_order(report, keys):
     assert list(data) == keys
     assert not any(isinstance(value, tuple) for value in data.values())
     assert data == json.loads(json.dumps(data))
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def _field_lines(report) -> list[str]:
+    """Every field of a report, floats as ``float.hex``."""
+    lines = []
+    for item in dataclasses.fields(report):
+        value = getattr(report, item.name)
+        lines.append(f"{item.name} {value.hex() if isinstance(value, float) else repr(value)}")
+    return lines
+
+
+def golden_spec(lam):
+    return from_alpha(lam, sample_bfb_alpha(lam, np.random.default_rng(lam)))
+
+
+def golden_runs(lam, mu):
+    """solve_and_check at the default dim with the default eta and a random-phase
+    eta, each with the solved shifts and with r_(mu+2) moved by 1e-3."""
+    spec = golden_spec(lam)
+    phases = np.exp(1j * np.random.default_rng(100 + lam).uniform(0, 2 * np.pi, lam - 1))
+    for eta in (None, default_eta(lam - 1) * phases):
+        tampered = solve_r(spec, mu, eta)
+        tampered[(mu + 2) % lam] += 1e-3
+        for r in (None, tampered):
+            yield solve_and_check(spec, mu, eta=eta, r=r)
+
+
+def golden_complex128_report(lam):
+    """khare_check called directly on a complex128 rep, at mu = lam // 2."""
+    spec = golden_spec(lam)
+    rep = build_fock_rep(spec, 10 * lam, dtype=np.complex128)
+    energies = shifted_hamiltonian(rep, solve_r(spec, lam // 2))
+    return khare_check(rep, build_supercharge(rep, lam // 2), energies)
+
+
+#: Digests of every PssqmReport and BreakingReport field, one per mu (four
+#: runs each), as first recorded with the dense multilinear products
+#: (x86-64, numpy 2.4, where clongdouble is the 80-bit extended type).
+GOLDEN_KHARE = {
+    2: ["dee589141e2570ad", "bfb60516498a0dec"],
+    3: ["a0e91d8e1e0020ee", "052b48a5c02b4cd9", "c7f8e439ead00e6d"],
+    4: ["bb38835425d88fa2", "e7b6369cf45c7423", "0189878a0c1dbf3d", "18b1c445c2c31842"],
+    5: ["34ad938ce58fdc54", "1c254ae37f88ef39", "ab3682455dced78b", "ac3b457fb1bdd0b3",
+        "354c5c6ff5b24122"],
+    6: ["04e11790406652c0", "3d9d44d9e333252f", "2a63e42ddd3e7563", "236e492c13b6d274",
+        "42b18459f606a373", "9915fb8b74b027a2"],
+    7: ["3a36e2b7b1247ca0", "30ed86d53dc4a42d", "13b43bdc62d79390", "45c53bb38a27faa9",
+        "45255e7e5e7c6be1", "210e9cec9b2a276c", "6c285b93ad18e832"],
+    8: ["adb80f65875d4c0c", "41619a4127a78164", "39320341da4d6531", "f347ab1c52c52b96",
+        "ed35a0c208674715", "8537d73a405828df", "1baba61ee12fa3bd", "4e5e2ce0ca329d20"],
+}
+
+#: Digest of the khare_check reports of :func:`golden_complex128_report`, lam 2 to 8.
+GOLDEN_COMPLEX128 = "152d729efc5e7b59"
+
+
+#: Digest of ``clext pssqm-check`` stdout for each argv, with its exit code.
+GOLDEN_CLI = {
+    "--p 2 --alpha 1,-0.5,-0.5": ("05ae3aa9a0ac6ae7", 0),
+    "--p 5 --alpha 0,0,0,0,0,0": ("8a0497f372f68f8b", 1),
+    "--p 2 --samples 3": ("9bdfbadcf06e9c29", 0),
+    "--p 1 --alpha 0,0": ("1337dcfdc441a79e", 0),
+}
+
+
+class TestGoldenDigests:
+    """khare_check reports are pinned bit for bit, so evaluating the same
+    arithmetic in fewer dense products must leave every field unchanged."""
+
+    @pytest.mark.parametrize("lam", list(GOLDEN_KHARE))
+    def test_solve_and_check(self, lam):
+        digests = []
+        for mu in range(lam):
+            runs = list(golden_runs(lam, mu))
+            assert [run.report.passed for run in runs][1::2] == [False, False]  # tampered
+            digests.append(_digest([line for run in runs for line in
+                                    _field_lines(run.report) + _field_lines(run.breaking)]))
+        assert digests == GOLDEN_KHARE[lam]
+
+    def test_complex128_reps(self):
+        lines = [line for lam in range(2, 9) for line in _field_lines(golden_complex128_report(lam))]
+        assert _digest(lines) == GOLDEN_COMPLEX128
+
+    @pytest.mark.parametrize("argv", list(GOLDEN_CLI))
+    def test_cli_stdout(self, argv, capsys):
+        code = main(["pssqm-check", *argv.split()])
+        assert (_digest([capsys.readouterr().out]), code) == GOLDEN_CLI[argv]

@@ -77,12 +77,14 @@ def test_verify_neither_classifies_nor_rolls():
     assert _calls(sample, {"classify", "roll"}) == [1, 2, 3]
 
 
-def test_pssqm_multiplies_dense_words_only_in_khare_check():
-    # the supercharge is a +1 band, so ssqm and the double commutator are
-    # band arithmetic; khare_check is the one dense path left
+def test_pssqm_multiplies_dense_words_only_in_the_multilinear_sum():
+    # the supercharge is a +1 band, so its powers, nilpotency, [H, Q], ssqm and
+    # the double commutator are band arithmetic; the multilinear sum of
+    # khare_check, in its own function, is the one dense path left
     (path,) = [path for path in SOURCES if path.name == "pssqm.py"]
-    assert _matrix_products(path, allowed={"khare_check"}) == []
-    assert _matrix_products(path)  # the exemption is what keeps khare_check's words
+    assert _matrix_products(path, allowed={"_multilinear_lhs"}) == []
+    # Q^p Qd, Q^(p-k) Qd Q^k and Qd Q^p: four sites, 2p products at run time
+    assert len(_matrix_products(path)) == 4
     assert "ladder_matrices" not in path.read_text(encoding="utf-8")
 
 
