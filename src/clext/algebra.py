@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,6 +132,21 @@ def from_kappa(lam: int, kappa) -> AlgebraSpec:
     return AlgebraSpec(lam=lam, kappa=kappa, alpha=alpha_c.real.copy())
 
 
+#: Largest order whose phase table ``from_alpha`` keeps: at most 63 tables,
+#: about 1.4 MB in all, where one table grows as lam^2.
+_PHASE_CACHE_MAX_LAM = 64
+
+
+@lru_cache(maxsize=None)
+def _inverse_phases(lam: int) -> np.ndarray:
+    """Read-only exp(-2i pi mu nu / lam), row nu = 1 .. lam-1, column mu."""
+    nu = np.arange(1, lam)[:, None]
+    mu = np.arange(lam)[None, :]
+    phases = np.exp(-2j * np.pi * mu * nu / lam)
+    phases.setflags(write=False)
+    return phases
+
+
 def from_alpha(lam: int, alpha) -> AlgebraSpec:
     """Build a spec from the real sector couplings alpha_0 .. alpha_{lam-1}.
 
@@ -143,9 +159,11 @@ def from_alpha(lam: int, alpha) -> AlgebraSpec:
     if alpha.shape != (lam,):
         raise LengthMismatchError(f"alpha must have {lam} entries, got {alpha.shape}")
     require_finite("alpha", alpha)  # before the transform, which warns on inf
-    nu = np.arange(1, lam)[:, None]
-    mu = np.arange(lam)[None, :]
-    kappa = (np.exp(-2j * np.pi * mu * nu / lam) * alpha[None, :]).sum(axis=1) / lam
+    if lam <= _PHASE_CACHE_MAX_LAM:
+        phases = _inverse_phases(lam)
+    else:
+        phases = _inverse_phases.__wrapped__(lam)  # not kept
+    kappa = (phases * alpha[None, :]).sum(axis=1) / lam
     return AlgebraSpec(lam=lam, kappa=kappa, alpha=alpha)
 
 

@@ -222,13 +222,20 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _merge_vector_flags(argv) -> list[str]:
-    """Join vector flags with their values so leading minus signs survive argparse."""
-    vector_flags = {param.flag for param in _PARAMS if param.kind not in _SCALARS}
-    merged, tokens = [], iter(argv)
-    for token in tokens:
-        value = next(tokens, None) if token in vector_flags else None
-        merged.append(token if value is None else f"{token}={value}")
+_VALUE_FLAGS = frozenset({"--config", *(param.flag for param in _PARAMS)})
+_OPTIONS = _VALUE_FLAGS | {"-h", "--help", "--version"}
+
+
+def _merge_flag_values(argv) -> list[str]:
+    """Join each flag that takes a value with the next token, unless that
+    token is itself an option, so that a value with a leading minus sign
+    (``-1e-3``, ``-inf``, ``-1,2``) is not read as a flag by argparse."""
+    merged = []
+    for token in argv:
+        if merged and merged[-1] in _VALUE_FLAGS and token.partition("=")[0] not in _OPTIONS:
+            merged[-1] += "=" + token
+        else:
+            merged.append(token)
     return merged
 
 
@@ -239,7 +246,7 @@ def parse_config(argv) -> RunConfig:
     flags override file values.  The rules below are those that tie
     parameters together.
     """
-    namespace = _build_parser().parse_args(_merge_vector_flags(list(argv)))
+    namespace = _build_parser().parse_args(_merge_flag_values(list(argv)))
     command = namespace.command
     file_values = _load_config_file(namespace.config) if namespace.config else {}
     if "command" in file_values and file_values["command"] != command:
@@ -300,6 +307,8 @@ def parse_config(argv) -> RunConfig:
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
     tol = values["tol"] if values["tol"] is not None else DEFAULT_TOLS.get(command, DEFAULT_TOL)
+    if tol < 0:
+        raise ValidationError(f"tol must be >= 0, got {tol!r}")
     if values["fmt"] != "json" and command not in ("spectrum", "bd-scan"):
         raise ValidationError(
             f"format {values['fmt']!r} is only available for spectrum and bd-scan"

@@ -1,22 +1,43 @@
 """Numerical verification of the algebra's defining relations.
 
-Every relation is evaluated as one length-dim difference LHS - RHS, reduced
-as soon as it is formed to the maximum absolute entry over the truncation
-interior.  a and adag are bands and N, T and P_mu diagonals, so a relation
-among them is elementwise arithmetic on vectors.  A family of lam relations
-indexed by sector is one (lam, dim) array operation, reduced per state over
-the sector axis, and the Fourier relations between the P_mu and the powers
-of T are one FFT along that axis: time is O(lam log lam * dim) and memory a
-few (lam, dim) arrays, with no matrix product anywhere.  The
-interior margin equals the relation's word length (the largest number of
-ladder factors in any term), because each ladder factor can propagate the
-truncation artifact at most one state down from the top.  An exact
-finite-dimensional rep (dim = d with F(d) = 0) has no artifact: margin 0.
+Every relation is a difference LHS - RHS over the kept number states,
+reduced to its maximum absolute entry over the truncation interior.  a and
+adag are bands and N, T and P_mu diagonals, so a relation among them is
+elementwise arithmetic on vectors.  A family of lam relations indexed by
+sector is one (lam, width) array operation, reduced per state over the
+sector axis, and the Fourier relations between the P_mu and the powers of T
+are one FFT along that axis: time is O(lam log lam * dim), with no matrix
+product anywhere.
+
+The states are taken in blocks of at most ``_block_width(lam, dim)``, so
+that a (lam, width) complex array fits in ``_BLOCK_BYTES``.  Each relation
+writes its |difference| into one row of a (relations, width) table, and the
+residuals are running maxima of the rows, so memory is that table and a few
+(lam, width) temporaries whatever the dim.  A block reads one state past
+each edge: the lower neighbour n - 1 of a product with a diagonal, which at
+n = 0 wraps to dim - 1 and meets only a[0] = adag[0] = 0, and the upper
+neighbour n + 1 of [a, adag], whose a[n+1] adag[n+1] is zero past the top.
+
+The interior margin equals the relation's word length (the largest number
+of ladder factors in any term), because each ladder factor can propagate
+the truncation artifact at most one state down from the top.  Blocks are
+counted down from the top, so the top block is full and the margin is
+masked there alone.  An exact finite-dimensional rep (dim = d with
+F(d) = 0) has no artifact: margin 0.
+
+Projector orthogonality and completeness belong to both reports.  Whichever
+report runs first on a rep stores their two residuals, keyed weakly by the
+rep object, and the other reads them.  ``build_fock_rep`` makes every array
+read-only, so the stored values hold for as long as the rep lives; a rep
+assembled from writable arrays must not have them changed in place between
+the reports (``dataclasses.replace`` makes a new rep, checked afresh).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -24,6 +45,9 @@ from .errors import MarginTooLargeError
 from .fock import TruncatedFockRep
 
 DEFAULT_TOL = 1e-12
+
+#: Bytes of one (lam, width) complex128 array of a block.
+_BLOCK_BYTES = 1 << 20
 
 
 def interior_max_abs(mat: np.ndarray, margin: int) -> float:
@@ -89,34 +113,87 @@ class ResidualReport:
         }
 
 
-def _collect(checks, tol: float, rep: TruncatedFockRep) -> ResidualReport:
-    """Reduce each ``(relation, word_length, diff)`` to one entry as it
-    arrives, so only the difference being reduced is held.  Margins are 0 on
-    an exact finite rep.
-    """
-    entries = []
-    for relation, word_length, diff in checks:
-        margin = 0 if rep.exact else word_length
-        residual = interior_max_abs(diff, margin)
-        entries.append(
-            RelationResidual(
-                relation=relation,
-                word_length=word_length,
-                margin=margin,
-                residual=residual,
-                passed=residual <= tol,
-            )
-        )
+#: The relations of both reports, as (relation, word_length) in report
+#: order; each report's checks yield one difference per relation, in order.
+_SHARED = (("projector_orthogonality", 0), ("projector_completeness", 0))
+_DEFINING = (
+    ("t_cyclic", 0), ("commutator_T", 2), ("number_lowering", 1), ("number_raising", 1),
+    ("number_T_commutes", 0), ("quommutation_a", 1), ("quommutation_adag", 1),
+    ("hermiticity_N", 0), ("hermiticity_a", 0), ("unitarity_T", 0), ("commutator_P", 2),
+    ("number_P_commutes", 0), ("sector_shift_a", 1), ("sector_shift_adag", 1),
+    *_SHARED, ("hermiticity_P", 0),
+)
+_PROJECTOR_ALGEBRA = (*_SHARED, ("projector_from_T", 0), ("T_from_projectors", 0))
+
+#: rep -> the residuals of ``_SHARED``, from the first report run on the rep
+_SHARED_RESIDUALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _block_width(lam: int, dim: int) -> int:
+    """States per block: a (lam, width) complex128 array fits in
+    ``_BLOCK_BYTES``, with 64 states at the least and dim at the most."""
+    return min(dim, max(64, _BLOCK_BYTES // (16 * lam)))
+
+
+def _blocks(dim: int, width: int):
+    """States lo .. hi - 1 of each block, bottom up.  Counted down from the
+    top: every block but the lowest holds ``width`` states."""
+    lo = 0
+    for hi in range(dim % width or width, dim + 1, width):
+        yield lo, hi
+        lo = hi
+
+
+@cache
+def _past_interior(margins: tuple[int, ...]) -> np.ndarray:
+    """Read-only: which of the last max(margins) states of each row the
+    margin masks."""
+    mask = np.arange(-max(margins), 0) >= -np.array(margins)[:, None]
+    mask.setflags(write=False)
+    return mask
+
+
+def _evaluate(rep: TruncatedFockRep, tol: float, relations, checks) -> ResidualReport:
+    """Run ``checks`` block by block and reduce each relation's |difference|
+    to its maximum over the interior.  Margins are 0 on an exact finite rep."""
+    dim, count = rep.dim, len(relations)
+    margins = (0,) * count if rep.exact else tuple(word for _, word in relations)
+    depth = max(margins)
+    if depth >= dim:
+        too_large = next(margin for margin in margins if margin >= dim)
+        raise MarginTooLargeError(f"margin {too_large} does not fit in dimension {dim}")
+    shared = _SHARED_RESIDUALS.get(rep)
+    first = relations.index(_SHARED[0])
+    shared_rows = slice(first, first + len(_SHARED))
+    rows = range(count) if shared is None else (*range(first), *range(shared_rows.stop, count))
+    width = _block_width(rep.spec.lam, dim)
+    table = np.zeros((count, width))  # rows the checks skip stay 0
+    residual = np.zeros(count)
+    for lo, hi in _blocks(dim, width):
+        block = table[:, : hi - lo]
+        for row, diff in zip(rows, checks(rep, lo, hi, shared is None)):
+            np.abs(diff, out=block[row])
+        if hi == dim and depth:
+            block[:, -depth:][_past_interior(margins)] = 0.0
+        np.maximum(residual, block.max(axis=1), out=residual)
+    if shared is None:
+        _SHARED_RESIDUALS[rep] = tuple(residual[shared_rows].tolist())
+    else:
+        residual[shared_rows] = shared
+    entries = tuple(
+        RelationResidual(relation, word_length, margin, value, value <= tol)
+        for (relation, word_length), margin, value in zip(relations, margins, residual.tolist())
+    )
     policy = "exact" if rep.exact else "word-length"
-    return ResidualReport(entries=tuple(entries), tolerance=tol, dim=rep.dim, margin_policy=policy)
+    return ResidualReport(entries=entries, tolerance=tol, dim=dim, margin_policy=policy)
 
 
-def _lo(diagonal: np.ndarray) -> np.ndarray:
-    """d_lo[n] = d[n-1], the diagonal at the lower state of band entry n,
-    taken along the last axis.  Entry 0 wraps to d[dim-1], which meets only
-    a[0] = adag[0] = 0.  The same as ``np.roll(diagonal, 1, axis=-1)``,
-    without its generic set-up."""
-    return np.concatenate((diagonal[..., -1:], diagonal[..., :-1]), axis=-1)
+def _window(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """States lo - 1 .. hi - 1 along the last axis: the block and its lower
+    neighbour.  State -1 wraps to dim - 1, which meets only a[0] = adag[0] = 0."""
+    if lo:
+        return values[..., lo - 1 : hi]
+    return np.concatenate((values[..., -1:], values[..., :hi]), axis=-1)
 
 
 def _t_powers(t_gen: np.ndarray, count: int) -> np.ndarray:
@@ -129,7 +206,7 @@ def _t_powers(t_gen: np.ndarray, count: int) -> np.ndarray:
 
 def _per_state(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Max over the sector axis of |lhs - rhs|: the per-state residual of a
-    (lam, dim) family of relations.  ``rhs`` is a temporary of the
+    (lam, width) family of relations.  ``rhs`` is a temporary of the
     difference's dtype and receives the difference, which saves allocating
     one more stack."""
     return np.abs(np.subtract(lhs, rhs, out=rhs)).max(axis=0)
@@ -146,36 +223,39 @@ def _projector_checks(proj):
     mag.partition(-2, axis=0)  # rows -2 and -1: the two largest
     off_diagonal = mag[-2] * mag[-1]
     # |v - v^2| = |v^2 - v|: rounding is symmetric
-    yield "projector_orthogonality", 0, np.maximum(_per_state(proj, proj * proj), off_diagonal)
-    yield "projector_completeness", 0, proj.sum(axis=0) - 1.0
+    yield np.maximum(_per_state(proj, proj * proj), off_diagonal)
+    yield proj.sum(axis=0) - 1.0
 
 
-def _defining_checks(rep: TruncatedFockRep):
+def _defining_checks(rep: TruncatedFockRep, lo: int, hi: int, projectors: bool = True):
+    """The differences of ``_DEFINING`` at states lo .. hi - 1; without
+    ``projectors``, those of ``_SHARED`` are left out."""
     spec = rep.spec
     lam = spec.lam
-    a, adag, num, t_gen, proj = rep.a, rep.adag, rep.num, rep.T, rep.P
-    num_lo, t_lo, proj_lo = _lo(num), _lo(t_gen), _lo(proj)
+    a, adag = rep.a[lo:hi], rep.adag[lo:hi]
+    num_w, t_w, proj_w = (_window(values, lo, hi) for values in (rep.num, rep.T, rep.P))
+    num, t_gen, proj = num_w[1:], t_w[1:], proj_w[:, 1:]
+    num_lo, t_lo, proj_lo = num_w[:-1], t_w[:-1], proj_w[:, :-1]
     q = np.exp(2j * np.pi / lam)
     t_powers = _t_powers(t_gen, lam + 1)  # row m: T^m
-    # [a, adag] is diagonal: (a adag)[n] = a[n+1] adag[n+1], zero at the top
-    commutator = np.append(a[1:] * adag[1:], 0) - adag * a
+    # [a, adag] is diagonal: (a adag)[n] = a[n+1] adag[n+1], zero past the top
+    upper = rep.a[lo + 1 : hi + 1] * rep.adag[lo + 1 : hi + 1]
+    commutator = (upper if hi < rep.dim else np.append(upper, 0)) - adag * a
 
-    yield "t_cyclic", 0, t_powers[lam] - 1.0
+    yield t_powers[lam] - 1.0  # t_cyclic
     # the coupling sums add the rows in order, T^1 (or P_0) first
-    yield "commutator_T", 2, commutator - (
-        1.0 + (spec.kappa[:, None] * t_powers[1:lam]).sum(axis=0)
-    )
+    yield commutator - (1.0 + (spec.kappa[:, None] * t_powers[1:lam]).sum(axis=0))
     # [N, x] +- x scales band entry n by n_row - n_col +- 1: integers, so exact
-    yield "number_lowering", 1, (num_lo - num + 1) * a
-    yield "number_raising", 1, (num - num_lo - 1) * adag
-    yield "number_T_commutes", 0, num * t_gen - t_gen * num
-    yield "quommutation_a", 1, a * t_gen - q * (t_lo * a)
-    yield "quommutation_adag", 1, adag * t_lo - np.conj(q) * (t_gen * adag)
-    yield "hermiticity_N", 0, num - num.conj()
-    yield "hermiticity_a", 0, adag.conj() - a
-    yield "unitarity_T", 0, t_gen.conj() - 1.0 / t_gen
-    yield "commutator_P", 2, commutator - (1.0 + (spec.alpha[:, None] * proj).sum(axis=0))
-    yield "number_P_commutes", 0, _per_state(num * proj, proj * num)
+    yield (num_lo - num + 1) * a  # number_lowering
+    yield (num - num_lo - 1) * adag  # number_raising
+    yield num * t_gen - t_gen * num  # number_T_commutes
+    yield a * t_gen - q * (t_lo * a)  # quommutation_a
+    yield adag * t_lo - np.conj(q) * (t_gen * adag)  # quommutation_adag
+    yield num - num.conj()  # hermiticity_N
+    yield adag.conj() - a  # hermiticity_a
+    yield t_gen.conj() - 1.0 / t_gen  # unitarity_T
+    yield commutator - (1.0 + (spec.alpha[:, None] * proj).sum(axis=0))  # commutator_P
+    yield _per_state(num * proj, proj * num)  # number_P_commutes
     # a P_m - P_(m-1) a is the band a times the diagonal P_m - (P_(m-1))_lo,
     # so the family's per-state residual is |a| max_m |P_m - (P_(m-1))_lo|;
     # likewise adag P_(m-1) - P_m adag is adag times (P_(m-1))_lo - P_m, whose
@@ -184,10 +264,11 @@ def _defining_checks(rep: TruncatedFockRep):
     # whenever the products are exact, as for 0/1 projectors
     prev_lo = np.concatenate((proj_lo[-1:], proj_lo[:-1]))  # row m: (P_(m-1))_lo
     shift = _per_state(proj, prev_lo)
-    yield "sector_shift_a", 1, np.abs(a) * shift
-    yield "sector_shift_adag", 1, np.abs(adag) * shift
-    yield from _projector_checks(proj)
-    yield "hermiticity_P", 0, _per_state(proj, np.conj(proj))
+    yield np.abs(a) * shift  # sector_shift_a
+    yield np.abs(adag) * shift  # sector_shift_adag
+    if projectors:
+        yield from _projector_checks(proj)
+    yield _per_state(proj, np.conj(proj))  # hermiticity_P
 
 
 def verify_defining_relations(rep: TruncatedFockRep, tol: float = DEFAULT_TOL) -> ResidualReport:
@@ -199,20 +280,21 @@ def verify_defining_relations(rep: TruncatedFockRep, tol: float = DEFAULT_TOL) -
     projector orthogonality and completeness, and the Hermiticity and
     unitarity conditions.  Failures show up as report entries, not errors.
     """
-    return _collect(_defining_checks(rep), tol, rep)
+    return _evaluate(rep, tol, _DEFINING, _defining_checks)
 
 
-def _projector_algebra_checks(rep: TruncatedFockRep):
-    lam = rep.spec.lam
-    proj = rep.P
-    t_powers = _t_powers(rep.T, lam)
-
-    yield from _projector_checks(proj)
+def _projector_algebra_checks(rep: TruncatedFockRep, lo: int, hi: int, projectors: bool = True):
+    """The differences of ``_PROJECTOR_ALGEBRA`` at states lo .. hi - 1;
+    without ``projectors``, those of ``_SHARED`` are left out."""
+    proj = rep.P[:, lo:hi]
+    t_powers = _t_powers(rep.T[lo:hi], rep.spec.lam)
+    if projectors:
+        yield from _projector_checks(proj)
     # P_mu = sum_nu exp(-2i pi mu nu / lam) T^nu / lam and its inverse
     # T^nu = sum_mu exp(2i pi mu nu / lam) P_mu are DFTs along the sector
     # axis; norm="forward" puts the 1/lam on the forward one, as here
-    yield "projector_from_T", 0, _per_state(proj, np.fft.fft(t_powers, axis=0, norm="forward"))
-    yield "T_from_projectors", 0, _per_state(t_powers, np.fft.ifft(proj, axis=0, norm="forward"))
+    yield _per_state(proj, np.fft.fft(t_powers, axis=0, norm="forward"))  # projector_from_T
+    yield _per_state(t_powers, np.fft.ifft(proj, axis=0, norm="forward"))  # T_from_projectors
 
 
 def verify_projector_algebra(rep: TruncatedFockRep, tol: float = DEFAULT_TOL) -> ResidualReport:
@@ -222,4 +304,4 @@ def verify_projector_algebra(rep: TruncatedFockRep, tol: float = DEFAULT_TOL) ->
     each projector from the powers of T, and of each power of T from the
     projectors.  All operators are diagonal, so the margin is zero.
     """
-    return _collect(_projector_algebra_checks(rep), tol, rep)
+    return _evaluate(rep, tol, _PROJECTOR_ALGEBRA, _projector_algebra_checks)

@@ -536,3 +536,45 @@ class TestDumpCommand:
         assert code == 0
         assert target.read_text().splitlines() == ["0.0,0.0", "0.0,0.0", "0.0,0.0", "1.0,0.0"]
         assert "written" in out
+
+
+class TestNegativeValues:
+    """A value with a leading minus sign reads the same after a space as
+    after ``=``, for every flag that takes a value."""
+
+    @pytest.mark.parametrize("head, flag, value, tail, code, err", (
+        (["bd-scan"], "--scan-from", "-1e-3", ["--scan-points", "3"], 0, ""),
+        (["bd-scan"], "--scan-to", "-inf", [], 2, "clext: error: scan_to must be finite"),
+        (["verify", "--alpha", "0,0,0"], "--tol", "-1e-3", [], 2, "clext: error: tol must be >= 0"),
+    ))
+    def test_space_form_matches_equals_form(self, capsys, head, flag, value, tail, code, err):
+        spaced = run_cli([*head, flag, value, *tail], capsys)
+        assert spaced == run_cli([*head, f"{flag}={value}", *tail], capsys)
+        assert spaced[0] == code
+        assert spaced[2].startswith(err)
+
+    def test_an_option_is_not_taken_as_a_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--alpha", "--dim", "5"])
+        assert exc.value.code == 2
+        assert "argument --alpha: expected one argument" in capsys.readouterr().err
+
+
+class TestNegativeTolerance:
+    def test_flag(self, capsys):
+        code, out, err = run_cli(["verify", "--alpha", "0,0,0", "--tol", "-0.001"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "clext: error: tol must be >= 0, got -0.001\n"
+
+    def test_config(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"tol": -0.001}))
+        code, out, err = run_cli(["verify", "--alpha", "0,0,0", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "clext: error: tol must be >= 0, got -0.001\n"
+
+    def test_zero_is_valid(self, capsys):
+        code, out, err = run_cli(["verify", "--alpha", "0,0,0", "--tol", "0"], capsys)
+        assert code in (0, 1)
+        assert err == ""
+        assert json.loads(out)["header"]["tol"] == 0

@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -99,10 +100,27 @@ def test_matrix_product_scan_sees_every_form():
 
 @pytest.mark.parametrize("lam", (3, 64))
 def test_verify_yields_one_difference_per_relation(lam):
-    # a family of lam relations is one (lam, dim) array operation, so the
-    # number of differences does not grow with lam
-    rep = clext.build_fock_rep(clext.from_alpha(lam, [0.0] * lam), 2 * lam)
+    # a family of lam relations is one (lam, width) array operation on a
+    # block of states, so the number of differences grows with neither lam
+    # nor dim; blocks are counted down from the top, and none is wider than
+    # the byte budget allows for a (lam, width) complex array (or 64 states)
+    widest = max(64, verify._BLOCK_BYTES // (16 * lam))
+    dim = 2 * widest + 5
+    rep = clext.build_fock_rep(clext.from_alpha(lam, [0.0] * lam), dim)
+    blocks = list(verify._blocks(dim, verify._block_width(lam, dim)))
+    assert len(blocks) == 3
+    assert [edge for block in blocks for edge in block] == [
+        0, 5, 5, 5 + widest, 5 + widest, dim]
     for checks, count in ((verify._defining_checks, 17), (verify._projector_algebra_checks, 4)):
-        diffs = list(checks(rep))
-        assert len(diffs) == count
-        assert all(diff.shape == (rep.dim,) for _, _, diff in diffs)
+        for lo, hi in blocks:
+            diffs = list(checks(rep, lo, hi))
+            assert len(diffs) == count
+            assert all(diff.shape == (hi - lo,) for diff in diffs)
+
+
+def test_block_width_is_not_a_parameter():
+    # the width derives from lam and the byte budget, so callers cannot
+    # trade memory for speed by accident
+    for func in (clext.verify_defining_relations, clext.verify_projector_algebra):
+        assert str(inspect.signature(func)) == (
+            "(rep: 'TruncatedFockRep', tol: 'float' = 1e-12) -> 'ResidualReport'")

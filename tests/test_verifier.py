@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -21,6 +23,7 @@ from clext import (
     from_alpha,
     interior_max_abs,
     sample_bfb_alpha,
+    verify,
     verify_defining_relations,
     verify_projector_algebra,
 )
@@ -178,6 +181,24 @@ class TestDefiningRelations:
             assert row["pass"] == (row["residual"] <= data["tolerance"])
 
 
+def verify_in_guarded_child(argv):
+    """``clext verify *argv`` in a child under a 512 MiB address-space limit."""
+    script = (
+        "import resource, sys\n"
+        "limit = 512 << 20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "from clext.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(clext.__file__).parents[1]))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
+    return subprocess.run(
+        [sys.executable, "-c", script, "verify", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestReportShape:
     """The CLI summary prints entries in report order, so the order is pinned."""
 
@@ -208,29 +229,46 @@ class TestReportShape:
             matrix_bytes = dim * dim * np.dtype(np.complex128).itemsize
             assert peak < matrix_bytes, (lam, peak / matrix_bytes)
 
+    def test_peak_memory_is_bounded_at_large_dim(self):
+        # the reports hold one block of states at a time; whole-length
+        # (lam, dim) temporaries would take about 240 MB here
+        rep = build_fock_rep(from_alpha(64, [0.0] * 64), 65_536)
+        tracemalloc.start()
+        try:
+            verify_defining_relations(rep)
+            verify_projector_algebra(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
+
     def test_lambda_64_verifies_at_default_dim(self):
         # the CLI's lambda cap at its default dim 768, in a child under a
         # 512 MiB address-space limit, so that a dense-diagonal regression
         # fails with MemoryError instead of exhausting the machine
-        script = (
-            "import resource, sys\n"
-            "limit = 512 << 20\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
-            "from clext.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(clext.__file__).parents[1]))
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[name] = "1"
-        argv = ["verify", "--lambda", "64", "--alpha", ",".join(["0"] * 64)]
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = verify_in_guarded_child(["--lambda", "64", "--alpha", ",".join(["0"] * 64)])
         assert proc.returncode == 0, proc.stderr[-2000:]
         body = json.loads(proc.stdout)["body"]
         assert body["defining_relations"]["dim"] == 768
         assert body["all_pass"] is True
+
+    def test_lambda_64_verifies_at_dim_200000(self):
+        # the reports hold one block of states at a time, so only the rep,
+        # about 0.6 KB per state at lam 64, grows with dim
+        dim = 200_000
+        proc = verify_in_guarded_child(
+            ["--lambda", "64", "--alpha", ",".join(["0"] * 64), "--dim", str(dim)])
+        assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
+        assert proc.returncode in (0, 1), proc.stderr[-2000:]
+        body = json.loads(proc.stdout)["body"]
+        failed = {row["id"]: row["residual"]
+                  for report in ("defining_relations", "projector_algebra")
+                  for row in body[report]["relations"] if not row["pass"]}
+        # a known defect: the commutators' absolute tolerance fails correct
+        # reps at large dim, where [a, adag] - 1 rounds at the size of dim
+        # ulps; only those two may fail, by roundoff
+        assert set(failed) <= {"commutator_T", "commutator_P"}, failed
+        assert all(residual < 1e-13 * dim for residual in failed.values()), failed
 
 
 class TestNumberRelations:
@@ -536,10 +574,47 @@ def report_digest(rep) -> str:
     return _digest(lines)
 
 
+#: Dims of the multi-block reps, at least three blocks each; the lowest block
+#: is partial, so no block edge falls on a multiple of the block width.
+BLOCK_DIMS = {2: 70001, 3: 50001, 8: 20001, 64: 3333}
+#: States of the lam-64 rep tampered in one place: 0 (whose lower neighbour
+#: wraps to dim - 1), the first and the last state of the second block, and
+#: the top state.
+TAMPER_STATES = (0, 261, 1284, BLOCK_DIMS[64] - 1)
+
+
+def _tampered_at(rep, n):
+    """``rep`` with ``a`` (and ``adag`` to match), ``T`` or ``P`` changed at
+    state ``n``: a[0] = 1e-3 at state 0, else a[n] and T[n] times 1 + 1e-7,
+    and the sector column of P rotated by one."""
+    a = rep.a.copy()
+    if n == 0:
+        a[0] = 1e-3
+    else:
+        a[n] *= 1 + 1e-7
+    t_gen = rep.T.copy()
+    t_gen[n] *= 1 + 1e-7
+    proj = np.array(rep.P)
+    proj[:, n] = np.roll(proj[:, n], 1)
+    return [dataclasses.replace(rep, a=a, adag=a.copy()),
+            dataclasses.replace(rep, T=t_gen), dataclasses.replace(rep, P=proj)]
+
+
 def golden_reps(key):
     """The reps behind one golden digest: a seeded bounded-from-below spec at
-    dims lam + 1, 12 lam and 600 in both dtypes, an exact finite rep, or a
-    rep with one ``a`` entry scaled by 1 + 1e-6."""
+    dims lam + 1, 12 lam and 600 in both dtypes, an exact finite rep, a
+    rep with one ``a`` entry scaled by 1 + 1e-6, a seeded spec at its
+    multi-block dim in both dtypes, or the lam-64 multi-block rep tampered
+    at each of ``TAMPER_STATES``."""
+    if key == "blocks-tampered":
+        spec = from_alpha(64, sample_bfb_alpha(64, np.random.default_rng(1164)))
+        rep = build_fock_rep(spec, BLOCK_DIMS[64])
+        return [tampered for n in TAMPER_STATES for tampered in _tampered_at(rep, n)]
+    if str(key).startswith("blocks-"):
+        lam = int(key.removeprefix("blocks-"))
+        spec = from_alpha(lam, sample_bfb_alpha(lam, np.random.default_rng(1100 + lam)))
+        return [build_fock_rep(spec, BLOCK_DIMS[lam], dtype)
+                for dtype in (np.complex128, np.clongdouble)]
     if key == "finite":
         alpha = exact_finite_alpha(6, 5, np.random.default_rng(65))
         return [build_fock_rep(from_alpha(6, alpha), 5)]
@@ -571,6 +646,15 @@ GOLDEN_REPORTS = {
          "2962f96df282b392", "27f9376fd45748dd", "1ecb999c40951d18"],
     "finite": ["1fd2defa43695b56"],
     "tampered": ["3a14403e7e805042"],
+    # recorded at commit 63254477bec4, before verify evaluated in blocks of states
+    "blocks-2": ["a3cef00d9071f798", "84635750975e6f62"],
+    "blocks-3": ["e9b1c01dc4fdff64", "6766634f93478ec0"],
+    "blocks-8": ["17bec92c89404ca5", "9f28d14bbf49c76c"],
+    "blocks-64": ["88516d582c372481", "838ab436a2600f5f"],
+    "blocks-tampered": ["4516e1446356dbbc", "011238dc4a65f23e", "ef66abaf7897d409",
+                        "20060a70d01182b0", "d5493f8b5c5d03d0", "41a64f5c4ba428d7",
+                        "04c01e884f38ad18", "d4d188c02ca24a27", "0c7d041baff9e896",
+                        "88516d582c372481", "82e1da792161ac7d", "44b9efa814d624ee"],
 }
 
 #: Digest of ``clext verify`` stdout for each argv, with its exit code.
@@ -594,8 +678,93 @@ class TestGoldenDigests:
         (tampered,) = golden_reps("tampered")
         assert not verify_defining_relations(tampered).all_pass
 
+    def test_block_inputs_are_what_they_claim(self):
+        for lam, dim in BLOCK_DIMS.items():
+            assert len(list(verify._blocks(dim, verify._block_width(lam, dim)))) >= 3, lam
+        dim = BLOCK_DIMS[64]
+        second = list(verify._blocks(dim, verify._block_width(64, dim)))[1]
+        assert TAMPER_STATES == (0, second[0], second[1] - 1, dim - 1)
+        # every tamper changes the reports but that of a[dim - 1]: each
+        # relation that reads it masks the top state, and adag matches it
+        untampered = GOLDEN_REPORTS["blocks-64"][0]
+        changed = [digest != untampered for digest in GOLDEN_REPORTS["blocks-tampered"]]
+        assert changed == [True] * 9 + [False, True, True]
+
     @pytest.mark.parametrize("argv", list(GOLDEN_CLI))
     def test_cli_stdout(self, argv, capsys):
         code = main(["verify", *argv.split()])
         out = capsys.readouterr().out
         assert (_digest([out]), code) == GOLDEN_CLI[argv]
+
+
+class TestSharedProjectorRows:
+    """Projector orthogonality and completeness are computed by the first
+    report run on a rep and read by the other, which applies its own tol."""
+
+    @staticmethod
+    def rep():
+        return build_fock_rep(from_alpha(5, sample_bfb_alpha(5, np.random.default_rng(55))), 60)
+
+    def test_a_replaced_rep_is_checked_afresh(self):
+        rep = self.rep()
+        assert verify_defining_relations(rep).all_pass
+        assert verify_projector_algebra(rep).all_pass
+        proj = np.array(rep.P)
+        proj[1, 31] = 0.5  # state 31 now lies in two sectors
+        t_gen = rep.T.copy()
+        t_gen[31] *= 1 + 1e-6
+        for tampered in (dataclasses.replace(rep, P=proj), dataclasses.replace(rep, T=t_gen)):
+            for report in (verify_defining_relations(tampered), verify_projector_algebra(tampered)):
+                assert not report.all_pass
+        # the shared rows fail in both reports, whichever runs first
+        for first, second in ((verify_defining_relations, verify_projector_algebra),
+                              (verify_projector_algebra, verify_defining_relations)):
+            tampered = dataclasses.replace(rep, P=proj)
+            for report in (first(tampered), second(tampered)):
+                assert not report.entry("projector_orthogonality").passed
+                assert not report.entry("projector_completeness").passed
+
+    def test_each_report_applies_its_own_tolerance(self):
+        proj = np.array(self.rep().P)
+        proj[31 % 5, 31] -= 2.0**-45  # shared residuals of about 3e-14
+        rep = dataclasses.replace(self.rep(), P=proj)
+        reports = [check(rep, tol=tol) for tol in (1e-12, 1e-20)
+                   for check in (verify_defining_relations, verify_projector_algebra)]
+        fresh = dataclasses.replace(rep)  # a new rep: nothing stored for it
+        assert verify_projector_algebra(fresh).entries == reports[1].entries
+        assert verify_defining_relations(fresh).entries == reports[0].entries
+        for loose, tight in zip(reports[:2], reports[2:]):
+            assert [e.residual for e in loose.entries] == [e.residual for e in tight.entries]
+            for relation in ("projector_orthogonality", "projector_completeness"):
+                assert 0 < loose.entry(relation).residual < 1e-12
+                assert loose.entry(relation).passed and not tight.entry(relation).passed
+            assert loose.all_pass and not tight.all_pass
+
+    def test_only_the_stored_residuals_stay_allocated(self):
+        spec = from_alpha(64, [0.0] * 64)
+        reps = [build_fock_rep(spec, 20_000) for _ in range(4)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for rep in reps:  # the first runs fill numpy's and Python's caches
+                before = tracemalloc.get_traced_memory()[0]
+                verify_defining_relations(rep)
+                verify_projector_algebra(rep)
+                kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 4096, kept
+
+    def test_stored_residuals_go_with_the_rep(self):
+        stored = verify._SHARED_RESIDUALS
+        gc.collect()
+        count = len(stored)
+        rep = self.rep()
+        verify_defining_relations(rep)
+        assert rep in stored
+        assert len(stored) == count + 1
+        probe = weakref.ref(rep)
+        del rep
+        gc.collect()
+        assert probe() is None
+        assert len(stored) == count
