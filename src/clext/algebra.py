@@ -52,7 +52,9 @@ def require_finite(name: str, values: np.ndarray) -> None:
 
 def _partial_sums(alpha: np.ndarray) -> np.ndarray:
     """beta_mu = sum of alpha_0 .. alpha_{mu-1}, with beta_0 = 0."""
-    return np.concatenate([np.zeros(1, dtype=alpha.dtype), np.cumsum(alpha)[:-1]])
+    beta = np.zeros(alpha.shape, alpha.dtype)
+    np.add.accumulate(alpha[:-1], out=beta[1:])  # a cumsum, in place
+    return beta
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +96,11 @@ class AlgebraSpec:
                 f"conj(kappa_mu) != kappa_(lam-mu), worst mismatch {mism:.3e}"
             )
         beta = _partial_sums(self.alpha)
-        object.__setattr__(self, "beta", _locked(beta))
-        object.__setattr__(self, "gamma", _locked(beta + self.alpha / 2))
+        gamma = beta + self.alpha / 2
+        beta.setflags(write=False)  # fresh arrays: locked without a copy
+        gamma.setflags(write=False)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
 
 
 def _conjugation_mismatch(kappa: np.ndarray) -> float:
@@ -132,9 +137,15 @@ def from_kappa(lam: int, kappa) -> AlgebraSpec:
     return AlgebraSpec(lam=lam, kappa=kappa, alpha=alpha_c.real.copy())
 
 
-#: Largest order whose phase table ``from_alpha`` keeps: at most 63 tables,
-#: about 1.4 MB in all, where one table grows as lam^2.
+#: Largest order whose phase tables are kept: at most 63 of each, about
+#: 1.4 MB in all for ``from_alpha``'s, where one table grows as lam^2.
 _PHASE_CACHE_MAX_LAM = 64
+
+
+def phase_table(table, lam: int) -> np.ndarray:
+    """``table(lam)`` for a cached per-lam table: kept for lam up to
+    ``_PHASE_CACHE_MAX_LAM``, computed afresh (and not kept) above it."""
+    return table(lam) if lam <= _PHASE_CACHE_MAX_LAM else table.__wrapped__(lam)
 
 
 @lru_cache(maxsize=None)
@@ -159,11 +170,7 @@ def from_alpha(lam: int, alpha) -> AlgebraSpec:
     if alpha.shape != (lam,):
         raise LengthMismatchError(f"alpha must have {lam} entries, got {alpha.shape}")
     require_finite("alpha", alpha)  # before the transform, which warns on inf
-    if lam <= _PHASE_CACHE_MAX_LAM:
-        phases = _inverse_phases(lam)
-    else:
-        phases = _inverse_phases.__wrapped__(lam)  # not kept
-    kappa = (phases * alpha[None, :]).sum(axis=1) / lam
+    kappa = (phase_table(_inverse_phases, lam) * alpha[None, :]).sum(axis=1) / lam
     return AlgebraSpec(lam=lam, kappa=kappa, alpha=alpha)
 
 
@@ -174,10 +181,20 @@ def structure_function(spec: AlgebraSpec, n: int) -> float:
     return float(n + spec.beta[n % spec.lam])
 
 
+def _derived(spec: AlgebraSpec, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """beta and gamma in the real ``dtype``: the spec's own in float64, else
+    derived again from alpha in that dtype."""
+    if np.dtype(dtype) == spec.alpha.dtype:
+        return spec.beta, spec.gamma
+    alpha = spec.alpha.astype(dtype)
+    beta = _partial_sums(alpha)
+    return beta, beta + alpha / 2
+
+
 def structure_values(spec: AlgebraSpec, count: int, dtype=float) -> np.ndarray:
     """F(0) .. F(count-1) as an array, computed in the requested real dtype."""
     n = np.arange(count)
-    beta = _partial_sums(spec.alpha.astype(dtype))
+    beta, _ = _derived(spec, dtype)
     return n.astype(dtype) + beta[n % spec.lam]
 
 
@@ -212,13 +229,15 @@ def classify(spec: AlgebraSpec) -> RepClass:
     any zero means no unitary Fock representation of either type exists
     and raises :class:`NonUnitaryError`.
     """
-    witnesses = _locked(np.arange(1, spec.lam) + spec.beta[1:])  # F(m) = m + beta_m
-    for m, value in enumerate(witnesses, start=1):
+    witnesses = np.arange(1, spec.lam) + spec.beta[1:]  # F(m) = m + beta_m
+    witnesses.setflags(write=False)
+    for m, value in enumerate(witnesses.tolist(), start=1):
         if abs(value) <= CONSTRAINT_TOL:
             return RepClass(kind=RepKind.FINITE_DIM, dim=m, witnesses=witnesses)
         if value < 0:
             raise NonUnitaryError(
-                f"F({m}) = {value!r} < 0 before any zero: no unitary Fock representation"
+                f"F({m}) = {witnesses[m - 1]!r} < 0 before any zero: "
+                "no unitary Fock representation"
             )
     return RepClass(kind=RepKind.BOUNDED_FROM_BELOW, dim=None, witnesses=witnesses)
 
@@ -237,9 +256,7 @@ def energy_level(spec: AlgebraSpec, n: int) -> float:
 def energy_values(spec: AlgebraSpec, count: int, dtype=float) -> np.ndarray:
     """E_0 .. E_{count-1} as an array, computed in the requested real dtype."""
     n = np.arange(count)
-    alpha = spec.alpha.astype(dtype)
-    beta = _partial_sums(alpha)
-    gamma = beta + alpha / 2
+    _, gamma = _derived(spec, dtype)
     return n.astype(dtype) + 0.5 + gamma[n % spec.lam]
 
 

@@ -297,6 +297,11 @@ def parse_config(argv) -> RunConfig:
     samples = values["samples"]
     if samples is not None and samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
+    for key in ("alpha", "kappa", "r"):
+        if samples is not None and values[key] is not None:
+            raise ValidationError(
+                f"--samples draws each alpha and solves its shifts: drop --{key}"
+            )
     if alpha is None and kappa is None:
         if command == "bd-scan":
             alpha = [0.0, 0.0, 0.0]

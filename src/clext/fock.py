@@ -23,16 +23,30 @@ finite rep, whose ``dim`` equals the dimension d of a finite-dimensional
 spec (F(d) = 0, so |d> is never reached): :func:`build_fock_rep` records
 that as ``exact`` from the classification it already makes, and the
 verifiers read it instead of classifying the spec again.
+
+Building a rep is O(lam * dim) elementwise work plus a fixed per-call cost,
+which dominates at the default dims.  So nothing already at hand is derived
+again: the float64 structure values read the spec's own ``beta``, and the
+phase row of T is a read-only table kept per lam (up to the same order as
+the phase tables of ``from_alpha``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraSpec, RepKind, classify, structure_function, structure_values
+from .algebra import (
+    AlgebraSpec,
+    RepKind,
+    classify,
+    phase_table,
+    structure_function,
+    structure_values,
+)
 from .errors import DimensionTooLargeError, NonUnitaryTruncationError
 
 
@@ -50,6 +64,15 @@ class TruncatedFockRep:
     T: np.ndarray
     P: np.ndarray
     exact: bool
+
+
+@lru_cache(maxsize=None)
+def _t_phases(lam: int) -> np.ndarray:
+    """Read-only exp(2i pi mu / lam), mu = 0 .. lam-1: T on sector mu, from
+    the reduced phase, so one rounding at any n."""
+    phases = np.exp(2j * np.pi * np.arange(lam) / lam)
+    phases.setflags(write=False)
+    return phases
 
 
 def build_fock_rep(spec: AlgebraSpec, dim: int, dtype=np.complex128) -> TruncatedFockRep:
@@ -81,8 +104,7 @@ def build_fock_rep(spec: AlgebraSpec, dim: int, dtype=np.complex128) -> Truncate
     a[1:] = np.sqrt(values[1:])
     adag = a.copy()  # conj(a): the square roots are real
     num = n.astype(rdtype)
-    # T is exp(2i pi mu / lam) on sector mu: reduced, so one rounding at any n
-    t_gen = np.exp(2j * np.pi * np.arange(spec.lam) / spec.lam)[sector]
+    t_gen = phase_table(_t_phases, spec.lam)[sector]
     projectors = (sector == np.arange(spec.lam)[:, None]).astype(rdtype)
     for arr in (a, adag, num, t_gen, projectors):
         arr.setflags(write=False)

@@ -25,6 +25,13 @@ counted down from the top, so the top block is full and the margin is
 masked there alone.  An exact finite-dimensional rep (dim = d with
 F(d) = 0) has no artifact: margin 0.
 
+At the default dims (lam up to 24) a report's cost is mostly fixed per
+call, not per state.  So what a report derives from its relation list (the
+margins, the mask of the top states, the rows of the shared residuals) is
+worked out once, at import, and an entry is a named tuple: a one-block
+report is its checks' arithmetic, one ``abs`` per relation into the table,
+one reduction over it and one tuple of entries.
+
 Projector orthogonality and completeness belong to both reports.  Whichever
 report runs first on a rep stores their two residuals, keyed weakly by the
 rep object, and the other reads them.  ``build_fock_rep`` makes every array
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +69,9 @@ def interior_max_abs(mat: np.ndarray, margin: int) -> float:
     return float(np.abs(mat[:k, :k] if mat.ndim == 2 else mat[:k]).max())
 
 
-@dataclass(frozen=True)
-class RelationResidual:
+class RelationResidual(NamedTuple):
+    """One report entry: an immutable named tuple, cheap to build."""
+
     relation: str
     word_length: int
     margin: int
@@ -113,17 +121,44 @@ class ResidualReport:
         }
 
 
+class _Relations(NamedTuple):
+    """A report's relations and what ``_evaluate`` derives from them, worked
+    out once at import: the rows of ``_SHARED``, the rows the checks fill
+    when those residuals are already stored, and which of the top ``depth``
+    states the word-length margin of each row masks."""
+
+    names: tuple[str, ...]
+    word_lengths: tuple[int, ...]
+    no_margins: tuple[int, ...]  # an exact finite rep's
+    depth: int  # the largest word length
+    past_interior: np.ndarray  # read-only (relations, depth)
+    shared: slice
+    own_rows: tuple[int, ...]
+
+
+def _relations(*pairs: tuple[str, int]) -> _Relations:
+    """The constants of ``_evaluate`` for (relation, word_length) pairs."""
+    names, word_lengths = zip(*pairs)
+    count, depth = len(names), max(word_lengths)
+    past_interior = np.arange(-depth, 0) >= -np.array(word_lengths)[:, None]
+    past_interior.setflags(write=False)
+    first = names.index(_SHARED[0][0])
+    shared = slice(first, first + len(_SHARED))
+    own_rows = (*range(first), *range(shared.stop, count))
+    return _Relations(names, word_lengths, (0,) * count, depth, past_interior, shared, own_rows)
+
+
 #: The relations of both reports, as (relation, word_length) in report
 #: order; each report's checks yield one difference per relation, in order.
 _SHARED = (("projector_orthogonality", 0), ("projector_completeness", 0))
-_DEFINING = (
+_DEFINING = _relations(
     ("t_cyclic", 0), ("commutator_T", 2), ("number_lowering", 1), ("number_raising", 1),
     ("number_T_commutes", 0), ("quommutation_a", 1), ("quommutation_adag", 1),
     ("hermiticity_N", 0), ("hermiticity_a", 0), ("unitarity_T", 0), ("commutator_P", 2),
     ("number_P_commutes", 0), ("sector_shift_a", 1), ("sector_shift_adag", 1),
     *_SHARED, ("hermiticity_P", 0),
 )
-_PROJECTOR_ALGEBRA = (*_SHARED, ("projector_from_T", 0), ("T_from_projectors", 0))
+_PROJECTOR_ALGEBRA = _relations(*_SHARED, ("projector_from_T", 0), ("T_from_projectors", 0))
 
 #: rep -> the residuals of ``_SHARED``, from the first report run on the rep
 _SHARED_RESIDUALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -144,46 +179,38 @@ def _blocks(dim: int, width: int):
         lo = hi
 
 
-@cache
-def _past_interior(margins: tuple[int, ...]) -> np.ndarray:
-    """Read-only: which of the last max(margins) states of each row the
-    margin masks."""
-    mask = np.arange(-max(margins), 0) >= -np.array(margins)[:, None]
-    mask.setflags(write=False)
-    return mask
-
-
-def _evaluate(rep: TruncatedFockRep, tol: float, relations, checks) -> ResidualReport:
+def _evaluate(rep: TruncatedFockRep, tol: float, relations: _Relations, checks) -> ResidualReport:
     """Run ``checks`` block by block and reduce each relation's |difference|
     to its maximum over the interior.  Margins are 0 on an exact finite rep."""
-    dim, count = rep.dim, len(relations)
-    margins = (0,) * count if rep.exact else tuple(word for _, word in relations)
-    depth = max(margins)
+    dim = rep.dim
+    if rep.exact:
+        margins, depth = relations.no_margins, 0
+    else:
+        margins, depth = relations.word_lengths, relations.depth
     if depth >= dim:
         too_large = next(margin for margin in margins if margin >= dim)
         raise MarginTooLargeError(f"margin {too_large} does not fit in dimension {dim}")
     shared = _SHARED_RESIDUALS.get(rep)
-    first = relations.index(_SHARED[0])
-    shared_rows = slice(first, first + len(_SHARED))
-    rows = range(count) if shared is None else (*range(first), *range(shared_rows.stop, count))
+    rows = range(len(margins)) if shared is None else relations.own_rows
     width = _block_width(rep.spec.lam, dim)
-    table = np.zeros((count, width))  # rows the checks skip stay 0
-    residual = np.zeros(count)
+    table = np.zeros((len(margins), width))  # rows the checks skip stay 0
+    peak = None
     for lo, hi in _blocks(dim, width):
         block = table[:, : hi - lo]
         for row, diff in zip(rows, checks(rep, lo, hi, shared is None)):
             np.abs(diff, out=block[row])
         if hi == dim and depth:
-            block[:, -depth:][_past_interior(margins)] = 0.0
-        np.maximum(residual, block.max(axis=1), out=residual)
+            block[:, -depth:][relations.past_interior] = 0.0
+        block_peak = block.max(axis=1)
+        peak = block_peak if peak is None else np.maximum(peak, block_peak, out=peak)
+    residuals = peak.tolist()
     if shared is None:
-        _SHARED_RESIDUALS[rep] = tuple(residual[shared_rows].tolist())
+        _SHARED_RESIDUALS[rep] = tuple(residuals[relations.shared])
     else:
-        residual[shared_rows] = shared
-    entries = tuple(
-        RelationResidual(relation, word_length, margin, value, value <= tol)
-        for (relation, word_length), margin, value in zip(relations, margins, residual.tolist())
-    )
+        residuals[relations.shared] = shared
+    passed = [residual <= tol for residual in residuals]
+    entries = tuple(map(RelationResidual._make, zip(
+        relations.names, relations.word_lengths, margins, residuals, passed)))
     policy = "exact" if rep.exact else "word-length"
     return ResidualReport(entries=entries, tolerance=tol, dim=dim, margin_policy=policy)
 
@@ -201,7 +228,7 @@ def _t_powers(t_gen: np.ndarray, count: int) -> np.ndarray:
     powers = np.empty((count, t_gen.size), dtype=t_gen.dtype)
     powers[0] = 1.0
     powers[1:] = t_gen
-    return np.cumprod(powers, axis=0, out=powers)
+    return np.multiply.accumulate(powers, axis=0, out=powers)  # a cumprod, in place
 
 
 def _per_state(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:

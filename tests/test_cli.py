@@ -189,7 +189,8 @@ class TestConfigFlagParity:
             text, value = SSQM_VALUES.get(key, (text, value))
         if key == "format" and command in ("spectrum", "bd-scan"):
             text = value = "csv"
-        base = BASE_FLAGS[command]
+        # --samples draws each alpha itself, so its run fixes only the order
+        base = ["--lambda", "3"] if key == "samples" else BASE_FLAGS[command]
         drop = {"--alpha"} if key in ("alpha", "kappa") else {"--" + key.replace("_", "-")}
         base = [t for pair in zip(base[::2], base[1::2]) if pair[0] not in drop for t in pair]
         flag = "--" + key.replace("_", "-")
@@ -419,6 +420,35 @@ class TestPssqmCommands:
         assert code == 2
         assert out == ""
         assert "samples must be >= 1" in err
+
+
+class TestSamplesTakeNoCouplings:
+    """--samples draws each alpha and solves its shifts, so a given alpha,
+    kappa or r would be ignored: it is a usage error that names the flag."""
+
+    GIVEN = {"alpha": "1,-0.5,-0.5", "kappa": "0.25+0.25j,0.25-0.25j", "r": "1,2,3"}
+    ERROR = "clext: error: --samples draws each alpha and solves its shifts: drop --{}\n"
+
+    @pytest.mark.parametrize("key", list(GIVEN))
+    def test_flag(self, capsys, key):
+        code, out, err = run_cli(
+            ["pssqm-check", "--p", "2", "--samples", "2", f"--{key}", self.GIVEN[key]], capsys)
+        assert (code, out) == (2, "")
+        assert err == self.ERROR.format(key)
+
+    @pytest.mark.parametrize("key", list(GIVEN))
+    def test_config(self, capsys, tmp_path, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"samples": 2, key: self.GIVEN[key]}))
+        code, out, err = run_cli(["pssqm-check", "--p", "2", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == self.ERROR.format(key)
+
+    def test_alpha_that_gives_the_order_is_rejected_too(self, capsys):
+        code, out, err = run_cli(
+            ["pssqm-check", "--alpha", "1,-0.5,-0.5", "--samples", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert "drop --alpha" in err
 
 
 class TestSsqmCommand:

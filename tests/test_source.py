@@ -124,3 +124,13 @@ def test_block_width_is_not_a_parameter():
     for func in (clext.verify_defining_relations, clext.verify_projector_algebra):
         assert str(inspect.signature(func)) == (
             "(rep: 'TruncatedFockRep', tol: 'float' = 1e-12) -> 'ResidualReport'")
+
+
+def test_spec_and_rep_builders_take_no_new_knobs():
+    # per-lam phase tables and the spec's own beta are kept without an
+    # option: a cache switch or a precision knob would be a second code path
+    assert str(inspect.signature(clext.from_alpha)) == "(lam: 'int', alpha) -> 'AlgebraSpec'"
+    assert str(inspect.signature(clext.from_kappa)) == "(lam: 'int', kappa) -> 'AlgebraSpec'"
+    assert str(inspect.signature(clext.build_fock_rep)) == (
+        "(spec: 'AlgebraSpec', dim: 'int', dtype=<class 'numpy.complex128'>)"
+        " -> 'TruncatedFockRep'")

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -269,6 +270,50 @@ class TestReportShape:
         # ulps; only those two may fail, by roundoff
         assert set(failed) <= {"commutator_T", "commutator_P"}, failed
         assert all(residual < 1e-13 * dim for residual in failed.values()), failed
+
+
+class TestReportEntries:
+    """The contract of a report entry, whatever record type carries it."""
+
+    FIELDS = ("relation", "word_length", "margin", "residual", "passed")
+
+    @staticmethod
+    def entries():
+        return verify_defining_relations(build_fock_rep(WORKED, 30)).entries
+
+    def test_entries_are_immutable(self):
+        entry = self.entries()[0]
+        for name in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(entry, name, getattr(entry, name))
+
+    def test_field_names_and_order(self):
+        assert tuple(inspect.signature(verify.RelationResidual).parameters) == self.FIELDS
+        entry = verify.RelationResidual("t_cyclic", 0, 0, 1e-16, True)
+        assert [getattr(entry, name) for name in self.FIELDS] == ["t_cyclic", 0, 0, 1e-16, True]
+
+    def test_equal_entries_compare_equal(self):
+        first, second = self.entries(), self.entries()
+        assert first == second and first is not second
+        rebuilt = verify.RelationResidual(*(getattr(first[1], name) for name in self.FIELDS))
+        assert rebuilt == first[1]
+        assert first[0] != first[1]
+
+    # sha256 of json.dumps(report.to_dict()), both reports at tol 1e-16 (so
+    # some entries fail): the worked spec at dim 30, and the exact rep of
+    # alpha (0.5, -2.5, 2), whose F(2) = 0, at dim 2
+    TO_DICT = {30: ["3fb24561b0e40820", "0a5fc222522566c8"],
+               2: ["057aa3a2f9df0623", "3779aa01af473efa"]}
+
+    @pytest.mark.parametrize("dim", list(TO_DICT))
+    def test_to_dict_is_unchanged(self, dim):
+        spec = WORKED if dim == 30 else from_alpha(3, [0.5, -2.5, 2.0])
+        rep = build_fock_rep(spec, dim)
+        digests = [
+            hashlib.sha256(json.dumps(check(rep, tol=1e-16).to_dict()).encode()).hexdigest()[:16]
+            for check in (verify_defining_relations, verify_projector_algebra)
+        ]
+        assert digests == self.TO_DICT[dim]
 
 
 class TestNumberRelations:
