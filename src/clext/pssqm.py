@@ -99,6 +99,12 @@ def _normalized_eta(lam: int, eta) -> np.ndarray:
     return eta
 
 
+def _check_mu(mu: int, lam: int) -> None:
+    """The annihilated sector mu must be one of the lam sectors."""
+    if not 0 <= mu < lam:
+        raise ValueError(f"mu must lie in 0..{lam - 1}, got {mu}")
+
+
 def solve_r(spec: AlgebraSpec, mu: int, eta=None) -> np.ndarray:
     """Sector shifts making the shifted Hamiltonian parasupersymmetric.
 
@@ -117,8 +123,7 @@ def solve_r(spec: AlgebraSpec, mu: int, eta=None) -> np.ndarray:
     """
     lam = spec.lam
     p = lam - 1
-    if not 0 <= mu <= p:
-        raise ValueError(f"mu must lie in 0..{p}, got {mu}")
+    _check_mu(mu, lam)
     eta = _normalized_eta(lam, eta)
     norms = np.abs(eta) ** 2
     total = float(norms.sum())
@@ -160,6 +165,7 @@ class PssqmConfig:
 
     def __post_init__(self):
         lam = self.spec.lam
+        _check_mu(self.mu, lam)
         object.__setattr__(self, "eta", _normalized_eta(lam, self.eta))
         object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
         if self.r.shape != (lam,):
@@ -203,8 +209,7 @@ def _charge_band(rep: TruncatedFockRep, mu: int, eta) -> np.ndarray:
     """Q as its +1 band q[n] = <n|Q|n-1> = w[(n-1) mod lam] adag[n], with the
     sector weight w = eta_{mu+nu} on sector mu + nu and 0 on sector mu."""
     lam = rep.spec.lam
-    if not 0 <= mu < lam:
-        raise ValueError(f"mu must lie in 0..{lam - 1}, got {mu}")
+    _check_mu(mu, lam)
     weights = np.zeros(lam, dtype=complex)
     weights[(mu + np.arange(1, lam)) % lam] = _normalized_eta(lam, eta)
     return rep.adag * weights[(np.arange(rep.dim) - 1) % lam]
@@ -583,6 +588,7 @@ def bd_scan(
     keep the zero sum.  Points without a bounded-from-below representation
     carry residual None.
     """
+    _check_mu(mu, 3)
     base_alpha = np.asarray(base_alpha, dtype=float)
     if base_alpha.shape != (3,):
         raise WrongOrderError(f"scan needs a 3-component alpha, got {base_alpha.shape}")

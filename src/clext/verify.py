@@ -27,22 +27,19 @@ F(d) = 0) has no artifact: margin 0.
 
 At the default dims (lam up to 24) a report's cost is mostly fixed per
 call, not per state.  So what a report derives from its relation list (the
-margins, the mask of the top states, the rows of the shared residuals) is
-worked out once, at import, and an entry is a named tuple: a one-block
-report is its checks' arithmetic, one ``abs`` per relation into the table,
-one reduction over it and one tuple of entries.
+margins and the mask of the top states) is worked out once, at import, and
+an entry is a named tuple: a one-block report is its checks' arithmetic,
+one ``abs`` per relation into the table, one reduction over it and one
+tuple of entries.
 
-Projector orthogonality and completeness belong to both reports.  Whichever
-report runs first on a rep stores their two residuals, keyed weakly by the
-rep object, and the other reads them.  ``build_fock_rep`` makes every array
-read-only, so the stored values hold for as long as the rep lives; a rep
-assembled from writable arrays must not have them changed in place between
-the reports (``dataclasses.replace`` makes a new rep, checked afresh).
+Each relation belongs to one report.  Projector orthogonality and
+completeness are relations of the projector algebra that the DFT of the
+powers of T builds, not defining relations, so only
+``verify_projector_algebra`` checks them.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -123,17 +120,14 @@ class ResidualReport:
 
 class _Relations(NamedTuple):
     """A report's relations and what ``_evaluate`` derives from them, worked
-    out once at import: the rows of ``_SHARED``, the rows the checks fill
-    when those residuals are already stored, and which of the top ``depth``
-    states the word-length margin of each row masks."""
+    out once at import: which of the top ``depth`` states the word-length
+    margin of each row masks."""
 
     names: tuple[str, ...]
     word_lengths: tuple[int, ...]
     no_margins: tuple[int, ...]  # an exact finite rep's
     depth: int  # the largest word length
     past_interior: np.ndarray  # read-only (relations, depth)
-    shared: slice
-    own_rows: tuple[int, ...]
 
 
 def _relations(*pairs: tuple[str, int]) -> _Relations:
@@ -142,26 +136,22 @@ def _relations(*pairs: tuple[str, int]) -> _Relations:
     count, depth = len(names), max(word_lengths)
     past_interior = np.arange(-depth, 0) >= -np.array(word_lengths)[:, None]
     past_interior.setflags(write=False)
-    first = names.index(_SHARED[0][0])
-    shared = slice(first, first + len(_SHARED))
-    own_rows = (*range(first), *range(shared.stop, count))
-    return _Relations(names, word_lengths, (0,) * count, depth, past_interior, shared, own_rows)
+    return _Relations(names, word_lengths, (0,) * count, depth, past_interior)
 
 
-#: The relations of both reports, as (relation, word_length) in report
+#: The relations of each report, as (relation, word_length) in report
 #: order; each report's checks yield one difference per relation, in order.
-_SHARED = (("projector_orthogonality", 0), ("projector_completeness", 0))
 _DEFINING = _relations(
     ("t_cyclic", 0), ("commutator_T", 2), ("number_lowering", 1), ("number_raising", 1),
     ("number_T_commutes", 0), ("quommutation_a", 1), ("quommutation_adag", 1),
     ("hermiticity_N", 0), ("hermiticity_a", 0), ("unitarity_T", 0), ("commutator_P", 2),
     ("number_P_commutes", 0), ("sector_shift_a", 1), ("sector_shift_adag", 1),
-    *_SHARED, ("hermiticity_P", 0),
+    ("hermiticity_P", 0),
 )
-_PROJECTOR_ALGEBRA = _relations(*_SHARED, ("projector_from_T", 0), ("T_from_projectors", 0))
-
-#: rep -> the residuals of ``_SHARED``, from the first report run on the rep
-_SHARED_RESIDUALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_PROJECTOR_ALGEBRA = _relations(
+    ("projector_orthogonality", 0), ("projector_completeness", 0),
+    ("projector_from_T", 0), ("T_from_projectors", 0),
+)
 
 
 def _block_width(lam: int, dim: int) -> int:
@@ -190,24 +180,18 @@ def _evaluate(rep: TruncatedFockRep, tol: float, relations: _Relations, checks) 
     if depth >= dim:
         too_large = next(margin for margin in margins if margin >= dim)
         raise MarginTooLargeError(f"margin {too_large} does not fit in dimension {dim}")
-    shared = _SHARED_RESIDUALS.get(rep)
-    rows = range(len(margins)) if shared is None else relations.own_rows
     width = _block_width(rep.spec.lam, dim)
-    table = np.zeros((len(margins), width))  # rows the checks skip stay 0
+    table = np.empty((len(margins), width))
     peak = None
     for lo, hi in _blocks(dim, width):
         block = table[:, : hi - lo]
-        for row, diff in zip(rows, checks(rep, lo, hi, shared is None)):
-            np.abs(diff, out=block[row])
+        for row, diff in zip(block, checks(rep, lo, hi)):
+            np.abs(diff, out=row)
         if hi == dim and depth:
             block[:, -depth:][relations.past_interior] = 0.0
         block_peak = block.max(axis=1)
         peak = block_peak if peak is None else np.maximum(peak, block_peak, out=peak)
     residuals = peak.tolist()
-    if shared is None:
-        _SHARED_RESIDUALS[rep] = tuple(residuals[relations.shared])
-    else:
-        residuals[relations.shared] = shared
     passed = [residual <= tol for residual in residuals]
     entries = tuple(map(RelationResidual._make, zip(
         relations.names, relations.word_lengths, margins, residuals, passed)))
@@ -239,24 +223,8 @@ def _per_state(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.abs(np.subtract(lhs, rhs, out=rhs)).max(axis=0)
 
 
-def _projector_checks(proj):
-    """Orthogonality P_m P_n = delta_mn P_m, then completeness sum(P) = 1.
-
-    At state n, with v = P[:, n], the orthogonality residual over all pairs
-    is max(max_m |v_m^2 - v_m|, max_(m != k) |v_m v_k|).  P is real, so
-    |v_m v_k| rounds to |v_m| |v_k|, and rounding is monotone: the second
-    term is the product of the two largest |v_m|, exactly."""
-    mag = np.abs(proj)
-    mag.partition(-2, axis=0)  # rows -2 and -1: the two largest
-    off_diagonal = mag[-2] * mag[-1]
-    # |v - v^2| = |v^2 - v|: rounding is symmetric
-    yield np.maximum(_per_state(proj, proj * proj), off_diagonal)
-    yield proj.sum(axis=0) - 1.0
-
-
-def _defining_checks(rep: TruncatedFockRep, lo: int, hi: int, projectors: bool = True):
-    """The differences of ``_DEFINING`` at states lo .. hi - 1; without
-    ``projectors``, those of ``_SHARED`` are left out."""
+def _defining_checks(rep: TruncatedFockRep, lo: int, hi: int):
+    """The differences of ``_DEFINING`` at states lo .. hi - 1."""
     spec = rep.spec
     lam = spec.lam
     a, adag = rep.a[lo:hi], rep.adag[lo:hi]
@@ -293,8 +261,6 @@ def _defining_checks(rep: TruncatedFockRep, lo: int, hi: int, projectors: bool =
     shift = _per_state(proj, prev_lo)
     yield np.abs(a) * shift  # sector_shift_a
     yield np.abs(adag) * shift  # sector_shift_adag
-    if projectors:
-        yield from _projector_checks(proj)
     yield _per_state(proj, np.conj(proj))  # hermiticity_P
 
 
@@ -304,19 +270,29 @@ def verify_defining_relations(rep: TruncatedFockRep, tol: float = DEFAULT_TOL) -
     Covers the deformed commutator (against the cyclic generator powers and
     against the sector projectors), the number-operator ladder relations,
     the quommutation of a and adag with T, the projector shift relations,
-    projector orthogonality and completeness, and the Hermiticity and
-    unitarity conditions.  Failures show up as report entries, not errors.
+    and the Hermiticity and unitarity conditions.  Projector orthogonality
+    and completeness belong to ``verify_projector_algebra``.  Failures show
+    up as report entries, not errors.
     """
     return _evaluate(rep, tol, _DEFINING, _defining_checks)
 
 
-def _projector_algebra_checks(rep: TruncatedFockRep, lo: int, hi: int, projectors: bool = True):
-    """The differences of ``_PROJECTOR_ALGEBRA`` at states lo .. hi - 1;
-    without ``projectors``, those of ``_SHARED`` are left out."""
+def _projector_algebra_checks(rep: TruncatedFockRep, lo: int, hi: int):
+    """The differences of ``_PROJECTOR_ALGEBRA`` at states lo .. hi - 1.
+
+    Orthogonality P_m P_n = delta_mn P_m comes first: at state n, with
+    v = P[:, n], its residual over all pairs is max(max_m |v_m^2 - v_m|,
+    max_(m != k) |v_m v_k|).  P is real, so |v_m v_k| rounds to |v_m| |v_k|,
+    and rounding is monotone: the second term is the product of the two
+    largest |v_m|, exactly.  Completeness sum(P) = 1 follows."""
     proj = rep.P[:, lo:hi]
     t_powers = _t_powers(rep.T[lo:hi], rep.spec.lam)
-    if projectors:
-        yield from _projector_checks(proj)
+    mag = np.abs(proj)
+    mag.partition(-2, axis=0)  # rows -2 and -1: the two largest
+    off_diagonal = mag[-2] * mag[-1]
+    # |v - v^2| = |v^2 - v|: rounding is symmetric
+    yield np.maximum(_per_state(proj, proj * proj), off_diagonal)
+    yield proj.sum(axis=0) - 1.0
     # P_mu = sum_nu exp(-2i pi mu nu / lam) T^nu / lam and its inverse
     # T^nu = sum_mu exp(2i pi mu nu / lam) P_mu are DFTs along the sector
     # axis; norm="forward" puts the 1/lam on the forward one, as here

@@ -56,6 +56,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "--alpha or --kappa" in err
 
+    def test_each_relation_is_reported_once(self, capsys):
+        code, out, _ = run_cli(["verify", "--lambda", "3", "--alpha", "1,-0.5,-0.5"], capsys)
+        assert code == 0
+        body = json.loads(out)["body"]
+        ids = [row["id"] for report in ("defining_relations", "projector_algebra")
+               for row in body[report]["relations"]]
+        assert len(ids) == 19
+        assert sorted(ids) == sorted(set(ids))
+
     def test_csv_not_available(self, capsys):
         code, _, err = run_cli(
             ["verify", "--lambda", "2", "--alpha", "0,0", "--format", "csv"], capsys
@@ -500,6 +509,16 @@ class TestBdScanCommand:
             ["bd-scan", "--lambda", "4", "--alpha", "0,0,0,0"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("scan", (["-5", "-4"], ["-2", "0"]))
+    def test_mu_out_of_range(self, scan, capsys):
+        # rejected whether or not a scanned point is bounded from below
+        code, out, err = run_cli(
+            ["bd-scan", "--mu", "7", "--alpha", "0,0,0", "--scan-points", "2",
+             "--scan-from", scan[0], "--scan-to", scan[1]], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "mu must lie in 0..2, got 7" in err
 
 
 class TestDumpCommand:

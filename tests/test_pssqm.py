@@ -204,6 +204,34 @@ class TestSolveR:
             PssqmConfig(spec=WORKED, mu=0, eta=default_eta(2), r=[0.0, 0.0, 0.0])
 
 
+class TestMuRange:
+    """Every entry point that takes mu rejects a sector outside 0..p with the
+    same error, before any work that could let it through."""
+
+    MESSAGE = "mu must lie in 0..2, got "
+
+    @pytest.mark.parametrize("mu", (-1, 3, 5))
+    def test_every_entry_point(self, mu):
+        rep = build_fock_rep(WORKED, 12, dtype=CHECK_DTYPE)
+        calls = (
+            lambda: solve_r(WORKED, mu),
+            lambda: build_supercharge(rep, mu),
+            lambda: beckers_debergh_check(rep, mu, r=solve_r(WORKED, 0)),
+            lambda: PssqmConfig(spec=WORKED, mu=mu, eta=default_eta(2), r=solve_r(WORKED, 0)),
+            lambda: bd_scan([0.0, 0.0, 0.0], mu, -1.0, 0.0, 2, dim=12),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{self.MESSAGE}{mu}$"):
+                call()
+
+    def test_scan_without_an_admissible_point(self):
+        # mu 7 would scan alpha_0, as mu 1 does, and no point with alpha_0 <= -1
+        # is bounded from below, so no point would check mu
+        assert [point.bfb for point in bd_scan([0.0, 0.0, 0.0], 1, -5.0, -4.0, 2)] == [False] * 2
+        with pytest.raises(ValueError, match=f"^{self.MESSAGE}7$"):
+            bd_scan([0.0, 0.0, 0.0], 7, -5.0, -4.0, 2)
+
+
 class TestSupercharge:
     def test_annihilates_distinguished_sector(self):
         rep = build_fock_rep(WORKED, 9)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import clext
+import clext.cli
 from clext import verify
 
 SOURCES = sorted(Path(clext.__file__).parent.glob("*.py"))
@@ -111,11 +112,25 @@ def test_verify_yields_one_difference_per_relation(lam):
     assert len(blocks) == 3
     assert [edge for block in blocks for edge in block] == [
         0, 5, 5, 5 + widest, 5 + widest, dim]
-    for checks, count in ((verify._defining_checks, 17), (verify._projector_algebra_checks, 4)):
+    for checks, count in ((verify._defining_checks, 15), (verify._projector_algebra_checks, 4)):
         for lo, hi in blocks:
             diffs = list(checks(rep, lo, hi))
             assert len(diffs) == count
             assert all(diff.shape == (hi - lo,) for diff in diffs)
+
+
+def test_each_relation_has_one_report():
+    # a relation checked by both reports would need its residual computed
+    # twice or kept between the calls; verify keeps no state across calls
+    assert set(verify._DEFINING.names).isdisjoint(verify._PROJECTOR_ALGEBRA.names)
+    (path,) = [path for path in SOURCES if path.name == "verify.py"]
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "numpy" in imported and "weakref" not in imported
 
 
 def test_block_width_is_not_a_parameter():
@@ -134,3 +149,69 @@ def test_spec_and_rep_builders_take_no_new_knobs():
     assert str(inspect.signature(clext.build_fock_rep)) == (
         "(spec: 'AlgebraSpec', dim: 'int', dtype=<class 'numpy.complex128'>)"
         " -> 'TruncatedFockRep'")
+
+
+BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _dotted(node) -> str | None:
+    """``clext.cli.run`` for an attribute chain on a name, None otherwise."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _module_dict(tree, name):
+    """The dict literal assigned to the module-level ``name``."""
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == [name]]
+    assert isinstance(value, ast.Dict), name
+    return value
+
+
+def _resolve(name: str):
+    """The object that a dotted ``clext.`` name binds."""
+    target = clext
+    for attr in name.split(".")[1:]:
+        assert hasattr(target, attr), name
+        target = getattr(target, attr)
+    return target
+
+
+def _argument_names(node, functions) -> set[str]:
+    """String keys subscripted anywhere in ``node``, and in the body of each
+    module-level function that ``node`` calls by name."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.Constant):
+            names.add(sub.slice.value)
+        if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in functions:
+            names |= _argument_names(functions[sub.func.id], functions)
+    return names
+
+
+def test_benchmark_bindings_resolve():
+    # the benchmark's tracer binds public names and reads call arguments by
+    # name; a rename in clext must fail here, not in a benchmark run
+    tree = ast.parse(BENCH_TRACING.read_text(encoding="utf-8"))
+    bound = {name for node in ast.walk(tree)
+             if (name := _dotted(node)) and name.startswith("clext.")}
+    assert {"clext.khare_check", "clext.cli.parse_config", "clext.cli.run"} <= bound
+    for name in bound:
+        _resolve(name)
+
+    table = _module_dict(tree, "PUBLIC")
+    public = {key.value: _dotted(value) for key, value in zip(table.keys, table.values)}
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    ops = _module_dict(tree, "OPS")
+    read = {}
+    for key, value in zip(ops.keys, ops.values):
+        assert key.value in public, key.value
+        read[key.value] = _argument_names(value, functions)
+        parameters = inspect.signature(_resolve(public[key.value])).parameters
+        missing = read[key.value] - set(parameters)
+        assert not missing, (key.value, missing)
+    assert read["pssqm.khare_check"] == {"rep", "charge"}
+    assert read["verify.defining_relations"] == {"rep"}

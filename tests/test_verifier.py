@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -47,8 +46,6 @@ DEFINING_ORDER = (
     ("number_P_commutes", 0),
     ("sector_shift_a", 1),
     ("sector_shift_adag", 1),
-    ("projector_orthogonality", 0),
-    ("projector_completeness", 0),
     ("hermiticity_P", 0),
 )
 PROJECTOR_ORDER = (
@@ -302,8 +299,8 @@ class TestReportEntries:
     # sha256 of json.dumps(report.to_dict()), both reports at tol 1e-16 (so
     # some entries fail): the worked spec at dim 30, and the exact rep of
     # alpha (0.5, -2.5, 2), whose F(2) = 0, at dim 2
-    TO_DICT = {30: ["3fb24561b0e40820", "0a5fc222522566c8"],
-               2: ["057aa3a2f9df0623", "3779aa01af473efa"]}
+    TO_DICT = {30: ["8f86534fe362d6b6", "0a5fc222522566c8"],
+               2: ["b451b6e4290c4272", "3779aa01af473efa"]}
 
     @pytest.mark.parametrize("dim", list(TO_DICT))
     def test_to_dict_is_unchanged(self, dim):
@@ -505,14 +502,6 @@ def _loop_checks(rep):
     t_powers = np.cumprod([np.ones_like(t_gen)] + [t_gen] * lam, axis=0)
     commutator = np.append(a[1:] * adag[1:], 0) - adag * a
 
-    def projector_checks():
-        stack = np.array(proj)
-        for m, p in enumerate(proj):
-            diff = p * stack
-            diff[m] -= p
-            yield "projector_orthogonality", 0, np.max(np.abs(diff), axis=0)
-        yield "projector_completeness", 0, sum(proj) - 1.0
-
     defining = [
         ("t_cyclic", 0, t_powers[lam] - 1.0),
         ("commutator_T", 2, commutator - (
@@ -535,10 +524,15 @@ def _loop_checks(rep):
         ("sector_shift_adag", 1, adag * proj_lo[m] - proj[(m + 1) % lam] * adag)
         for m in range(lam)
     ]
-    defining += list(projector_checks())
     defining += [("hermiticity_P", 0, p - p.conj()) for p in proj]
 
-    algebra = list(projector_checks())
+    stack = np.array(proj)
+    algebra = []
+    for m, p in enumerate(proj):
+        diff = p * stack
+        diff[m] -= p
+        algebra.append(("projector_orthogonality", 0, np.max(np.abs(diff), axis=0)))
+    algebra.append(("projector_completeness", 0, sum(proj) - 1.0))
     algebra += [
         ("projector_from_T", 0, proj[mu] - sum(
             np.exp(-2j * np.pi * (mu * nu % lam) / lam) * t_powers[nu] for nu in range(lam)) / lam)
@@ -673,39 +667,40 @@ def golden_reps(key):
             for dim in (key + 1, 12 * key, 600) for dtype in (np.complex128, np.clongdouble)]
 
 
-#: Digests of the reports as first recorded (x86-64, numpy 2.4, where
-#: clongdouble is the 80-bit extended type); any change in arithmetic or
-#: order of evaluation shows up here as a changed bit.
+#: Digests of the reports (x86-64, numpy 2.4, where clongdouble is the 80-bit
+#: extended type), re-recorded when the defining report stopped listing the
+#: projector orthogonality and completeness that the projector report owns;
+#: any change in arithmetic or order of evaluation shows up as a changed bit.
 GOLDEN_REPORTS = {
-    2: ["fa4bfb73a5c820a9", "fc50c0e9d8eab354", "71495f32656e4d7d",
-        "870b4d4618f3a62c", "5672ae74f2ddeb60", "81c2779c9bb3fc78"],
-    3: ["7728bbd8493e99ff", "894a4e0e2bfa0dc8", "77d951b16a5d8de4",
-        "a0467d9e3ec3badb", "833f91eece795bad", "b31d179ca834c979"],
-    7: ["2cedf057d1f992bb", "6eed04359913909a", "0a0729fdc704cd75",
-        "818e319f53bbb880", "6623d322e3635b69", "b362bb06d56abd23"],
-    11: ["e8a14ad8e183d4ad", "15242a12f9f21dd7", "e71dda622062e3ae",
-         "80710de394703ec5", "bfc125232812fd20", "a0b80a2b1324b069"],
-    24: ["9e7aad16385584a0", "1a905dc655d868b1", "ac81e33e320947d8",
-         "d4aab2abc65705d4", "d45700e4a592956d", "fc777edd57196e1c"],
-    64: ["82ba2bb0329f8880", "d75624c60d2446f5", "db078ea3f9b6835b",
-         "2962f96df282b392", "27f9376fd45748dd", "1ecb999c40951d18"],
-    "finite": ["1fd2defa43695b56"],
-    "tampered": ["3a14403e7e805042"],
-    # recorded at commit 63254477bec4, before verify evaluated in blocks of states
-    "blocks-2": ["a3cef00d9071f798", "84635750975e6f62"],
-    "blocks-3": ["e9b1c01dc4fdff64", "6766634f93478ec0"],
-    "blocks-8": ["17bec92c89404ca5", "9f28d14bbf49c76c"],
-    "blocks-64": ["88516d582c372481", "838ab436a2600f5f"],
-    "blocks-tampered": ["4516e1446356dbbc", "011238dc4a65f23e", "ef66abaf7897d409",
-                        "20060a70d01182b0", "d5493f8b5c5d03d0", "41a64f5c4ba428d7",
-                        "04c01e884f38ad18", "d4d188c02ca24a27", "0c7d041baff9e896",
-                        "88516d582c372481", "82e1da792161ac7d", "44b9efa814d624ee"],
+    2: ["8f34991d0323611a", "b473e2d454c42e08", "fa81a393af54d02e",
+        "5213138312219027", "8d2c6c42dba8d780", "12180814646bb867"],
+    3: ["9ed916e594e1e650", "efc8db98cbd9586b", "bc683e81a135ef62",
+        "72723d6e04e624e5", "72f6a043b02d7cc4", "624c2a7941f2bd35"],
+    7: ["e84e00fee15fc167", "2b4f0d6989301890", "e5b820d8698939b8",
+        "5cea4f6e93654b20", "fbc3413bc0c9bcf5", "39733f65d14b10ff"],
+    11: ["ff5bea76cbb83d49", "ac0fe7c3e33fc1dd", "8a68941d19db46f7",
+         "00f9fca55e6b9610", "97f5cc6eb86bdf35", "4e45e3e51106db51"],
+    24: ["b2f5c74b3851de0c", "83aeaafa80257777", "b9cf70e870dc2ef1",
+         "328d050d7d0cea00", "edaeb4d07e496f9b", "95133337d0302f6d"],
+    64: ["14ec691be8f46142", "6ff3b8517f5215fd", "201727e7edec8521",
+         "56319bfc22e9924f", "0cb981321237679d", "f9727bc4a2bcf55c"],
+    "finite": ["0c0915148f79df6c"],
+    "tampered": ["0b4e205eed254ced"],
+    # first recorded before verify evaluated in blocks of states
+    "blocks-2": ["1f8fdb5329877416", "5f33bfd17b0e51c9"],
+    "blocks-3": ["53f23af270b8e30c", "00d4bc84b227ea92"],
+    "blocks-8": ["e0d7b5b5000a1044", "56b64f2a54a77039"],
+    "blocks-64": ["02c432aa2a32a11a", "0a11d4875216eab4"],
+    "blocks-tampered": ["50cb8cf34c9332ca", "794eac3dff356a50", "a2cf5df014599eca",
+                        "3a1bfde25c2c2481", "b94399f1eb3509e6", "6b20702b26e01977",
+                        "78306a361ae4bf9f", "e68287254a0ec1c5", "ed7704ff5fc9de0c",
+                        "02c432aa2a32a11a", "b7a09006670b8ae3", "5bceab67f6584c7b"],
 }
 
 #: Digest of ``clext verify`` stdout for each argv, with its exit code.
 GOLDEN_CLI = {
-    "--lambda 3 --alpha 1,-0.5,-0.5": ("43f71df25f847f21", 0),
-    "--lambda 2 --alpha 0.3,-0.3 --dim 600 --tol 1e-14": ("1a7371be58fca179", 1),
+    "--lambda 3 --alpha 1,-0.5,-0.5": ("61d17cfda2620ca0", 0),
+    "--lambda 2 --alpha 0.3,-0.3 --dim 600 --tol 1e-14": ("7d4abff80a85316c", 1),
 }
 
 
@@ -743,49 +738,61 @@ class TestGoldenDigests:
 
 
 class TestSharedProjectorRows:
-    """Projector orthogonality and completeness are computed by the first
-    report run on a rep and read by the other, which applies its own tol."""
+    """Both reports read the projector rows P; each relation is checked by
+    exactly one report, on the arrays as they are when that report runs."""
+
+    PROJECTOR_ONLY = ("projector_orthogonality", "projector_completeness")
 
     @staticmethod
     def rep():
         return build_fock_rep(from_alpha(5, sample_bfb_alpha(5, np.random.default_rng(55))), 60)
 
-    def test_a_replaced_rep_is_checked_afresh(self):
+    def tampered(self):
         rep = self.rep()
-        assert verify_defining_relations(rep).all_pass
-        assert verify_projector_algebra(rep).all_pass
         proj = np.array(rep.P)
         proj[1, 31] = 0.5  # state 31 now lies in two sectors
         t_gen = rep.T.copy()
         t_gen[31] *= 1 + 1e-6
-        for tampered in (dataclasses.replace(rep, P=proj), dataclasses.replace(rep, T=t_gen)):
+        return dataclasses.replace(rep, P=proj), dataclasses.replace(rep, T=t_gen)
+
+    def test_a_replaced_rep_is_checked_afresh(self):
+        rep = self.rep()
+        assert verify_defining_relations(rep).all_pass
+        assert verify_projector_algebra(rep).all_pass
+        tampered_p, tampered_t = self.tampered()
+        for tampered in (tampered_p, tampered_t):
             for report in (verify_defining_relations(tampered), verify_projector_algebra(tampered)):
                 assert not report.all_pass
-        # the shared rows fail in both reports, whichever runs first
-        for first, second in ((verify_defining_relations, verify_projector_algebra),
-                              (verify_projector_algebra, verify_defining_relations)):
-            tampered = dataclasses.replace(rep, P=proj)
-            for report in (first(tampered), second(tampered)):
-                assert not report.entry("projector_orthogonality").passed
-                assert not report.entry("projector_completeness").passed
+        # orthogonality and completeness fail in the report that owns them
+        owner = verify_projector_algebra(tampered_p)
+        for relation in self.PROJECTOR_ONLY:
+            assert not owner.entry(relation).passed
+            with pytest.raises(KeyError):
+                verify_defining_relations(tampered_p).entry(relation)
+        assert not verify_defining_relations(tampered_t).entry("unitarity_T").passed
+        assert not verify_projector_algebra(tampered_t).entry("projector_from_T").passed
 
-    def test_each_report_applies_its_own_tolerance(self):
-        proj = np.array(self.rep().P)
-        proj[31 % 5, 31] -= 2.0**-45  # shared residuals of about 3e-14
-        rep = dataclasses.replace(self.rep(), P=proj)
-        reports = [check(rep, tol=tol) for tol in (1e-12, 1e-20)
-                   for check in (verify_defining_relations, verify_projector_algebra)]
-        fresh = dataclasses.replace(rep)  # a new rep: nothing stored for it
-        assert verify_projector_algebra(fresh).entries == reports[1].entries
-        assert verify_defining_relations(fresh).entries == reports[0].entries
-        for loose, tight in zip(reports[:2], reports[2:]):
-            assert [e.residual for e in loose.entries] == [e.residual for e in tight.entries]
-            for relation in ("projector_orthogonality", "projector_completeness"):
-                assert 0 < loose.entry(relation).residual < 1e-12
-                assert loose.entry(relation).passed and not tight.entry(relation).passed
-            assert loose.all_pass and not tight.all_pass
+    def test_an_array_changed_in_place_is_checked_afresh(self):
+        rep = build_fock_rep(WORKED, 36)
+        rep = dataclasses.replace(rep, P=np.array(rep.P))
+        assert verify_defining_relations(rep).all_pass
+        rep.P[0, 7] = 1.0  # state 7 now lies in sectors 0 and 1
+        report = verify_projector_algebra(rep)
+        for relation in self.PROJECTOR_ONLY:
+            assert report.entry(relation).residual == 1.0
+            assert not report.entry(relation).passed
+        assert report.entries == verify_projector_algebra(dataclasses.replace(rep)).entries
 
-    def test_only_the_stored_residuals_stay_allocated(self):
+    def test_entries_do_not_depend_on_report_order(self):
+        checks = (verify_defining_relations, verify_projector_algebra)
+        for rep in (self.rep(), *self.tampered()):
+            alone = [check(dataclasses.replace(rep)).entries for check in checks]
+            fresh = dataclasses.replace(rep)
+            assert [check(fresh).entries for check in checks] == alone
+            fresh = dataclasses.replace(rep)
+            assert [check(fresh).entries for check in reversed(checks)] == alone[::-1]
+
+    def test_nothing_stays_allocated_after_both_reports(self):
         spec = from_alpha(64, [0.0] * 64)
         reps = [build_fock_rep(spec, 20_000) for _ in range(4)]
         gc.collect()
@@ -799,17 +806,3 @@ class TestSharedProjectorRows:
         finally:
             tracemalloc.stop()
         assert kept < 4096, kept
-
-    def test_stored_residuals_go_with_the_rep(self):
-        stored = verify._SHARED_RESIDUALS
-        gc.collect()
-        count = len(stored)
-        rep = self.rep()
-        verify_defining_relations(rep)
-        assert rep in stored
-        assert len(stored) == count + 1
-        probe = weakref.ref(rep)
-        del rep
-        gc.collect()
-        assert probe() is None
-        assert len(stored) == count
