@@ -42,6 +42,7 @@ from .fock import (
     build_fock_rep,
     casimir,
     grading_sector,
+    interior_max_abs,
     ladder_matrices,
     norm_coefficient,
 )
@@ -78,7 +79,6 @@ from .spectrum import (
 from .verify import (
     RelationResidual,
     ResidualReport,
-    interior_max_abs,
     verify_defining_relations,
     verify_projector_algebra,
 )

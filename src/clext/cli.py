@@ -36,6 +36,7 @@ from .pssqm import (
     DEFAULT_PSSQM_TOL,
     DEFAULT_SSQM_TOL,
     bd_scan,
+    cluster_cut,
     ground_energy,
     solve_and_check,
     solve_config,
@@ -311,6 +312,8 @@ def parse_config(argv) -> RunConfig:
     dim = values["dim"] if values["dim"] is not None else 12 * lam
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
+    if command in ("pssqm-check", "ssqm") and dim <= (cut := cluster_cut(lam - 1)):
+        raise ValidationError(f"dim must exceed the cluster cut lambda (p + 1) = {cut}, got {dim}")
     tol = values["tol"] if values["tol"] is not None else DEFAULT_TOLS.get(command, DEFAULT_TOL)
     if tol < 0:
         raise ValidationError(f"tol must be >= 0, got {tol!r}")

@@ -10,10 +10,13 @@ The lam projector diagonals form one (lam, dim) array ``P`` whose row mu is
 P_mu, the 0/1 indicator of n = mu (mod lam); ``P[mu]``, iteration over the
 sectors and ``sum(P)`` work as on a sequence of diagonals.  Band entry n joins
 states n - 1 and n, so a product with a diagonal ``d`` is elementwise:
-``band * d`` takes d at the upper state and ``band * d_lo``, with
-d_lo[n] = d[n-1], at the lower one (a D and D adag are ``band * d``; D a
-and adag D are ``band * d_lo``).  :func:`ladder_matrices` expands the
-ladder bands to dense matrices.
+``band * d`` takes d at the upper state and ``band * lower_shift(d)`` at the
+lower one (a D and D adag are ``band * d``; D a and adag D are
+``band * lower_shift(d)``).  Neighbours are read along the last (state) axis
+by two shifts: :func:`lower_shift`, x[n-k] and 0 for n < k (no state lies
+below |0>), of all states or of a block, and :func:`upper_shift`, x[n+1] and
+0 past the top.  :func:`interior_max_abs` reduces to the truncation interior,
+and :func:`ladder_matrices` expands the ladder bands to dense matrices.
 
 Truncation artifact: a adag is diagonal with entries F(n+1) except at the
 top state, where the missing |dim> contribution leaves a zero.  adag a is
@@ -47,7 +50,7 @@ from .algebra import (
     structure_function,
     structure_values,
 )
-from .errors import DimensionTooLargeError, NonUnitaryTruncationError
+from .errors import DimensionTooLargeError, MarginTooLargeError, NonUnitaryTruncationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +115,32 @@ def build_fock_rep(spec: AlgebraSpec, dim: int, dtype=np.complex128) -> Truncate
         spec=spec, dim=dim, a=a, adag=adag, num=num, T=t_gen, P=projectors,
         exact=rep_class.dim == dim,
     )
+
+
+def lower_shift(x: np.ndarray, k: int = 1, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """x[..., n - k] at the states n = lo .. hi - 1 (all by default), 0 for n < k."""
+    hi = x.shape[-1] if hi is None else hi
+    if lo >= k:
+        return x[..., lo - k : hi - k]
+    below = np.zeros((*x.shape[:-1], min(k, hi) - lo), x.dtype)
+    return np.concatenate((below, x[..., : max(hi - k, 0)]), axis=-1)
+
+
+def upper_shift(x: np.ndarray) -> np.ndarray:
+    """x[..., n + 1], 0 past the top state."""
+    return np.concatenate((x[..., 1:], np.zeros((*x.shape[:-1], 1), x.dtype)), axis=-1)
+
+
+def interior_max_abs(mat: np.ndarray, margin: int) -> float:
+    """Max |entry| of the interior block, i.e. of P_m @ mat @ P_m.
+
+    A 1-D ``mat`` is a diagonal or a ladder band, whose interior is its
+    first dim - margin entries: band entry n joins states n - 1 and n."""
+    dim = mat.shape[0]
+    if not 0 <= margin < dim:
+        raise MarginTooLargeError(f"margin {margin} does not fit in dimension {dim}")
+    k = dim - margin
+    return float(np.abs(mat[:k, :k] if mat.ndim == 2 else mat[:k]).max())
 
 
 def norm_coefficient(spec: AlgebraSpec, n: int) -> float:

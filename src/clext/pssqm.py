@@ -58,9 +58,8 @@ from .errors import (
     WrongLambdaError,
     WrongOrderError,
 )
-from .fock import TruncatedFockRep, build_fock_rep
+from .fock import TruncatedFockRep, build_fock_rep, interior_max_abs, lower_shift, upper_shift
 from .spectrum import report_dict, shifted_hamiltonian, surviving_clusters
-from .verify import interior_max_abs
 
 DEFAULT_PSSQM_TOL = 1e-10
 DEFAULT_SSQM_TOL = 1e-13
@@ -103,6 +102,11 @@ def _check_mu(mu: int, lam: int) -> None:
     """The annihilated sector mu must be one of the lam sectors."""
     if not 0 <= mu < lam:
         raise ValueError(f"mu must lie in 0..{lam - 1}, got {mu}")
+
+
+def cluster_cut(p: int) -> int:
+    """The top lam (p + 1) states, whose multiplets lose members to truncation."""
+    return (p + 1) * (p + 1)
 
 
 def solve_r(spec: AlgebraSpec, mu: int, eta=None) -> np.ndarray:
@@ -167,27 +171,19 @@ class PssqmConfig:
         lam = self.spec.lam
         _check_mu(self.mu, lam)
         object.__setattr__(self, "eta", _normalized_eta(lam, self.eta))
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
+        object.__setattr__(self, "r", _given_r(self.r))
         if self.r.shape != (lam,):
             raise OrderMismatchError(f"r must have {lam} entries, got {self.r.shape}")
-        require_finite("r", self.r)
         total = float((np.abs(self.eta) ** 2).sum())
         if abs(total - 2 * self.p) > CONSTRAINT_TOL:
             raise EtaNormViolationError(
                 f"sum |eta|^2 must equal 2p = {2 * self.p}, got {total!r}"
             )
-        worst = max(
-            abs(
-                self.r[(self.mu + nu) % lam]
-                - (
-                    2.0
-                    + self.spec.alpha[(self.mu + nu) % lam]
-                    + self.spec.alpha[(self.mu + nu + 1) % lam]
-                    + self.r[(self.mu + nu + 1) % lam]
-                )
-            )
-            for nu in range(1, self.p + 1)
-        )
+        chain = (self.mu + np.arange(1, lam)) % lam  # sectors mu + nu, nu = 1 .. p
+        above = (chain + 1) % lam
+        alpha = self.spec.alpha
+        gaps = self.r[chain] - (2.0 + alpha[chain] + alpha[above] + self.r[above])
+        worst = float(np.abs(gaps).max())
         if worst > CONSTRAINT_TOL:
             raise ValueError(f"sector shifts break the commutation recursion by {worst:.3e}")
 
@@ -201,7 +197,6 @@ def _given_r(r) -> np.ndarray:
 
 def solve_config(spec: AlgebraSpec, mu: int, eta=None) -> PssqmConfig:
     """Solve the shift chain and return the validated configuration."""
-    eta = _normalized_eta(spec.lam, eta)
     return PssqmConfig(spec=spec, mu=mu, eta=eta, r=solve_r(spec, mu, eta))
 
 
@@ -213,11 +208,6 @@ def _charge_band(rep: TruncatedFockRep, mu: int, eta) -> np.ndarray:
     weights = np.zeros(lam, dtype=complex)
     weights[(mu + np.arange(1, lam)) % lam] = _normalized_eta(lam, eta)
     return rep.adag * weights[(np.arange(rep.dim) - 1) % lam]
-
-
-def _lo(x: np.ndarray, k: int = 1) -> np.ndarray:
-    """x_lo[n] = x[n-k], 0 for n < k (and x_up[n] = x[n+1] is np.append(x[1:], 0))."""
-    return np.append(np.zeros(k, x.dtype), x)[: len(x)]
 
 
 def build_supercharge(rep: TruncatedFockRep, mu: int, eta=None) -> np.ndarray:
@@ -275,12 +265,11 @@ def khare_check(
     multilinear sum multiplies dense words, 2p products.  Each entry is one
     nonzero product plus exact zeros, so every residual equals the dense
     one bit for bit.  The breaking classification is read off the spectrum
-    of H: a nondegenerate ground cluster means unbroken.  Needs dim > lam
-    (p + 1) so that at least one complete multiplet survives the cluster
-    cutoff; that cut is taken before any dense word is formed.
+    of H: a nondegenerate ground cluster means unbroken.  Needs dim above
+    :func:`cluster_cut` so that at least one complete multiplet survives it;
+    that cut is taken before any dense word is formed.
     """
     p = rep.spec.lam - 1
-    lam = rep.spec.lam
     margin = p + 1
     if charge.shape != (rep.dim, rep.dim):
         raise ValueError(f"charge must be {rep.dim} x {rep.dim}, got {charge.shape}")
@@ -288,24 +277,24 @@ def khare_check(
     if np.count_nonzero(charge) != np.count_nonzero(subdiagonal):
         raise ValueError("charge must be zero off its subdiagonal")
 
-    # bands[m][n] = <n|Q^m|n-m> = bands[m-1][n] q[n-m+1], the dense chain's
-    # order of factors; bands[0] = 1 stands for Q^0
-    q = np.append(0, subdiagonal)
+    # q[n] = <n|Q|n-1>; bands[m][n] = <n|Q^m|n-m> = bands[m-1][n] q[n-m+1],
+    # the dense chain's order of factors; bands[0] = 1 stands for Q^0
+    q = lower_shift(subdiagonal, 1, 0, rep.dim)
     bands = [1, q]
     for m in range(2, p + 2):
-        bands.append(bands[-1] * _lo(q, m - 1))
+        bands.append(bands[-1] * lower_shift(q, m - 1))
     nilpotency = interior_max_abs(bands[p + 1], margin)
     # nonvanishing needs no interior mask: every entry of Q^n is a true
     # matrix element (truncation only removes paths, never adds them)
     witness = min(float(np.abs(bands[n]).max()) for n in range(1, p + 1))
-    commutator = interior_max_abs(hamiltonian * q - q * _lo(hamiltonian), margin)
-    ground = surviving_clusters(np.real(hamiltonian), drop_top=lam * (p + 1))[0]
+    commutator = interior_max_abs(hamiltonian * q - q * lower_shift(hamiltonian), margin)
+    ground = surviving_clusters(np.real(hamiltonian), drop_top=cluster_cut(p))[0]
 
     powers = [None, charge] + [np.diag(bands[m][m:], -m) for m in range(2, p + 1)]
     lhs = _multilinear_lhs(powers)
     # 2p Q^(p-1) H as a -(p-1) band: H scales column n - p + 1
     rows = np.arange(p - 1, rep.dim)
-    lhs[rows, rows - (p - 1)] -= ((2 * p) * (bands[p - 1] * _lo(hamiltonian, p - 1)))[p - 1:]
+    lhs[rows, rows - (p - 1)] -= (2 * p * (bands[p - 1] * lower_shift(hamiltonian, p - 1)))[p - 1:]
     multilinear = interior_max_abs(lhs, margin)
 
     return PssqmReport(
@@ -346,11 +335,11 @@ class BreakingReport:
 def classify_breaking(h_diagonal, mu: int, p: int) -> BreakingReport:
     """Classify breaking from the energies of a solved shifted Hamiltonian.
 
-    Clusters the spectrum with the top lam (p + 1) states excluded (their
-    multiplets lose members to truncation) and reads the ground multiplicity
-    from the lowest surviving cluster.
+    Clusters the spectrum with the top :func:`cluster_cut` states excluded
+    and reads the ground multiplicity from the lowest surviving cluster.
     """
-    clusters = surviving_clusters(h_diagonal, drop_top=(p + 1) * (p + 1))
+    _check_mu(mu, p + 1)
+    clusters = surviving_clusters(h_diagonal, drop_top=cluster_cut(p))
     ground = clusters[0]
     excited = tuple(c.multiplicity for c in clusters[1:])
     breaking = "unbroken" if ground.multiplicity == 1 else "broken"
@@ -500,25 +489,25 @@ def ssqm_check(rep: TruncatedFockRep, variant: str, tol: float = DEFAULT_SSQM_TO
     if variant not in ("unbroken", "broken"):
         raise ValueError(f"variant must be 'unbroken' or 'broken', got {variant!r}")
     margin = 2
-    low, high = (rep.P[0], rep.P[1]) if variant == "unbroken" else (rep.P[1], rep.P[0])
-    q = _charge_band(rep, 0 if variant == "unbroken" else 1, [1.0])
-    hamiltonian = (rep.adag * rep.a) * low + np.append(rep.a[1:] * rep.adag[1:], 0) * high
-    q_up = np.append(q[1:], 0)
-    nilpotency = interior_max_abs(q * _lo(q), margin)
+    mu = 0 if variant == "unbroken" else 1  # the sector Q annihilates
+    low, high = rep.P[mu], rep.P[1 - mu]
+    q = _charge_band(rep, mu, [1.0])
+    hamiltonian = (rep.adag * rep.a) * low + upper_shift(rep.a * rep.adag) * high
+    q_up = upper_shift(q)
+    nilpotency = interior_max_abs(q * lower_shift(q), margin)
     anticommutator = interior_max_abs(np.conj(q_up) * q_up + q * np.conj(q) - hamiltonian, margin)
-    commutator = interior_max_abs(hamiltonian * q - q * _lo(hamiltonian), margin)
+    commutator = interior_max_abs(hamiltonian * q - q * lower_shift(hamiltonian), margin)
 
     values = structure_values(rep.spec, rep.dim + 1)  # F(n) = <n|adag a|n>, F(n+1) = <n|a adag|n>
-    clusters = surviving_clusters(values[:-1] * low + values[1:] * high, drop_top=4)  # lam (p + 1)
-    ground = clusters[0]
+    breaking = classify_breaking(values[:-1] * low + values[1:] * high, mu, 1)
     return SsqmReport(
         variant=variant,
         residual_nilpotency=nilpotency,
         residual_anticommutator=anticommutator,
         residual_commutator=commutator,
-        ground_energy=ground.energy,
-        ground_multiplicity=ground.multiplicity,
-        excited_multiplicities=tuple(c.multiplicity for c in clusters[1:]),
+        ground_energy=breaking.ground_energy,
+        ground_multiplicity=breaking.ground_multiplicity,
+        excited_multiplicities=breaking.excited_multiplicities,
         tolerance=tol,
         passed=(nilpotency <= tol and anticommutator <= tol and commutator <= tol),
     )
@@ -552,13 +541,13 @@ def beckers_debergh_check(
         raise WrongOrderError(
             f"double-commutator variant is order 2 only (lam = 3), got lam = {rep.spec.lam}"
         )
-    eta = _normalized_eta(rep.spec.lam, eta)
     shifts = solve_r(rep.spec, mu, eta) if r is None else _given_r(r)
     q = _charge_band(rep, mu, eta)
     hamiltonian = shifted_hamiltonian(rep, shifts)
-    q_up = np.append(q[1:], 0)
+    q_up = upper_shift(q)
     inner = np.conj(q_up) * q_up - q * np.conj(q)  # the diagonal [Qd, Q]
-    residual = interior_max_abs(q * _lo(inner) - inner * q - 2.0 * (q * _lo(hamiltonian)), 3)
+    residual = interior_max_abs(
+        q * lower_shift(inner) - inner * q - 2.0 * (q * lower_shift(hamiltonian)), 3)
     return BdReport(residual=residual, bd_compatible=residual <= tol, tolerance=tol)
 
 

@@ -14,9 +14,9 @@ that a (lam, width) complex array fits in ``_BLOCK_BYTES``.  Each relation
 writes its |difference| into one row of a (relations, width) table, and the
 residuals are running maxima of the rows, so memory is that table and a few
 (lam, width) temporaries whatever the dim.  A block reads one state past
-each edge: the lower neighbour n - 1 of a product with a diagonal, which at
-n = 0 wraps to dim - 1 and meets only a[0] = adag[0] = 0, and the upper
-neighbour n + 1 of [a, adag], whose a[n+1] adag[n+1] is zero past the top.
+each edge through the shifts of :mod:`clext.fock`: the lower neighbour n - 1
+of a product with a diagonal, 0 at n = 0 (where a[0] = adag[0] = 0), and the
+upper neighbour n + 1 of [a, adag], whose a[n+1] adag[n+1] is zero past the top.
 
 The interior margin equals the relation's word length (the largest number
 of ladder factors in any term), because each ladder factor can propagate
@@ -46,24 +46,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MarginTooLargeError
-from .fock import TruncatedFockRep
+from .fock import TruncatedFockRep, lower_shift, upper_shift
 
 DEFAULT_TOL = 1e-12
 
 #: Bytes of one (lam, width) complex128 array of a block.
 _BLOCK_BYTES = 1 << 20
-
-
-def interior_max_abs(mat: np.ndarray, margin: int) -> float:
-    """Max |entry| of the interior block, i.e. of P_m @ mat @ P_m.
-
-    A 1-D ``mat`` is a diagonal or a ladder band, whose interior is its
-    first dim - margin entries: band entry n joins states n - 1 and n."""
-    dim = mat.shape[0]
-    if not 0 <= margin < dim:
-        raise MarginTooLargeError(f"margin {margin} does not fit in dimension {dim}")
-    k = dim - margin
-    return float(np.abs(mat[:k, :k] if mat.ndim == 2 else mat[:k]).max())
 
 
 class RelationResidual(NamedTuple):
@@ -178,8 +166,7 @@ def _evaluate(rep: TruncatedFockRep, tol: float, relations: _Relations, checks) 
     else:
         margins, depth = relations.word_lengths, relations.depth
     if depth >= dim:
-        too_large = next(margin for margin in margins if margin >= dim)
-        raise MarginTooLargeError(f"margin {too_large} does not fit in dimension {dim}")
+        raise MarginTooLargeError(f"margin {depth} does not fit in dimension {dim}")
     width = _block_width(rep.spec.lam, dim)
     table = np.empty((len(margins), width))
     peak = None
@@ -197,14 +184,6 @@ def _evaluate(rep: TruncatedFockRep, tol: float, relations: _Relations, checks) 
         relations.names, relations.word_lengths, margins, residuals, passed)))
     policy = "exact" if rep.exact else "word-length"
     return ResidualReport(entries=entries, tolerance=tol, dim=dim, margin_policy=policy)
-
-
-def _window(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """States lo - 1 .. hi - 1 along the last axis: the block and its lower
-    neighbour.  State -1 wraps to dim - 1, which meets only a[0] = adag[0] = 0."""
-    if lo:
-        return values[..., lo - 1 : hi]
-    return np.concatenate((values[..., -1:], values[..., :hi]), axis=-1)
 
 
 def _t_powers(t_gen: np.ndarray, count: int) -> np.ndarray:
@@ -228,14 +207,12 @@ def _defining_checks(rep: TruncatedFockRep, lo: int, hi: int):
     spec = rep.spec
     lam = spec.lam
     a, adag = rep.a[lo:hi], rep.adag[lo:hi]
-    num_w, t_w, proj_w = (_window(values, lo, hi) for values in (rep.num, rep.T, rep.P))
-    num, t_gen, proj = num_w[1:], t_w[1:], proj_w[:, 1:]
-    num_lo, t_lo, proj_lo = num_w[:-1], t_w[:-1], proj_w[:, :-1]
+    num, t_gen, proj = rep.num[lo:hi], rep.T[lo:hi], rep.P[:, lo:hi]
+    num_lo, t_lo, proj_lo = (lower_shift(values, 1, lo, hi) for values in (rep.num, rep.T, rep.P))
     q = np.exp(2j * np.pi / lam)
     t_powers = _t_powers(t_gen, lam + 1)  # row m: T^m
     # [a, adag] is diagonal: (a adag)[n] = a[n+1] adag[n+1], zero past the top
-    upper = rep.a[lo + 1 : hi + 1] * rep.adag[lo + 1 : hi + 1]
-    commutator = (upper if hi < rep.dim else np.append(upper, 0)) - adag * a
+    commutator = upper_shift(rep.a[lo : hi + 1] * rep.adag[lo : hi + 1])[: hi - lo] - adag * a
 
     yield t_powers[lam] - 1.0  # t_cyclic
     # the coupling sums add the rows in order, T^1 (or P_0) first

@@ -431,6 +431,34 @@ class TestPssqmCommands:
         assert "samples must be >= 1" in err
 
 
+class TestClusterCut:
+    """pssqm-check and ssqm cluster the spectrum without its top lambda (p + 1)
+    states, so a dim that does not exceed that cut is a usage error that names
+    it, whether the dim is given or the default 12 lambda."""
+
+    @pytest.mark.parametrize("argv, cut, dim", [
+        (["pssqm-check", "--p", "12", "--alpha", ",".join(["0"] * 13)], 169, 156),
+        (["pssqm-check", "--p", "2", "--alpha", "1,-0.5,-0.5", "--dim", "9"], 9, 9),
+        (["pssqm-check", "--p", "12", "--samples", "1"], 169, 156),
+        (["pssqm-check", "--p", "3", "--samples", "1", "--dim", "16"], 16, 16),
+        (["ssqm", "--alpha", "0,0", "--dim", "4"], 4, 4),
+    ])
+    def test_dim_at_or_below_the_cut(self, capsys, argv, cut, dim):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"clext: error: dim must exceed the cluster cut "
+                       f"lambda (p + 1) = {cut}, got {dim}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["pssqm-check", "--p", "2", "--alpha", "1,-0.5,-0.5", "--dim", "10"],
+        ["ssqm", "--alpha", "0,0", "--dim", "6"],
+    ])
+    def test_dims_above_the_cut_run(self, capsys, argv):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["header"]["dim"] == int(argv[-1])
+
+
 class TestSamplesTakeNoCouplings:
     """--samples draws each alpha and solves its shifts, so a given alpha,
     kappa or r would be ignored: it is a usage error that names the flag."""

@@ -15,6 +15,7 @@ from clext import (
     sample_bfb_alpha,
     structure_function,
 )
+from clext.fock import lower_shift, upper_shift
 
 WORKED = from_alpha(3, [1.0, -0.5, -0.5])
 
@@ -141,6 +142,42 @@ class TestLadderProducts:
         product = a @ adag
         expected = [structure_function(WORKED, n + 1) for n in range(8)] + [0.0]
         np.testing.assert_allclose(product, np.diag(expected), atol=1e-13)
+
+
+class TestShifts:
+    """The two neighbour reads of the band format: x[n - k] on the states
+    lo .. hi - 1 of a block, 0 below state 0, and x[n + 1], 0 past the top."""
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.complex128, np.clongdouble))
+    def test_against_a_loop(self, dtype):
+        dim = 6
+        rows = np.arange(1, 2 * dim + 1).reshape(2, dim).astype(dtype)
+        for lo in range(dim):
+            for hi in range(lo + 1, dim + 1):
+                states = range(lo, hi)
+                for k in range(dim + 2):
+                    expected = [[row[n - k] if n >= k else 0 for n in states] for row in rows]
+                    for x, want in ((rows, expected), (rows[0], expected[0])):
+                        got = lower_shift(x, k, lo, hi)
+                        assert got.dtype == dtype
+                        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(lower_shift(rows), lower_shift(rows, 1, 0, dim))
+        expected = [[row[n + 1] if n + 1 < dim else 0 for n in range(dim)] for row in rows]
+        for x, want in ((rows, expected), (rows[0], expected[0])):
+            got = upper_shift(x)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_products_with_a_diagonal(self):
+        # band entry n joins states n - 1 and n: a D takes d at the upper
+        # state, D a at the lower one, and a adag is the upper shift of adag a
+        rep = build_fock_rep(WORKED, 9)
+        a, adag = ladder_matrices(rep)
+        d = np.arange(9.0) ** 2 + 1
+        np.testing.assert_array_equal(np.diagonal(a @ np.diag(d), 1), (rep.a * d)[1:])
+        np.testing.assert_array_equal(
+            np.diagonal(np.diag(d) @ a, 1), (rep.a * lower_shift(d))[1:])
+        np.testing.assert_array_equal(np.diag(a @ adag), upper_shift(rep.a * rep.adag))
 
 
 class TestNormCoefficient:

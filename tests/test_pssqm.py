@@ -200,7 +200,9 @@ class TestSolveR:
     def test_config_validates(self):
         config = solve_config(WORKED, 0)
         assert config.p == 2
-        with pytest.raises(ValueError):
+        # the chain r_(mu+nu) = 2 + alpha_(mu+nu) + alpha_(mu+nu+1) + r_(mu+nu+1)
+        # is off by 1 at nu = 1 and by 2.5 at nu = 2
+        with pytest.raises(ValueError, match=r"recursion by 2\.500e\+00$"):
             PssqmConfig(spec=WORKED, mu=0, eta=default_eta(2), r=[0.0, 0.0, 0.0])
 
 
@@ -210,15 +212,17 @@ class TestMuRange:
 
     MESSAGE = "mu must lie in 0..2, got "
 
-    @pytest.mark.parametrize("mu", (-1, 3, 5))
+    @pytest.mark.parametrize("mu", (-1, 3, 5, 7))
     def test_every_entry_point(self, mu):
         rep = build_fock_rep(WORKED, 12, dtype=CHECK_DTYPE)
+        energies = shifted_hamiltonian(rep, solve_r(WORKED, 0))
         calls = (
             lambda: solve_r(WORKED, mu),
             lambda: build_supercharge(rep, mu),
             lambda: beckers_debergh_check(rep, mu, r=solve_r(WORKED, 0)),
             lambda: PssqmConfig(spec=WORKED, mu=mu, eta=default_eta(2), r=solve_r(WORKED, 0)),
             lambda: bd_scan([0.0, 0.0, 0.0], mu, -1.0, 0.0, 2, dim=12),
+            lambda: classify_breaking(energies, mu, 2),
         )
         for call in calls:
             with pytest.raises(ValueError, match=f"^{self.MESSAGE}{mu}$"):

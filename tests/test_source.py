@@ -1,5 +1,7 @@
 import ast
 import inspect
+import itertools
+import typing
 from pathlib import Path
 
 import pytest
@@ -119,18 +121,83 @@ def test_verify_yields_one_difference_per_relation(lam):
             assert all(diff.shape == (hi - lo,) for diff in diffs)
 
 
+def _source(name: str) -> ast.Module:
+    (path,) = [path for path in SOURCES if path.name == name]
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _imported(tree) -> dict[str, set[str]]:
+    """The names each module in ``tree`` imports (empty for ``import m``),
+    relative modules with their leading dots."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.name, set()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.setdefault(module, set()).update(alias.name for alias in node.names)
+    return imported
+
+
 def test_each_relation_has_one_report():
     # a relation checked by both reports would need its residual computed
     # twice or kept between the calls; verify keeps no state across calls
     assert set(verify._DEFINING.names).isdisjoint(verify._PROJECTOR_ALGEBRA.names)
-    (path,) = [path for path in SOURCES if path.name == "verify.py"]
-    imported = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import):
-            imported |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module)
+    imported = _imported(_source("verify.py"))
     assert "numpy" in imported and "weakref" not in imported
+
+
+#: numpy calls that pad, wrap or join arrays: the ways to spell a neighbour read.
+PADDING = {"append", "concatenate", "hstack", "pad", "roll"}
+
+
+def _numpy_calls(tree, names) -> list[tuple[str | None, str]]:
+    """(innermost enclosing function, name) of each np.<name>(...) call."""
+    owner = {}
+    for func in ast.walk(tree):  # breadth first: an inner def overwrites its outer one
+        if isinstance(func, ast.FunctionDef):
+            owner.update((id(node), func.name) for node in ast.walk(func))
+    return [(owner.get(id(node)), node.func.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _dotted(node.func) in {f"np.{n}" for n in names}]
+
+
+def test_one_way_to_read_a_neighbour():
+    # fock.py defines the band format, so it alone reads a neighbour: every
+    # other module shifts through its lower_shift and upper_shift, and reads
+    # no private copy of them (pssqm's _lo or verify's wrapping _window)
+    pads = {path.name: _numpy_calls(ast.parse(path.read_text(encoding="utf-8")), PADDING)
+            for path in SOURCES}
+    assert sorted(pads.pop("fock.py")) == [("lower_shift", "concatenate"),
+                                           ("upper_shift", "concatenate")]
+    # the one join elsewhere rotates P_(m-1) into row m, along the sector axis
+    assert {name: calls for name, calls in pads.items() if calls} == {
+        "verify.py": [("_defining_checks", "concatenate")]}
+    for name in ("pssqm.py", "verify.py"):
+        imported = _imported(_source(name))
+        assert {"lower_shift", "upper_shift"} <= imported[".fock"], name
+    assert {"interior_max_abs"} <= _imported(_source("pssqm.py"))[".fock"]
+    assert ".verify" not in _imported(_source("pssqm.py"))
+    assert _numpy_calls(ast.parse("np.append(x, 0)\nxs.append(0)\nnp.roll(x, 1)"),
+                        PADDING) == [(None, "append"), (None, "roll")]
+
+
+def test_one_cluster_cut():
+    # the top lam (p + 1) states that the breaking statistics leave out are
+    # defined once; ssqm_check takes its multiplets from classify_breaking
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    defined = [(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "cluster_cut"]
+    assert defined == [("pssqm.py", "cluster_cut")]
+    cuts = [(name, _call_name(keyword.value)) for name, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            for keyword in node.keywords if keyword.arg == "drop_top"]
+    assert cuts == [("pssqm.py", "cluster_cut")] * 2
+    clustering = {func.name: {_call_name(node) for node in ast.walk(func)}
+                  for func in ast.walk(trees["pssqm.py"]) if isinstance(func, ast.FunctionDef)}
+    assert {name for name, calls in clustering.items() if "surviving_clusters" in calls} == {
+        "khare_check", "classify_breaking"}
+    assert "classify_breaking" in clustering["ssqm_check"]
+    assert "cluster_cut" in _imported(trees["cli.py"])[".pssqm"]
 
 
 def test_block_width_is_not_a_parameter():
@@ -215,3 +282,72 @@ def test_benchmark_bindings_resolve():
         assert not missing, (key.value, missing)
     assert read["pssqm.khare_check"] == {"rep", "charge"}
     assert read["verify.defining_relations"] == {"rep"}
+
+
+BENCH_CASES = BENCH_TRACING.with_name("cases.py")
+
+#: The type of each name that the outcome functions of ``bench/cases.py``
+#: read report fields from.
+OUTCOME_ROOTS = {
+    "outcome_of_pssqm": {"run": clext.KhareRun},
+    "outcome_of_verify": {"report": clext.ResidualReport, "entry": clext.RelationResidual},
+}
+
+
+def _attribute_reads(func, constants):
+    """(root name, attribute names) of each attribute chain read in ``func``:
+    ``x.a.b``, and ``getattr(x, f"a_{name}")`` with ``name`` bound by a
+    comprehension over a module-level tuple in ``constants``."""
+    bound = {gen.target.id: constants[gen.iter.id] for gen in ast.walk(func)
+             if isinstance(gen, ast.comprehension) and isinstance(gen.target, ast.Name)
+             and getattr(gen.iter, "id", None) in constants}
+    reads = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Attribute) and (name := _dotted(node)):
+            root, *attrs = name.split(".")
+            reads.append((root, attrs))
+        elif (_call_name(node) == "getattr" and (name := _dotted(node.args[0]))
+              and isinstance(node.args[1], ast.JoinedStr)):
+            root, *attrs = name.split(".")
+            parts = [[part.value] if isinstance(part, ast.Constant) else bound[part.value.id]
+                     for part in node.args[1].values]
+            reads += [(root, [*attrs, "".join(pick)]) for pick in itertools.product(*parts)]
+    return reads
+
+
+def _read_field(owner: type, attr: str):
+    """The declared type of field ``attr`` of ``owner``, None for a property."""
+    hints = typing.get_type_hints(owner)
+    if attr in hints:
+        return hints[attr]
+    assert isinstance(getattr(owner, attr, None), property), (owner.__name__, attr)
+    return None
+
+
+def test_benchmark_case_reads_resolve():
+    # the benchmark's oracle calls public names and reads report fields by
+    # attribute; a rename in clext must fail here, not in a benchmark run
+    tree = ast.parse(BENCH_CASES.read_text(encoding="utf-8"))
+    called = {name for node in ast.walk(tree)
+              if (name := _dotted(node)) and name.startswith("clext.")}
+    assert {"clext.from_alpha", "clext.solve_r", "clext.ground_energy"} <= called
+    for name in called:
+        _resolve(name)
+
+    constants = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                 and isinstance(node.value, ast.Tuple)
+                 and all(isinstance(item, ast.Constant) for item in node.value.elts)}
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    read = set()
+    for func, roots in OUTCOME_ROOTS.items():
+        for root, attrs in _attribute_reads(functions[func], constants):
+            owner = roots.get(root)
+            for attr in attrs:
+                if not (isinstance(owner, type) and owner.__module__.startswith("clext.")):
+                    break
+                read.add(f"{owner.__name__}.{attr}")
+                owner = _read_field(owner, attr)
+    assert {"KhareRun.solved_r", "PssqmReport.residual_multilinear",
+            "BreakingReport.excited_multiplicities", "ResidualReport.entries",
+            "RelationResidual.passed"} <= read

@@ -616,9 +616,9 @@ def report_digest(rep) -> str:
 #: Dims of the multi-block reps, at least three blocks each; the lowest block
 #: is partial, so no block edge falls on a multiple of the block width.
 BLOCK_DIMS = {2: 70001, 3: 50001, 8: 20001, 64: 3333}
-#: States of the lam-64 rep tampered in one place: 0 (whose lower neighbour
-#: wraps to dim - 1), the first and the last state of the second block, and
-#: the top state.
+#: States of the lam-64 rep tampered in one place: 0 (which has no lower
+#: neighbour, so the lower shift reads 0 there), the first and the last state
+#: of the second block, and the top state.
 TAMPER_STATES = (0, 261, 1284, BLOCK_DIMS[64] - 1)
 
 
@@ -691,7 +691,8 @@ GOLDEN_REPORTS = {
     "blocks-3": ["53f23af270b8e30c", "00d4bc84b227ea92"],
     "blocks-8": ["e0d7b5b5000a1044", "56b64f2a54a77039"],
     "blocks-64": ["02c432aa2a32a11a", "0a11d4875216eab4"],
-    "blocks-tampered": ["50cb8cf34c9332ca", "794eac3dff356a50", "a2cf5df014599eca",
+    # the first re-recorded when state 0's lower neighbour stopped wrapping
+    "blocks-tampered": ["2cb25b2a71e098f6", "794eac3dff356a50", "a2cf5df014599eca",
                         "3a1bfde25c2c2481", "b94399f1eb3509e6", "6b20702b26e01977",
                         "78306a361ae4bf9f", "e68287254a0ec1c5", "ed7704ff5fc9de0c",
                         "02c432aa2a32a11a", "b7a09006670b8ae3", "5bceab67f6584c7b"],
