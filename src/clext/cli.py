@@ -312,8 +312,19 @@ def parse_config(argv) -> RunConfig:
     dim = values["dim"] if values["dim"] is not None else 12 * lam
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
-    if command in ("pssqm-check", "ssqm") and dim <= (cut := cluster_cut(lam - 1)):
-        raise ValidationError(f"dim must exceed the cluster cut lambda (p + 1) = {cut}, got {dim}")
+    if command in ("pssqm-check", "ssqm"):
+        cut = cluster_cut(lam - 1)
+        if dim <= cut:
+            raise ValidationError(
+                f"dim must exceed the cluster cut lambda (p + 1) = {cut}, got {dim}")
+        # the ground multiplet, states 0 .. mu, must lie below the cut; ssqm's
+        # broken variant annihilates sector 1.  A mu outside 0 .. p is the
+        # library's error to report.
+        mu = values["mu"] if command == "pssqm-check" else int(values["variant"] != "unbroken")
+        if 0 <= mu < lam and dim <= cut + mu:
+            raise ValidationError(
+                f"dim must be at least lambda (p + 1) + mu + 1 = {cut + mu + 1} so that "
+                f"the ground multiplet (states 0..{mu}) lies below the cluster cut, got {dim}")
     tol = values["tol"] if values["tol"] is not None else DEFAULT_TOLS.get(command, DEFAULT_TOL)
     if tol < 0:
         raise ValidationError(f"tol must be >= 0, got {tol!r}")
@@ -338,6 +349,16 @@ def _round15(value: float) -> float:
 
 def _clean(obj):
     """Normalize a report tree for deterministic JSON output."""
+    kind = type(obj)
+    if kind is float:
+        return _round15(obj)
+    if kind is int or kind is str or kind is bool or obj is None:
+        return obj
+    if kind is dict:
+        return {k: _clean(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [_clean(v) for v in obj]
+    # numpy scalars and arrays, and subclasses of the types above
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -381,15 +402,17 @@ def _emit(cfg: RunConfig, text: str, summary_lines, passed=True, written="report
     return 0 if passed else 1
 
 
-def _report(cfg: RunConfig, spec: AlgebraSpec | None, body: dict, rows=None) -> str:
-    """The csv/tsv rows when asked for and given, else the JSON document."""
-    if cfg.fmt in ("csv", "tsv") and rows is not None:
-        header_row, data_rows = rows
-        sep = "," if cfg.fmt == "csv" else "\t"
-        lines = [sep.join(header_row)]
-        for row in data_rows:
-            lines.append(sep.join("" if v is None else str(_clean(v)) for v in row))
-        return "\n".join(lines) + "\n"
+def _rows(cfg: RunConfig, header_row, data_rows) -> str:
+    """The csv or tsv table of the rows, an empty cell for each None."""
+    sep = "," if cfg.fmt == "csv" else "\t"
+    lines = [sep.join(header_row)]
+    for row in data_rows:
+        lines.append(sep.join("" if v is None else str(_clean(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _report(cfg: RunConfig, spec: AlgebraSpec | None, body: dict) -> str:
+    """The JSON document of the header and the body."""
     header = {
         "command": cfg.command,
         "version": __version__,
@@ -426,15 +449,17 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     spec = _build_spec(cfg)
     rep = build_fock_rep(spec, cfg.dim)
     report = spectrum_report(rep)
-    body = report.to_dict()
-    rows = [[n, energy, sector] for n, energy, sector in report.levels]
+    if cfg.fmt == "json":
+        text = _report(cfg, spec, report.to_dict())
+    else:
+        text = _rows(cfg, ["n", "energy", "sector"], report.levels)
     summary = [
         f"n={n:<4d} sector={sector}  E={energy:.12g}" for n, energy, sector in report.levels[:8]
     ]
     if len(report.levels) > 8:
         summary.append(f"... {len(report.levels)} levels, "
                        f"{len(report.clusters)} clusters")
-    return _emit(cfg, _report(cfg, spec, body, (["n", "energy", "sector"], rows)), summary)
+    return _emit(cfg, text, summary)
 
 
 def _cmd_classify(cfg: RunConfig) -> int:
@@ -566,15 +591,17 @@ def _cmd_bd_scan(cfg: RunConfig) -> int:
         tol=cfg.tol,
     )
     compatible = [pt.parameter for pt in points if pt.residual is not None and pt.residual <= cfg.tol]
-    body = {
-        "mu": cfg.mu,
-        "scanned_component": (cfg.mu + 2) % 3,
-        "rows": [pt.to_dict() for pt in points],
-        "compatible_parameters": compatible,
-    }
-    rows = [[pt.parameter, pt.residual] for pt in points]
+    if cfg.fmt == "json":
+        text = _report(cfg, spec, {
+            "mu": cfg.mu,
+            "scanned_component": (cfg.mu + 2) % 3,
+            "rows": [pt.to_dict() for pt in points],
+            "compatible_parameters": compatible,
+        })
+    else:
+        text = _rows(cfg, ["parameter", "residual"], [[pt.parameter, pt.residual] for pt in points])
     summary = [f"{len(points)} points, compatible at {compatible}"]
-    return _emit(cfg, _report(cfg, spec, body, (["parameter", "residual"], rows)), summary)
+    return _emit(cfg, text, summary)
 
 
 def _cmd_dump(cfg: RunConfig) -> int:

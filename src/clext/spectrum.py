@@ -76,10 +76,15 @@ def degeneracy_profile(values, cluster_tol: float = DEFAULT_CLUSTER_TOL, drop_to
     """Cluster a list of energies into degenerate groups.
 
     Single-linkage clustering: values are sorted and split wherever a gap
-    exceeds ``cluster_tol``.  With ``drop_top`` > 0 the last ``drop_top``
-    positions of the input (the truncation top, where multiplets lose
-    members) are excluded from the statistics: any cluster containing one
-    of those positions is discarded entirely.
+    between neighbours in that order exceeds ``cluster_tol``.  With
+    ``drop_top`` > 0 the last ``drop_top`` positions of the input (the
+    truncation top, where multiplets lose members) are excluded from the
+    statistics: any cluster containing one of those positions is discarded
+    entirely.
+
+    One stable sort and a few array operations find the groups and the ones
+    that survive the cut; Python work is spent only per surviving cluster.
+    A cluster's energy is the mean of its members in sorted order.
 
     Returns clusters sorted by energy ascending; member indices refer to
     positions in the input.
@@ -91,25 +96,19 @@ def degeneracy_profile(values, cluster_tol: float = DEFAULT_CLUSTER_TOL, drop_to
     if not 0 <= drop_top < count:
         raise ValueError(f"drop_top {drop_top} does not fit in {count} values")
     order = np.argsort(values, kind="stable")
-    groups = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] > cluster_tol:
-            groups.append([])
-        groups[-1].append(idx)
-
-    cutoff = count - drop_top
+    ordered = values[order]
+    bounds = [0, *(np.flatnonzero(np.diff(ordered) > cluster_tol) + 1).tolist(), count]
+    tops = np.maximum.reduceat(order, bounds[:-1])  # each group's largest position
+    positions, energies = order.tolist(), ordered.tolist()
     clusters = []
-    for group in groups:
-        members = sorted(int(i) for i in group)
-        if members[-1] >= cutoff:
-            continue
-        clusters.append(
-            Cluster(
-                energy=float(values[group].mean()),
-                multiplicity=len(members),
-                members=tuple(members),
-            )
-        )
+    for group in np.flatnonzero(tops < count - drop_top).tolist():
+        lo, hi = bounds[group], bounds[group + 1]
+        if hi - lo == 1:
+            # the mean of one value, which also turns -0.0 into 0.0
+            clusters.append(Cluster(energies[lo] + 0.0, 1, (positions[lo],)))
+        else:
+            clusters.append(Cluster(float(ordered[lo:hi].mean()), hi - lo,
+                                    tuple(sorted(positions[lo:hi]))))
     return clusters
 
 
@@ -154,7 +153,8 @@ def spectrum_report(rep: TruncatedFockRep, diagonal=None, drop_top: int = 0) -> 
     ``DEFAULT_CLUSTER_TOL``.
     """
     diagonal = np.asarray(hamiltonian_h0(rep) if diagonal is None else diagonal, dtype=float)
-    levels = tuple((n, float(diagonal[n]), n % rep.spec.lam) for n in range(rep.dim))
+    energies, lam = diagonal.tolist(), rep.spec.lam
+    levels = tuple((n, energies[n], n % lam) for n in range(rep.dim))
     clusters = tuple(surviving_clusters(diagonal, drop_top))
     return SpectrumReport(
         levels=levels,

@@ -434,7 +434,9 @@ class TestPssqmCommands:
 class TestClusterCut:
     """pssqm-check and ssqm cluster the spectrum without its top lambda (p + 1)
     states, so a dim that does not exceed that cut is a usage error that names
-    it, whether the dim is given or the default 12 lambda."""
+    it, whether the dim is given or the default 12 lambda.  A dim that leaves
+    the ground multiplet, states 0 .. mu, touching the cut is one too, and
+    names the smallest valid dim, lambda (p + 1) + mu + 1."""
 
     @pytest.mark.parametrize("argv, cut, dim", [
         (["pssqm-check", "--p", "12", "--alpha", ",".join(["0"] * 13)], 169, 156),
@@ -451,12 +453,40 @@ class TestClusterCut:
 
     @pytest.mark.parametrize("argv", [
         ["pssqm-check", "--p", "2", "--alpha", "1,-0.5,-0.5", "--dim", "10"],
+        ["pssqm-check", "--p", "2", "--mu", "2", "--alpha", "1,-0.5,-0.5", "--dim", "12"],
+        ["pssqm-check", "--p", "2", "--mu", "2", "--samples", "1", "--dim", "12"],
         ["ssqm", "--alpha", "0,0", "--dim", "6"],
+        ["ssqm", "--alpha", "0,0", "--variant", "unbroken", "--dim", "5"],
     ])
     def test_dims_above_the_cut_run(self, capsys, argv):
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert json.loads(out)["header"]["dim"] == int(argv[-1])
+
+    @pytest.mark.parametrize("argv, smallest, mu, dim", [
+        (["pssqm-check", "--p", "2", "--mu", "2", "--alpha", "1,-0.5,-0.5", "--dim", "10"],
+         12, 2, 10),
+        (["pssqm-check", "--p", "2", "--mu", "2", "--alpha", "1,-0.5,-0.5", "--dim", "11"],
+         12, 2, 11),
+        (["pssqm-check", "--p", "2", "--mu", "2", "--samples", "1", "--dim", "10"], 12, 2, 10),
+        (["pssqm-check", "--p", "2", "--mu", "2", "--samples", "1", "--dim", "11"], 12, 2, 11),
+        (["ssqm", "--alpha", "0,0", "--dim", "5"], 6, 1, 5),
+        (["ssqm", "--alpha", "0,0", "--variant", "broken", "--dim", "5"], 6, 1, 5),
+    ])
+    def test_ground_multiplet_at_the_cut(self, capsys, argv, smallest, mu, dim):
+        # the library would find no cluster below the cut and raise ValueError
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"clext: error: dim must be at least lambda (p + 1) + mu + 1 = "
+                       f"{smallest} so that the ground multiplet (states 0..{mu}) lies "
+                       f"below the cluster cut, got {dim}\n")
+
+    def test_mu_out_of_range_is_reported_as_such(self, capsys):
+        code, _, err = run_cli(
+            ["pssqm-check", "--p", "2", "--mu", "7", "--alpha", "1,-0.5,-0.5", "--dim", "12"],
+            capsys)
+        assert code == 2
+        assert err == "clext: error: mu must lie in 0..2, got 7\n"
 
 
 class TestSamplesTakeNoCouplings:

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 
 import numpy as np
@@ -41,6 +40,7 @@ from clext import (
 )
 from clext.cli import main
 from clext.pssqm import CHECK_DTYPE
+from conftest import digest
 
 WORKED = from_alpha(3, [1.0, -0.5, -0.5])
 
@@ -635,10 +635,6 @@ def test_report_to_dict_key_order(report, keys):
     assert data == json.loads(json.dumps(data))
 
 
-def _digest(lines) -> str:
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
-
-
 def _field_lines(report) -> list[str]:
     """Every field of a report, floats as ``float.hex``."""
     lines = []
@@ -702,6 +698,15 @@ GOLDEN_CLI = {
 }
 
 
+#: Digest of ``clext bd-scan`` stdout for each argv, with its exit code, first
+#: recorded before ``bd-scan`` built its JSON body only for JSON output.
+GOLDEN_BD_SCAN = {
+    "--alpha 0.2,-0.1,-0.1 --mu 1 --scan-points 9": ("8bb428e7dfca49c1", 0),
+    "--alpha 0.2,-0.1,-0.1 --mu 1 --scan-points 9 --format csv": ("751aaed61486733c", 0),
+    "--format csv": ("99f39850731d43d2", 0),
+}
+
+
 class TestGoldenDigests:
     """khare_check reports are pinned bit for bit, so evaluating the same
     arithmetic in fewer dense products must leave every field unchanged."""
@@ -712,15 +717,20 @@ class TestGoldenDigests:
         for mu in range(lam):
             runs = list(golden_runs(lam, mu))
             assert [run.report.passed for run in runs][1::2] == [False, False]  # tampered
-            digests.append(_digest([line for run in runs for line in
+            digests.append(digest([line for run in runs for line in
                                     _field_lines(run.report) + _field_lines(run.breaking)]))
         assert digests == GOLDEN_KHARE[lam]
 
     def test_complex128_reps(self):
         lines = [line for lam in range(2, 9) for line in _field_lines(golden_complex128_report(lam))]
-        assert _digest(lines) == GOLDEN_COMPLEX128
+        assert digest(lines) == GOLDEN_COMPLEX128
 
     @pytest.mark.parametrize("argv", list(GOLDEN_CLI))
     def test_cli_stdout(self, argv, capsys):
         code = main(["pssqm-check", *argv.split()])
-        assert (_digest([capsys.readouterr().out]), code) == GOLDEN_CLI[argv]
+        assert (digest([capsys.readouterr().out]), code) == GOLDEN_CLI[argv]
+
+    @pytest.mark.parametrize("argv", list(GOLDEN_BD_SCAN))
+    def test_bd_scan_stdout(self, argv, capsys):
+        code = main(["bd-scan", *argv.split()])
+        assert (digest([capsys.readouterr().out]), code) == GOLDEN_BD_SCAN[argv]

@@ -4,6 +4,7 @@ import pytest
 import clext.spectrum as spectrum_module
 
 from clext import (
+    Cluster,
     LengthMismatchError,
     build_fock_rep,
     degeneracy_profile,
@@ -16,6 +17,8 @@ from clext import (
     spectrum_report,
     structure_function,
 )
+from clext.cli import main
+from conftest import digest
 
 WORKED = from_alpha(3, [1.0, -0.5, -0.5])
 
@@ -140,8 +143,91 @@ class TestDegeneracyProfile:
         assert [(c.energy, c.multiplicity) for c in clusters] == [(0.0, 1), (1.0, 2)]
 
     def test_drop_top_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="drop_top 2 does not fit in 2 values"):
             degeneracy_profile([1.0, 2.0], drop_top=2)
+        with pytest.raises(ValueError, match="drop_top -1 does not fit in 2 values"):
+            degeneracy_profile([1.0, 2.0], drop_top=-1)
+
+    def test_empty_input(self):
+        assert degeneracy_profile([]) == []
+        assert degeneracy_profile(np.array([]), drop_top=3) == []
+
+
+def loop_profile(values, cluster_tol, drop_top):
+    """The per-level clustering loop that :func:`degeneracy_profile` replaced,
+    kept as its oracle: each sorted value joins the group of the value before
+    it unless the gap to that group's last member exceeds ``cluster_tol``."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    groups = [[order[0]]]
+    for idx in order[1:]:
+        if values[idx] - values[groups[-1][-1]] > cluster_tol:
+            groups.append([])
+        groups[-1].append(idx)
+    cutoff = len(values) - drop_top
+    clusters = []
+    for group in groups:
+        members = sorted(int(i) for i in group)
+        if members[-1] >= cutoff:
+            continue
+        clusters.append(Cluster(energy=float(values[group].mean()),
+                                multiplicity=len(members), members=tuple(members)))
+    return clusters
+
+
+def _multiplets(rng):
+    """Multiplets of each size 2 to 8, members spread within the tolerance so
+    that their means round, shuffled together."""
+    levels = np.cumsum(rng.uniform(0.5, 2.0, 7))
+    values = np.concatenate([level + rng.uniform(-3e-9, 3e-9, size)
+                             for size, level in zip(range(2, 9), levels)])
+    return rng.permutation(values)
+
+
+def _profile_inputs():
+    rng = np.random.default_rng(1515)
+    distinct = rng.normal(0, 10, 72)
+    base = np.repeat(rng.normal(0, 10, 12), 3)
+    return {
+        "distinct": distinct,
+        "near-ties": rng.permutation(base + rng.uniform(-1e-12, 1e-12, base.size)),
+        "exact-ties": rng.integers(-4, 5, 40).astype(float),
+        "rounded": np.round(rng.normal(0, 1, 50), 1),
+        "multiplets": _multiplets(rng),
+        "chain": rng.permutation(np.arange(20) * 0.6e-8 + 1.0),
+        "signed-zeros": np.array([0.0, -0.0, 1.0, -0.0, 1.0 + 5e-9, 0.0, -2.0, -0.0]),
+        "one-negative-zero": np.array([-0.0]),
+        "single": np.array([2.75]),
+    }
+
+
+class TestProfileMatchesLoop:
+    """degeneracy_profile equals the per-level loop bit for bit: energies as
+    ``float.hex``, multiplicities and members, at every ``drop_top``."""
+
+    @staticmethod
+    def _key(clusters):
+        return [(c.energy.hex(), c.multiplicity, c.members) for c in clusters]
+
+    @pytest.mark.parametrize("name", list(_profile_inputs()))
+    def test_every_drop_top(self, name):
+        values = _profile_inputs()[name]
+        for tol in (1e-8, 0.0):
+            for drop_top in range(len(values)):
+                got = degeneracy_profile(values, tol, drop_top)
+                assert all(type(c.energy) is float and type(c.multiplicity) is int
+                           and all(type(m) is int for m in c.members) for c in got)
+                assert self._key(got) == self._key(loop_profile(values, tol, drop_top)), (
+                    tol, drop_top)
+
+    def test_inputs_are_what_they_claim(self):
+        inputs = _profile_inputs()
+        multiplicities = sorted(c.multiplicity for c in degeneracy_profile(inputs["multiplets"]))
+        assert multiplicities == list(range(2, 9))
+        assert len(degeneracy_profile(inputs["chain"])) == 1
+        assert [c.energy.hex() for c in degeneracy_profile(inputs["one-negative-zero"])] == [
+            (0.0).hex()]
+        assert [c.multiplicity for c in degeneracy_profile(inputs["near-ties"])] == [3] * 12
 
 
 class TestSpectrumReport:
@@ -163,3 +249,34 @@ class TestSpectrumReport:
         data = spectrum_report(rep).to_dict()
         assert len(data["levels"]) == 6
         assert data["ground"]["multiplicity"] == data["clusters"][0]["multiplicity"]
+
+
+#: Digest of ``clext spectrum`` stdout for each argv, with its exit code,
+#: first recorded with the per-level clustering loop.
+GOLDEN_CLI = {
+    "--lambda 3 --alpha 1,-0.5,-0.5": ("b4e5e4723b8c92e4", 0),
+    "--alpha 0.5,3.5,-4": ("1619dada32e50a27", 0),  # multiplets of two
+    "--alpha 0.9140517498670905,-0.33796105313112723,1.010295790259566,-1.5863864869955295"
+    " --format csv": ("b7893dab29abccd2", 0),
+    "--lambda 3 --kappa 0.25+0.25j,0.25-0.25j --format csv": ("e16b3bc9c6dc6b8d", 0),
+    "--lambda 2 --alpha 0.3,-0.3 --dim 600 --format tsv": ("1bb2311c84093f01", 0),
+    "--lambda 2 --alpha 0.3,-0.3 --dim 600": ("d6038589aa9cc72b", 0),
+}
+
+
+class TestSpectrumCommand:
+    @pytest.mark.parametrize("argv", list(GOLDEN_CLI))
+    def test_golden_stdout(self, argv, capsys):
+        code = main(["spectrum", *argv.split()])
+        assert (digest([capsys.readouterr().out]), code) == GOLDEN_CLI[argv]
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    def test_rows_build_no_json_body(self, monkeypatch, capsys, fmt):
+        def refuse(self):
+            raise AssertionError("to_dict called for a row format")
+
+        monkeypatch.setattr(spectrum_module.SpectrumReport, "to_dict", refuse)
+        code = main(["spectrum", "--lambda", "3", "--alpha", "1,-0.5,-0.5", "--format", fmt])
+        sep = {"csv": ",", "tsv": "\t"}[fmt]
+        assert code == 0
+        assert capsys.readouterr().out.startswith(sep.join(["n", "energy", "sector"]) + "\n")

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import hashlib
 import inspect
 import json
 import os
@@ -28,6 +27,7 @@ from clext import (
     verify_projector_algebra,
 )
 from clext.cli import main
+from conftest import digest
 
 WORKED = from_alpha(3, [1.0, -0.5, -0.5])
 
@@ -307,7 +307,7 @@ class TestReportEntries:
         spec = WORKED if dim == 30 else from_alpha(3, [0.5, -2.5, 2.0])
         rep = build_fock_rep(spec, dim)
         digests = [
-            hashlib.sha256(json.dumps(check(rep, tol=1e-16).to_dict()).encode()).hexdigest()[:16]
+            digest([json.dumps(check(rep, tol=1e-16).to_dict())])
             for check in (verify_defining_relations, verify_projector_algebra)
         ]
         assert digests == self.TO_DICT[dim]
@@ -599,10 +599,6 @@ class TestLoopOracle:
             assert not all(r.all_pass for r in self.assert_matches(tampered))
 
 
-def _digest(lines) -> str:
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
-
-
 def report_digest(rep) -> str:
     """Every field of both reports, residuals as ``float.hex``."""
     lines = []
@@ -610,7 +606,7 @@ def report_digest(rep) -> str:
         lines.append(f"{report.dim} {report.margin_policy} {report.all_pass}")
         lines += [f"{e.relation} {e.word_length} {e.margin} {e.residual.hex()} {e.passed}"
                   for e in report.entries]
-    return _digest(lines)
+    return digest(lines)
 
 
 #: Dims of the multi-block reps, at least three blocks each; the lowest block
@@ -728,14 +724,14 @@ class TestGoldenDigests:
         # every tamper changes the reports but that of a[dim - 1]: each
         # relation that reads it masks the top state, and adag matches it
         untampered = GOLDEN_REPORTS["blocks-64"][0]
-        changed = [digest != untampered for digest in GOLDEN_REPORTS["blocks-tampered"]]
+        changed = [value != untampered for value in GOLDEN_REPORTS["blocks-tampered"]]
         assert changed == [True] * 9 + [False, True, True]
 
     @pytest.mark.parametrize("argv", list(GOLDEN_CLI))
     def test_cli_stdout(self, argv, capsys):
         code = main(["verify", *argv.split()])
         out = capsys.readouterr().out
-        assert (_digest([out]), code) == GOLDEN_CLI[argv]
+        assert (digest([out]), code) == GOLDEN_CLI[argv]
 
 
 class TestSharedProjectorRows:
