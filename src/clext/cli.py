@@ -33,6 +33,7 @@ from .algebra import AlgebraSpec, classify, from_alpha, from_kappa, sample_bfb_a
 from .errors import ClextError, NonFiniteError, NonUnitaryError, ParseError, ValidationError
 from .fock import build_fock_rep, ladder_matrices
 from .pssqm import (
+    CHECK_DTYPE,
     DEFAULT_PSSQM_TOL,
     DEFAULT_SSQM_TOL,
     bd_scan,
@@ -46,6 +47,7 @@ from .spectrum import spectrum_report
 from .verify import DEFAULT_TOL, verify_defining_relations, verify_projector_algebra
 
 MAX_LAMBDA = 64  # CLI cap to bound report sizes; the library imposes none
+MAX_HELD_BYTES = 1 << 30  # what pssqm-check or dump may hold at once; caps their dim
 DEFAULT_TOLS = {  # every other command takes verify's
     "pssqm-solve": DEFAULT_PSSQM_TOL,
     "pssqm-check": DEFAULT_PSSQM_TOL,
@@ -240,6 +242,20 @@ def _merge_flag_values(argv) -> list[str]:
     return merged
 
 
+def _held_bytes_per_entry(command: str, lam: int) -> int:
+    """Bytes that ``command`` holds at once per entry of a dim x dim matrix.
+
+    pssqm-check: khare_check's dense words Q^1 .. Q^p, the adjoint, the
+    running sum and two products, lam + 3 in all.  dump: at most four
+    complex words (a, adag, the chosen matrix and its complex copy) and one
+    text line, almost always ``0.0,0.0``: a 64-byte string, its list slot,
+    and its characters in the joined text and the encoded output.
+    """
+    if command == "pssqm-check":
+        return (lam + 3) * np.dtype(CHECK_DTYPE).itemsize
+    return 4 * np.dtype(complex).itemsize + 96
+
+
 def parse_config(argv) -> RunConfig:
     """Parse argv (plus an optional config file) into a validated RunConfig.
 
@@ -325,6 +341,14 @@ def parse_config(argv) -> RunConfig:
             raise ValidationError(
                 f"dim must be at least lambda (p + 1) + mu + 1 = {cut + mu + 1} so that "
                 f"the ground multiplet (states 0..{mu}) lies below the cluster cut, got {dim}")
+    if command in ("pssqm-check", "dump"):
+        per_entry = _held_bytes_per_entry(command, lam)
+        largest = math.isqrt(MAX_HELD_BYTES // per_entry)
+        if dim > largest:
+            raise ValidationError(
+                f"dim must be at most {largest} for {command} at lambda {lam}, which holds up "
+                f"to {per_entry} bytes per matrix entry within {MAX_HELD_BYTES >> 20} MiB, "
+                f"got {dim}")
     tol = values["tol"] if values["tol"] is not None else DEFAULT_TOLS.get(command, DEFAULT_TOL)
     if tol < 0:
         raise ValidationError(f"tol must be >= 0, got {tol!r}")
@@ -654,6 +678,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"clext: i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"clext: error: out of memory ({str(exc) or 'no detail'}); try a smaller --dim",
+              file=sys.stderr)
         return 2
 
 

@@ -1,11 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from clext import energy_level, from_alpha, solve_r, structure_function
-from clext.cli import main
+import clext.cli
+from clext import ValidationError, energy_level, from_alpha, solve_r, structure_function
+from clext.cli import main, parse_config
+from conftest import cli_in_guarded_child
 
 
 def run_cli(argv, capsys):
@@ -487,6 +490,82 @@ class TestClusterCut:
             capsys)
         assert code == 2
         assert err == "clext: error: mu must lie in 0..2, got 7\n"
+
+
+class TestHeldBytesBudget:
+    """pssqm-check and dump hold dense dim x dim words, and dump one text line
+    per entry, so a dim past MAX_HELD_BYTES is a usage error, raised before
+    anything is allocated, that names the largest accepted dim.  Any other
+    allocation failure exits 2 with one line, never a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dump", "--lambda", "2", "--alpha", "0,0", "--dim", "200000"],
+         "dim must be at most 2590 for dump at lambda 2, which holds up to 160 bytes per "
+         "matrix entry within 1024 MiB, got 200000"),
+        (["pssqm-check", "--lambda", "3", "--alpha", "0,0,0", "--dim", "20000"],
+         "dim must be at most 2364 for pssqm-check at lambda 3, which holds up to 192 bytes "
+         "per matrix entry within 1024 MiB, got 20000"),
+        (["spectrum", "--lambda", "2", "--alpha", "0,0", "--dim", "300000000"],
+         "out of memory (Unable to allocate "),
+        (["verify", "--lambda", "2", "--alpha", "0,0", "--dim", "400000000"],
+         "out of memory (Unable to allocate "),
+    ])
+    def test_oversized_dim_exits_2_under_a_memory_limit(self, argv, message):
+        proc = cli_in_guarded_child(argv, 1024)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-2000:]
+        assert proc.stderr.startswith(f"clext: error: {message}")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["dump", "--lambda", "2", "--alpha", "0,0"],
+        ["dump", "--lambda", "5", "--alpha", "0,0,0,0,0", "--matrix", "p3"],
+        ["pssqm-check", "--p", "2", "--alpha", "1,-0.5,-0.5"],
+        ["pssqm-check", "--p", "7", "--mu", "3", "--samples", "1"],
+    ])
+    def test_largest_dim_is_accepted(self, argv):
+        with pytest.raises(ValidationError, match="dim must be at most") as raised:
+            parse_config([*argv, "--dim", "1000000"])
+        largest = int(str(raised.value).split()[5])
+        assert parse_config([*argv, "--dim", str(largest)]).dim == largest
+        with pytest.raises(ValidationError, match=f"at most {largest} .* got {largest + 1}$"):
+            parse_config([*argv, "--dim", str(largest + 1)])
+        per_entry = clext.cli._held_bytes_per_entry(argv[0], parse_config(argv).lam)
+        assert largest**2 * per_entry <= clext.cli.MAX_HELD_BYTES < (largest + 1)**2 * per_entry
+
+    @pytest.mark.parametrize("argv", [
+        ["dump", "--lambda", "3", "--alpha", "1,-0.5,-0.5", "--dim", "300"],
+        ["dump", "--lambda", "3", "--alpha", "1,-0.5,-0.5", "--dim", "300", "--matrix", "num"],
+        ["dump", "--lambda", "3", "--alpha", "1,-0.5,-0.5", "--dim", "300", "--matrix", "p1"],
+        ["pssqm-check", "--p", "2", "--alpha", "1,-0.5,-0.5", "--dim", "200"],
+        ["pssqm-check", "--p", "3", "--mu", "1", "--alpha", "0,0,0,0", "--dim", "200"],
+        ["pssqm-check", "--p", "2", "--samples", "2", "--dim", "200"],
+    ])
+    def test_budget_bounds_the_peak(self, capsys, argv):
+        # the per-entry estimate covers what the command allocates, up to a
+        # fixed allowance for the parser, the spec and the report
+        per_entry = clext.cli._held_bytes_per_entry(argv[0], parse_config(argv).lam)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code in (0, 1)
+        dim = int(argv[argv.index("--dim") + 1])
+        assert peak <= per_entry * dim**2 + (2 << 20), (peak, per_entry * dim**2)
+
+    @pytest.mark.parametrize("error, detail", [
+        (MemoryError("Unable to allocate 8 GiB"), "Unable to allocate 8 GiB"),
+        (MemoryError(), "no detail"),
+    ])
+    def test_memory_error_exits_2(self, capsys, monkeypatch, error, detail):
+        def build_fock_rep(spec, dim):
+            raise error
+        monkeypatch.setattr(clext.cli, "build_fock_rep", build_fock_rep)
+        code, out, err = run_cli(["spectrum", "--lambda", "2", "--alpha", "0,0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"clext: error: out of memory ({detail}); try a smaller --dim\n"
 
 
 class TestSamplesTakeNoCouplings:

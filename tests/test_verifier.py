@@ -2,18 +2,13 @@ import dataclasses
 import gc
 import inspect
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from itertools import groupby
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import clext
 from clext import (
     AlgebraSpec,
     MarginTooLargeError,
@@ -27,7 +22,7 @@ from clext import (
     verify_projector_algebra,
 )
 from clext.cli import main
-from conftest import digest
+from conftest import cli_in_guarded_child, digest
 
 WORKED = from_alpha(3, [1.0, -0.5, -0.5])
 
@@ -179,24 +174,6 @@ class TestDefiningRelations:
             assert row["pass"] == (row["residual"] <= data["tolerance"])
 
 
-def verify_in_guarded_child(argv):
-    """``clext verify *argv`` in a child under a 512 MiB address-space limit."""
-    script = (
-        "import resource, sys\n"
-        "limit = 512 << 20\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
-        "from clext.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(clext.__file__).parents[1]))
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[name] = "1"
-    return subprocess.run(
-        [sys.executable, "-c", script, "verify", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-
-
 class TestReportShape:
     """The CLI summary prints entries in report order, so the order is pinned."""
 
@@ -244,7 +221,8 @@ class TestReportShape:
         # the CLI's lambda cap at its default dim 768, in a child under a
         # 512 MiB address-space limit, so that a dense-diagonal regression
         # fails with MemoryError instead of exhausting the machine
-        proc = verify_in_guarded_child(["--lambda", "64", "--alpha", ",".join(["0"] * 64)])
+        proc = cli_in_guarded_child(
+            ["verify", "--lambda", "64", "--alpha", ",".join(["0"] * 64)], 512)
         assert proc.returncode == 0, proc.stderr[-2000:]
         body = json.loads(proc.stdout)["body"]
         assert body["defining_relations"]["dim"] == 768
@@ -254,8 +232,8 @@ class TestReportShape:
         # the reports hold one block of states at a time, so only the rep,
         # about 0.6 KB per state at lam 64, grows with dim
         dim = 200_000
-        proc = verify_in_guarded_child(
-            ["--lambda", "64", "--alpha", ",".join(["0"] * 64), "--dim", str(dim)])
+        proc = cli_in_guarded_child(
+            ["verify", "--lambda", "64", "--alpha", ",".join(["0"] * 64), "--dim", str(dim)], 512)
         assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
         assert proc.returncode in (0, 1), proc.stderr[-2000:]
         body = json.loads(proc.stdout)["body"]
