@@ -7,12 +7,14 @@ attached to the sector projectors.  The two parameter sets are related by a
 discrete Fourier transform over the lam-th roots of unity; reality of alpha
 corresponds to the conjugation constraint conj(kappa_mu) = kappa_{lam-mu}.
 
-Derived quantities:
+Every derived scalar is constant on a residue class s mod lam, so one
+per-sector table, built once by :func:`_sector_table`, holds them all:
 
-* ``beta_mu``  partial sums of alpha (beta_0 = 0), entering the structure
+* ``beta_s``  partial sums of alpha (beta_0 = 0), entering the structure
   function F(n) = n + beta_{n mod lam},
-* ``gamma_mu = beta_mu + alpha_mu / 2``, entering the oscillator energies
-  E_n = n + 1/2 + gamma_{n mod lam}.
+* ``gamma_s = beta_s + alpha_s / 2``, entering the oscillator energies
+  E_n = n + 1/2 + gamma_{n mod lam},
+* the witnesses F(1) .. F(lam-1), which decide admissibility.
 
 All parameter subscripts are understood mod lam.
 """
@@ -33,28 +35,30 @@ from .errors import (
     SumNotZeroError,
 )
 
-#: Tolerance for all parameter constraint checks.
+#: Tolerance of the parameter checks; :func:`breaks_constraint` scales it by the terms' size.
 CONSTRAINT_TOL = 1e-12
-
-
-def _locked(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr)
-    arr.setflags(write=False)
-    return arr
 
 
 def require_finite(name: str, values: np.ndarray) -> None:
     """Reject NaN and infinite entries, which every ``abs(x) > tol`` check
     lets through (NaN compares false)."""
-    if not np.isfinite(values).all():
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):  # all(), without its wrapper
         raise NonFiniteError(f"{name} must be finite, got {values.tolist()}")
 
 
-def _partial_sums(alpha: np.ndarray) -> np.ndarray:
-    """beta_mu = sum of alpha_0 .. alpha_{mu-1}, with beta_0 = 0."""
+def breaks_constraint(residual: float, *terms: np.ndarray) -> bool:
+    """Whether ``residual`` exceeds ``CONSTRAINT_TOL * max(1, max |term|)``: rounding in
+    a sum or difference grows with the ``terms`` it is made of, not with its result."""
+    return residual > CONSTRAINT_TOL and residual > CONSTRAINT_TOL * max(
+        1.0, *(float(np.abs(term).max()) for term in terms))
+
+
+def _sector_table(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sector table in alpha's dtype: beta_s = alpha_0 + .. + alpha_{s-1} (beta_0 = 0),
+    gamma_s = beta_s + alpha_s / 2 and the witnesses F(s) = s + beta_s, s = 1 .. lam-1."""
     beta = np.zeros(alpha.shape, alpha.dtype)
     np.add.accumulate(alpha[:-1], out=beta[1:])  # a cumsum, in place
-    return beta
+    return beta, beta + alpha / 2, np.arange(1, len(alpha), dtype=alpha.dtype) + beta[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +66,8 @@ class AlgebraSpec:
     """Validated parameter set of one algebra of cyclic order ``lam``.
 
     Instances are immutable; build them through :func:`from_kappa` or
-    :func:`from_alpha` rather than directly.  ``beta`` and ``gamma`` are
-    derived from ``alpha`` on construction.
+    :func:`from_alpha` rather than directly.  ``beta``, ``gamma`` and the
+    witnesses are the sector table of ``alpha``, built on construction.
     """
 
     lam: int
@@ -71,43 +75,42 @@ class AlgebraSpec:
     alpha: np.ndarray   # lam real sector couplings, sum zero
     beta: np.ndarray = field(init=False)    # partial sums of alpha, beta_0 = 0
     gamma: np.ndarray = field(init=False)   # beta + alpha / 2
+    _witnesses: np.ndarray = field(init=False, repr=False)  # F(1) .. F(lam-1)
 
     def __post_init__(self):
         if not isinstance(self.lam, (int, np.integer)) or self.lam < 2:
             raise ValueError(f"cyclic order must be an integer >= 2, got {self.lam!r}")
-        object.__setattr__(self, "lam", int(self.lam))
-        object.__setattr__(self, "kappa", _locked(np.asarray(self.kappa, dtype=complex)))
-        object.__setattr__(self, "alpha", _locked(np.asarray(self.alpha, dtype=float)))
+        lam = int(self.lam)
+        object.__setattr__(self, "lam", lam)
+        kappa = np.array(self.kappa, dtype=complex)  # copies, locked below
+        alpha = np.array(self.alpha, dtype=float)
 
-        lam = self.lam
-        if self.kappa.shape != (lam - 1,):
-            raise LengthMismatchError(f"kappa must have {lam - 1} entries, got {self.kappa.shape}")
-        if self.alpha.shape != (lam,):
-            raise LengthMismatchError(f"alpha must have {lam} entries, got {self.alpha.shape}")
-        require_finite("alpha", self.alpha)
-        require_finite("kappa", self.kappa)
+        if kappa.shape != (lam - 1,):
+            raise LengthMismatchError(f"kappa must have {lam - 1} entries, got {kappa.shape}")
+        if alpha.shape != (lam,):
+            raise LengthMismatchError(f"alpha must have {lam} entries, got {alpha.shape}")
+        require_finite("alpha", alpha)
+        require_finite("kappa", kappa)
 
-        total = float(self.alpha.sum())
-        if abs(total) > CONSTRAINT_TOL:
+        total = float(np.add.reduce(alpha))  # alpha.sum(), without its wrapper
+        if breaks_constraint(abs(total), alpha):
             raise SumNotZeroError(f"alpha must sum to zero, got sum = {total!r}")
-        mism = _conjugation_mismatch(self.kappa)
-        if mism > CONSTRAINT_TOL:
-            raise ConjugationViolationError(
-                f"conj(kappa_mu) != kappa_(lam-mu), worst mismatch {mism:.3e}"
-            )
-        beta = _partial_sums(self.alpha)
-        gamma = beta + self.alpha / 2
-        beta.setflags(write=False)  # fresh arrays: locked without a copy
-        gamma.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
+        _check_conjugation(kappa, alpha)  # from_alpha's kappa: a Fourier sum of alpha
+        names = ("kappa", "alpha", "beta", "gamma", "_witnesses")
+        for name, arr in zip(names, (kappa, alpha, *_sector_table(alpha))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
-def _conjugation_mismatch(kappa: np.ndarray) -> float:
-    """Worst |conj(kappa_mu) - kappa_{lam-mu}| over mu = 1 .. lam-1."""
+def _check_conjugation(kappa: np.ndarray, *terms: np.ndarray) -> None:
+    """Require conj(kappa_mu) = kappa_{lam-mu} up to :func:`breaks_constraint`."""
     diff = np.conj(kappa) - kappa[::-1]
     # hypot is abs() of one complex scalar; fmax skips NaN as the builtin max does
-    return float(np.fmax.reduce(np.hypot(diff.real, diff.imag), initial=0.0))
+    mism = float(np.fmax.reduce(np.hypot(diff.real, diff.imag), initial=0.0))
+    if breaks_constraint(mism, kappa, *terms):
+        raise ConjugationViolationError(
+            f"conj(kappa_mu) != kappa_(lam-mu), worst mismatch {mism:.3e}"
+        )
 
 
 def from_kappa(lam: int, kappa) -> AlgebraSpec:
@@ -116,23 +119,19 @@ def from_kappa(lam: int, kappa) -> AlgebraSpec:
     The sector couplings follow from the Fourier sum
     alpha_mu = sum_nu exp(2i pi mu nu / lam) kappa_nu, which is real and
     sums to zero whenever kappa satisfies the conjugation constraint.
-    The imaginary residue of the transform is checked against
-    ``CONSTRAINT_TOL`` and then discarded.
+    The imaginary residue of the transform is checked through
+    :func:`breaks_constraint` and then discarded.
     """
     kappa = np.asarray(kappa, dtype=complex)
     if kappa.shape != (lam - 1,):
         raise LengthMismatchError(f"kappa must have {lam - 1} entries, got {kappa.shape}")
     require_finite("kappa", kappa)
-    mism = _conjugation_mismatch(kappa)
-    if mism > CONSTRAINT_TOL:
-        raise ConjugationViolationError(
-            f"conj(kappa_mu) != kappa_(lam-mu), worst mismatch {mism:.3e}"
-        )
+    _check_conjugation(kappa)
     mu = np.arange(lam)[:, None]
     nu = np.arange(1, lam)[None, :]
     alpha_c = (np.exp(2j * np.pi * mu * nu / lam) * kappa[None, :]).sum(axis=1)
     imag = float(np.max(np.abs(alpha_c.imag)))
-    if imag > CONSTRAINT_TOL:
+    if breaks_constraint(imag, kappa):
         raise ConjugationViolationError(f"alpha has imaginary residue {imag:.3e}")
     return AlgebraSpec(lam=lam, kappa=kappa, alpha=alpha_c.real.copy())
 
@@ -161,16 +160,16 @@ def _inverse_phases(lam: int) -> np.ndarray:
 def from_alpha(lam: int, alpha) -> AlgebraSpec:
     """Build a spec from the real sector couplings alpha_0 .. alpha_{lam-1}.
 
-    Requires sum(alpha) = 0 within ``CONSTRAINT_TOL``; inputs violating the
-    sum are rejected rather than renormalized.  The inverse Fourier sum
-    kappa_nu = (1/lam) sum_mu exp(-2i pi mu nu / lam) alpha_mu then
-    automatically satisfies the conjugation constraint.
+    Requires sum(alpha) = 0 within ``CONSTRAINT_TOL * max(1, max |alpha_mu|)``;
+    inputs violating the sum are rejected rather than renormalized.  The
+    inverse Fourier sum kappa_nu = (1/lam) sum_mu exp(-2i pi mu nu / lam) alpha_mu
+    then satisfies the conjugation constraint up to rounding at alpha's size.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (lam,):
         raise LengthMismatchError(f"alpha must have {lam} entries, got {alpha.shape}")
     require_finite("alpha", alpha)  # before the transform, which warns on inf
-    kappa = (phase_table(_inverse_phases, lam) * alpha[None, :]).sum(axis=1) / lam
+    kappa = np.add.reduce(phase_table(_inverse_phases, lam) * alpha, axis=1) / lam
     return AlgebraSpec(lam=lam, kappa=kappa, alpha=alpha)
 
 
@@ -182,13 +181,10 @@ def structure_function(spec: AlgebraSpec, n: int) -> float:
 
 
 def _derived(spec: AlgebraSpec, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """beta and gamma in the real ``dtype``: the spec's own in float64, else
-    derived again from alpha in that dtype."""
-    if np.dtype(dtype) == spec.alpha.dtype:
+    """beta and gamma in the real ``dtype``: the spec's own, else the table of alpha in it."""
+    if dtype is float or np.dtype(dtype) == spec.alpha.dtype:
         return spec.beta, spec.gamma
-    alpha = spec.alpha.astype(dtype)
-    beta = _partial_sums(alpha)
-    return beta, beta + alpha / 2
+    return _sector_table(spec.alpha.astype(dtype))[:2]
 
 
 def structure_values(spec: AlgebraSpec, count: int, dtype=float) -> np.ndarray:
@@ -220,6 +216,12 @@ class RepClass:
         return self.kind is RepKind.BOUNDED_FROM_BELOW
 
 
+def _first_inadmissible(witnesses: np.ndarray) -> int | None:
+    """The first m with F(m) <= ``CONSTRAINT_TOL``, or None: the one admissibility test."""
+    admissible = witnesses > CONSTRAINT_TOL
+    return None if np.logical_and.reduce(admissible) else int(admissible.argmin()) + 1
+
+
 def classify(spec: AlgebraSpec) -> RepClass:
     """Classify the unitary Fock representation of a spec.
 
@@ -229,17 +231,15 @@ def classify(spec: AlgebraSpec) -> RepClass:
     any zero means no unitary Fock representation of either type exists
     and raises :class:`NonUnitaryError`.
     """
-    witnesses = np.arange(1, spec.lam) + spec.beta[1:]  # F(m) = m + beta_m
-    witnesses.setflags(write=False)
-    for m, value in enumerate(witnesses.tolist(), start=1):
-        if abs(value) <= CONSTRAINT_TOL:
-            return RepClass(kind=RepKind.FINITE_DIM, dim=m, witnesses=witnesses)
-        if value < 0:
-            raise NonUnitaryError(
-                f"F({m}) = {witnesses[m - 1]!r} < 0 before any zero: "
-                "no unitary Fock representation"
-            )
-    return RepClass(kind=RepKind.BOUNDED_FROM_BELOW, dim=None, witnesses=witnesses)
+    witnesses = spec._witnesses
+    m = _first_inadmissible(witnesses)
+    if m is None:
+        return RepClass(RepKind.BOUNDED_FROM_BELOW, None, witnesses)
+    if abs(witnesses[m - 1]) <= CONSTRAINT_TOL:
+        return RepClass(RepKind.FINITE_DIM, m, witnesses)
+    raise NonUnitaryError(
+        f"F({m}) = {witnesses[m - 1]!r} < 0 before any zero: no unitary Fock representation"
+    )
 
 
 def energy_level(spec: AlgebraSpec, n: int) -> float:
@@ -263,8 +263,7 @@ def energy_values(spec: AlgebraSpec, count: int, dtype=float) -> np.ndarray:
 def admits_bfb(alpha) -> bool:
     """Whether F(mu) > ``CONSTRAINT_TOL`` for mu = 1 .. lam-1: the
     bounded-from-below verdict of :func:`classify`, without building a spec."""
-    beta = _partial_sums(np.asarray(alpha, dtype=float))
-    return all(m + beta[m] > CONSTRAINT_TOL for m in range(1, len(beta)))
+    return _first_inadmissible(_sector_table(np.asarray(alpha, dtype=float))[2]) is None
 
 
 def sample_bfb_alpha(

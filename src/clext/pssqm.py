@@ -43,9 +43,10 @@ import numpy as np
 from .algebra import (
     CONSTRAINT_TOL,
     AlgebraSpec,
+    _first_inadmissible,
     admits_bfb,
-    classify,
-    energy_level,
+    breaks_constraint,
+    energy_values,
     from_alpha,
     require_finite,
     sample_bfb_alpha,
@@ -80,7 +81,9 @@ def default_eta(p: int, mu: int = 0) -> np.ndarray:
     """
     if p < 1:
         raise ValueError(f"order must be >= 1, got {p}")
-    return np.full(p, math.sqrt(2.0), dtype=complex)
+    eta = np.empty(p, dtype=complex)
+    eta.fill(math.sqrt(2.0))  # np.full, without its wrapper
+    return eta
 
 
 def _normalized_eta(lam: int, eta) -> np.ndarray:
@@ -130,28 +133,29 @@ def solve_r(spec: AlgebraSpec, mu: int, eta=None) -> np.ndarray:
     _check_mu(mu, lam)
     eta = _normalized_eta(lam, eta)
     norms = np.abs(eta) ** 2
-    total = float(norms.sum())
+    total = float(np.add.reduce(norms))  # norms.sum(), without its wrapper
     if abs(total - 2 * p) > CONSTRAINT_TOL:
         raise EtaNormViolationError(f"sum |eta|^2 must equal 2p = {2 * p}, got {total!r}")
-    if not classify(spec).is_bounded_from_below:
+    if _first_inadmissible(spec._witnesses) is not None:  # classify, without its RepClass
         raise NotBoundedFromBelowError(
-            "sector shifts are defined on the bounded-from-below representation only"
-        )
+            "sector shifts are defined on the bounded-from-below representation only")
 
-    alpha = spec.alpha
-    # norms[nu - 1] is |eta_{mu+nu}|^2 for nu = 1..p
-    pinned = 0.0
+    a = spec.alpha.tolist()
+    a = a[mu:] + a[: mu + 1]  # a[k] = alpha_{mu+k}, k = 0 .. lam
+    norms = norms.tolist()  # norms[nu - 1] is |eta_{mu+nu}|^2 for nu = 1..p
+    pinned = prefix = 0.0
     for nu in range(1, p):
-        pinned += norms[nu] * (nu + sum(alpha[(mu + rho + 2) % lam] for rho in range(nu)))
-    pinned = pinned / p - 1.0 - alpha[(mu + 2) % lam]
+        prefix += a[nu + 1]  # the running sum_{rho=0..nu-1} alpha_{mu+rho+2}
+        pinned += norms[nu] * (nu + prefix)
+    pinned = pinned / p - 1.0 - a[2]
 
-    shifts = {(mu + 2) % lam: pinned}
-    shifts[(mu + 1) % lam] = 2.0 + alpha[(mu + 1) % lam] + alpha[(mu + 2) % lam] + pinned
+    r = [pinned] * lam  # r[k] = r_{mu+k}; r[2 mod lam] keeps the pinned value
+    r[1] = 2.0 + a[1] + a[2] + pinned
     current = pinned
     for nu in range(2, p + 1):
-        current = current - 2.0 - alpha[(mu + nu) % lam] - alpha[(mu + nu + 1) % lam]
-        shifts[(mu + nu + 1) % lam] = current
-    return np.array([shifts[sector] for sector in range(lam)])
+        current = current - 2.0 - a[nu] - a[nu + 1]
+        r[(nu + 1) % lam] = current
+    return np.array(r[lam - mu :] + r[: lam - mu])
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +188,7 @@ class PssqmConfig:
         alpha = self.spec.alpha
         gaps = self.r[chain] - (2.0 + alpha[chain] + alpha[above] + self.r[above])
         worst = float(np.abs(gaps).max())
-        if worst > CONSTRAINT_TOL:
+        if breaks_constraint(worst, alpha, self.r):
             raise ValueError(f"sector shifts break the commutation recursion by {worst:.3e}")
 
 
@@ -394,13 +398,9 @@ def solve_and_check(
 
 
 def ground_energy(spec: AlgebraSpec, mu: int, eta=None) -> float:
-    """Closed-form ground energy of the solved shifted Hamiltonian.
-
-    The minimum over sector bottom states of E_nu + r_nu / 2; affine in
-    alpha for fixed coefficient norms.
-    """
-    shifts = solve_r(spec, mu, eta)
-    return min(energy_level(spec, nu) + shifts[nu] / 2 for nu in range(spec.lam))
+    """Closed-form ground energy of the solved shifted Hamiltonian: the minimum over
+    the lam sector bottom states of E_nu + r_nu / 2, affine in alpha for fixed norms."""
+    return np.minimum.reduce(energy_values(spec, spec.lam) + solve_r(spec, mu, eta) / 2)
 
 
 def sample_ground_energies(

@@ -20,7 +20,8 @@ def hamiltonian_h0(rep: TruncatedFockRep) -> np.ndarray:
     The closed form, not the truncated product, which corrupts the top
     state.  It is checked against (F(n) + F(n+1))/2 to within
     1e-13 max(1, |E_n|), else ValueError; at sector lam - 1 it exceeds that
-    average by exactly sum(alpha)/2, which the spec admits up to 1e-12.
+    average by exactly sum(alpha)/2, which the spec admits up to
+    ``CONSTRAINT_TOL * max(1, max |alpha_mu|)`` (1e-12 for |alpha_mu| <= 1).
     """
     spec = rep.spec
     rdtype = rep.a.real.dtype

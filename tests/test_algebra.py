@@ -142,6 +142,41 @@ class TestFromAlpha:
             spec.alpha[0] = 1.0
 
 
+class TestScaledTolerance:
+    """Constraint residuals are judged against CONSTRAINT_TOL * max(1, max |term|)."""
+
+    @pytest.mark.parametrize("scale", (1.0, 1e4, 1e8))
+    def test_relative_violation_of_1e9_raises(self, scale):
+        with pytest.raises(SumNotZeroError, match="sum"):
+            from_alpha(3, [scale * (1 + 1e-9), -scale, 0.0])
+        kappa = np.array([scale * (1 + 1j), scale * (1 - 1j)])
+        alpha = from_kappa(3, kappa).alpha
+        bumped = kappa * [1, 1 + 1e-9]
+        with pytest.raises(ConjugationViolationError, match="worst mismatch"):
+            from_kappa(3, bumped)
+        with pytest.raises(ConjugationViolationError, match="worst mismatch"):
+            AlgebraSpec(lam=3, kappa=bumped, alpha=alpha)
+
+    def test_unit_sized_couplings_keep_the_absolute_bound(self):
+        from_alpha(2, [0.5, -0.4999999999995])  # sum 5e-13
+        with pytest.raises(SumNotZeroError):
+            from_alpha(2, [0.5, -0.4999999999985])  # sum 1.5e-12
+        with pytest.raises(ConjugationViolationError):
+            from_kappa(2, [0.5 + 2e-12j])
+
+    @pytest.mark.parametrize("lam", range(3, 9))
+    def test_exact_zero_sums_are_accepted_at_any_size(self, lam):
+        # dyadic entries up to 2^14 and 2^40 sum to zero exactly; their kappa
+        # misses conjugation by rounding of size eps |alpha|
+        rng = np.random.default_rng(lam)
+        for bits in (14, 40):
+            for _ in range(50):
+                alpha = rng.integers(-(2 ** bits), 2 ** bits, lam) / 8
+                alpha[-1] = -alpha[:-1].sum()
+                back = from_kappa(lam, from_alpha(lam, alpha).kappa).alpha
+                assert np.abs(back - alpha).max() <= 1e-12 * np.abs(alpha).max()
+
+
 class TestNonFinite:
     """NaN passes every ``abs(x) > tol`` check, so finiteness is checked first."""
 

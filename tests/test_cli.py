@@ -309,6 +309,17 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out)["body"]["kind"] == "non-unitary"
 
+    @pytest.mark.parametrize("alpha", (
+        "5000,-5000,0",
+        "139,110,102,174,-97,-85,-80,179,7,2,179,-630",
+    ))
+    def test_exact_zero_sum_at_large_couplings(self, capsys, alpha):
+        # kappa is a Fourier sum of alpha, so it meets conjugation only to
+        # rounding of size eps |alpha|, about 1e-12 here
+        code, out, err = run_cli(["classify", "--alpha", alpha], capsys)
+        assert code == 0, err
+        assert json.loads(out)["body"]["kind"] == "bounded-from-below"
+
 
 class TestNonFiniteInputs:
     """Non-finite couplings are usage errors, not NaN in a report."""
@@ -358,6 +369,15 @@ class TestPssqmCommands:
         assert abs(body["r"][1] - 1.0) < 1e-12
         assert abs(body["r"][2]) < 1e-12
         assert abs(body["ground_energy"] - (-0.25)) < 1e-12
+
+    def test_solve_at_large_couplings(self, capsys):
+        # the solved shifts reach 3e4 and meet the recursion to rounding at that size
+        code, out, err = run_cli(
+            ["pssqm-solve", "--mu", "3", "--alpha", "2370,1092,7687,7150,8689,811,5914,-33713"],
+            capsys,
+        )
+        assert code == 0, err
+        assert json.loads(out)["body"]["p"] == 7
 
     def test_solve_summary_prints_plain_floats(self, capsys, tmp_path):
         target = tmp_path / "solve.json"

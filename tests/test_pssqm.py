@@ -138,7 +138,7 @@ class TestSolveR:
         spec = from_alpha(2, [nu, -nu])
         np.testing.assert_allclose(solve_r(spec, 0), [-1 - nu, 1 - nu], atol=1e-12)
 
-    @pytest.mark.parametrize("p", (1, 2, 3, 4))
+    @pytest.mark.parametrize("p", (1, 2, 3, 4, 7, 15, 63))
     def test_matches_chain_oracle(self, p):
         rng = np.random.default_rng(700 + p)
         lam = p + 1
@@ -149,7 +149,7 @@ class TestSolveR:
                 solve_r(spec, mu), chain_oracle(alpha, mu, p), atol=1e-12
             )
 
-    @pytest.mark.parametrize("p", (1, 2, 3, 4))
+    @pytest.mark.parametrize("p", (1, 2, 3, 4, 7, 15, 63))
     def test_recursion_and_pinning_for_random_eta(self, p):
         rng = np.random.default_rng(800 + p)
         lam = p + 1
@@ -204,6 +204,17 @@ class TestSolveR:
         # is off by 1 at nu = 1 and by 2.5 at nu = 2
         with pytest.raises(ValueError, match=r"recursion by 2\.500e\+00$"):
             PssqmConfig(spec=WORKED, mu=0, eta=default_eta(2), r=[0.0, 0.0, 0.0])
+
+    def test_config_scales_the_recursion_check(self):
+        # solved shifts near 3e4 meet the recursion to 3.6e-12, rounding at
+        # their size; the check allows CONSTRAINT_TOL * max(1, |alpha|, |r|)
+        spec = from_alpha(8, [2370, 1092, 7687, 7150, 8689, 811, 5914, -33713])
+        config = solve_config(spec, 3)
+        for k in (int(np.abs(config.r).argmax()), 0):
+            r = config.r.copy()
+            r[k] *= 1 + 1e-9
+            with pytest.raises(ValueError, match="recursion"):
+                PssqmConfig(spec=spec, mu=3, eta=None, r=r)
 
 
 class TestMuRange:
