@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .algebra import AlgebraSpec, classify, from_alpha, from_kappa, sample_bfb_alpha
 from .errors import ClextError, NonFiniteError, NonUnitaryError, ParseError, ValidationError
-from .fock import build_fock_rep, ladder_matrices
+from .fock import build_fock_rep
 from .pssqm import (
     CHECK_DTYPE,
     DEFAULT_PSSQM_TOL,
@@ -47,7 +47,7 @@ from .spectrum import spectrum_report
 from .verify import DEFAULT_TOL, verify_defining_relations, verify_projector_algebra
 
 MAX_LAMBDA = 64  # CLI cap to bound report sizes; the library imposes none
-MAX_HELD_BYTES = 1 << 30  # what pssqm-check or dump may hold at once; caps their dim
+MAX_HELD_BYTES = 1 << 30  # what one command may hold at once; caps dims and row counts
 DEFAULT_TOLS = {  # every other command takes verify's
     "pssqm-solve": DEFAULT_PSSQM_TOL,
     "pssqm-check": DEFAULT_PSSQM_TOL,
@@ -246,14 +246,32 @@ def _held_bytes_per_entry(command: str, lam: int) -> int:
     """Bytes that ``command`` holds at once per entry of a dim x dim matrix.
 
     pssqm-check: khare_check's dense words Q^1 .. Q^p, the adjoint, the
-    running sum and two products, lam + 3 in all.  dump: at most four
-    complex words (a, adag, the chosen matrix and its complex copy) and one
-    text line, almost always ``0.0,0.0``: a 64-byte string, its list slot,
-    and its characters in the joined text and the encoded output.
+    running sum and two products, lam + 3 in all.  dump: one text line,
+    almost always the 8 characters ``0.0,0.0\\n``, held at most three times
+    (24 bytes per entry under tracemalloc): the text, its encoded bytes and
+    a captured stream's buffer; a list slot and the text while it is joined.
     """
     if command == "pssqm-check":
         return (lam + 3) * np.dtype(CHECK_DTYPE).itemsize
-    return 4 * np.dtype(complex).itemsize + 96
+    return 3 * len("0.0,0.0\n")
+
+
+def _held_bytes_per_row(command: str, lam: int) -> int:
+    """Bytes that ``command`` keeps per report row until the report is written:
+    the row, its cleaned copy, its JSON text and the encoded output.  Measured
+    with tracemalloc, a bd-scan point took at most 1423 bytes and a
+    pssqm-check sample, whose alpha has lam entries, about 1470 + 180 lam."""
+    return 1536 if command == "bd-scan" else 1536 + 192 * lam
+
+
+def _cap(name: str, value: int, largest: int, command: str, lam: int, per: int,
+         unit: str) -> None:
+    """Reject ``value`` past ``largest``, the most that fits MAX_HELD_BYTES at
+    ``per`` bytes a ``unit``, with an error that names ``largest``."""
+    if value > largest:
+        raise ValidationError(
+            f"{name} must be at most {largest} for {command} at lambda {lam}, which holds up "
+            f"to {per} bytes per {unit} within {MAX_HELD_BYTES >> 20} MiB, got {value}")
 
 
 def parse_config(argv) -> RunConfig:
@@ -343,12 +361,13 @@ def parse_config(argv) -> RunConfig:
                 f"the ground multiplet (states 0..{mu}) lies below the cluster cut, got {dim}")
     if command in ("pssqm-check", "dump"):
         per_entry = _held_bytes_per_entry(command, lam)
-        largest = math.isqrt(MAX_HELD_BYTES // per_entry)
-        if dim > largest:
-            raise ValidationError(
-                f"dim must be at most {largest} for {command} at lambda {lam}, which holds up "
-                f"to {per_entry} bytes per matrix entry within {MAX_HELD_BYTES >> 20} MiB, "
-                f"got {dim}")
+        _cap("dim", dim, math.isqrt(MAX_HELD_BYTES // per_entry), command, lam, per_entry,
+             "matrix entry")
+    count_key = {"bd-scan": "scan_points", "pssqm-check": "samples"}.get(command)
+    if count_key and values[count_key] is not None:
+        per_row = _held_bytes_per_row(command, lam)
+        _cap(count_key, values[count_key], MAX_HELD_BYTES // per_row, command, lam, per_row,
+             "report row")
     tol = values["tol"] if values["tol"] is not None else DEFAULT_TOLS.get(command, DEFAULT_TOL)
     if tol < 0:
         raise ValidationError(f"tol must be >= 0, got {tol!r}")
@@ -630,26 +649,21 @@ def _cmd_bd_scan(cfg: RunConfig) -> int:
 
 def _cmd_dump(cfg: RunConfig) -> int:
     """write one generator matrix as text"""
-    spec = _build_spec(cfg)
-    rep = build_fock_rep(spec, cfg.dim)
+    rep = build_fock_rep(_build_spec(cfg), cfg.dim)
     name = cfg.matrix.lower()
-    a, adag = ladder_matrices(rep)
-    matrices = {"a": a, "adag": adag, "num": rep.num, "t": rep.T}
-    for mu in range(spec.lam):
-        matrices[f"p{mu}"] = rep.P[mu]
-    if name not in matrices:
-        raise ValidationError(
-            f"unknown matrix {cfg.matrix!r}; choose from {sorted(matrices)}"
-        )
-    mat = matrices[name]  # N, T and P_mu are stored as their diagonals
-    mat = np.asarray(np.diag(mat) if mat.ndim == 1 else mat, dtype=complex)
-    lines = []
-    for col in range(rep.dim):
-        for row in range(rep.dim):
-            value = mat[row, col]
-            lines.append(f"{float(value.real)!r},{float(value.imag)!r}")
-    text = "\n".join(lines) + "\n"
-    return _emit(cfg, text, [], written=f"{name}: {rep.dim}x{rep.dim} column-major entries")
+    # each generator is np.diag(diagonal, offset): a above the main one, adag below it
+    diagonals = {"a": (1, rep.a[1:]), "adag": (-1, rep.adag[1:]), "num": (0, rep.num),
+                 "t": (0, rep.T), **{f"p{mu}": (0, row) for mu, row in enumerate(rep.P)}}
+    if name not in diagonals:
+        raise ValidationError(f"unknown matrix {cfg.matrix!r}; choose from {sorted(diagonals)}")
+    (offset, diagonal), dim = diagonals[name], rep.dim
+    # column-major lines: each diagonal entry lies dim + 1 lines after the last
+    lines = ["0.0,0.0\n"] * (dim * dim)
+    lines[offset * dim if offset >= 0 else -offset :: dim + 1] = [
+        f"{z.real!r},{z.imag!r}\n" for z in diagonal.astype(complex).tolist()]
+    text = "".join(lines)
+    del lines  # 8 bytes an entry, freed before the text is written
+    return _emit(cfg, text, [], written=f"{name}: {dim}x{dim} column-major entries")
 
 
 _HANDLERS = {

@@ -16,7 +16,8 @@ lower one (a D and D adag are ``band * d``; D a and adag D are
 by two shifts: :func:`lower_shift`, x[n-k] and 0 for n < k (no state lies
 below |0>), of all states or of a block, and :func:`upper_shift`, x[n+1] and
 0 past the top.  :func:`interior_max_abs` reduces to the truncation interior,
-and :func:`ladder_matrices` expands the ladder bands to dense matrices.
+and :func:`ladder_matrices` expands the ladder bands to dense matrices, the
+tests' oracle; the CLI writes even ``dump`` from the bands.
 
 Truncation artifact: a adag is diagonal with entries F(n+1) except at the
 top state, where the missing |dim> contribution leaves a zero.  adag a is

@@ -72,12 +72,12 @@ DEFAULT_SSQM_TOL = 1e-13
 CHECK_DTYPE = np.clongdouble
 
 
-def default_eta(p: int, mu: int = 0) -> np.ndarray:
+def default_eta(p: int) -> np.ndarray:
     """Supercharge coefficients with |eta|^2 = 2 in every sector.
 
-    Entry k couples sector mu + 1 + k (mod p+1); the norm condition
-    sum |eta|^2 = 2p holds exactly.  ``mu`` only fixes that labeling, the
-    values do not depend on it.
+    Entry k couples sector mu + 1 + k (mod p+1) for whichever sector mu is
+    distinguished; the values do not depend on it, and the norm condition
+    sum |eta|^2 = 2p holds exactly.
     """
     if p < 1:
         raise ValueError(f"order must be >= 1, got {p}")

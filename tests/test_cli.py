@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import clext.cli
-from clext import ValidationError, energy_level, from_alpha, solve_r, structure_function
+from clext import (
+    ValidationError,
+    build_fock_rep,
+    energy_level,
+    from_alpha,
+    ladder_matrices,
+    solve_r,
+    structure_function,
+)
 from clext.cli import main, parse_config
 from conftest import cli_in_guarded_child
 
@@ -513,14 +521,16 @@ class TestClusterCut:
 
 
 class TestHeldBytesBudget:
-    """pssqm-check and dump hold dense dim x dim words, and dump one text line
-    per entry, so a dim past MAX_HELD_BYTES is a usage error, raised before
-    anything is allocated, that names the largest accepted dim.  Any other
-    allocation failure exits 2 with one line, never a traceback."""
+    """pssqm-check holds dense dim x dim words and dump one text line per
+    entry, and bd-scan and pssqm-check --samples keep one report row per
+    point or draw, so a dim or a count past MAX_HELD_BYTES is a usage error,
+    raised before anything is allocated, that names the largest accepted
+    value.  Any other allocation failure exits 2 with one line, never a
+    traceback."""
 
     @pytest.mark.parametrize("argv, message", [
         (["dump", "--lambda", "2", "--alpha", "0,0", "--dim", "200000"],
-         "dim must be at most 2590 for dump at lambda 2, which holds up to 160 bytes per "
+         "dim must be at most 6688 for dump at lambda 2, which holds up to 24 bytes per "
          "matrix entry within 1024 MiB, got 200000"),
         (["pssqm-check", "--lambda", "3", "--alpha", "0,0,0", "--dim", "20000"],
          "dim must be at most 2364 for pssqm-check at lambda 3, which holds up to 192 bytes "
@@ -535,6 +545,19 @@ class TestHeldBytesBudget:
         assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-2000:]
         assert proc.stderr.startswith(f"clext: error: {message}")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        # uncapped, either would keep rows for hours before writing its report
+        (["bd-scan", "--scan-points", "10000000"],
+         "scan_points must be at most 699050 for bd-scan at lambda 3, which holds up to 1536 "
+         "bytes per report row within 1024 MiB, got 10000000"),
+        (["pssqm-check", "--p", "1", "--samples", "10000000"],
+         "samples must be at most 559240 for pssqm-check at lambda 2, which holds up to 1920 "
+         "bytes per report row within 1024 MiB, got 10000000"),
+    ])
+    def test_oversized_count_exits_2_under_a_memory_limit(self, argv, message):
+        proc = cli_in_guarded_child(argv, 1024)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"clext: error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ["dump", "--lambda", "2", "--alpha", "0,0"],
@@ -551,6 +574,46 @@ class TestHeldBytesBudget:
             parse_config([*argv, "--dim", str(largest + 1)])
         per_entry = clext.cli._held_bytes_per_entry(argv[0], parse_config(argv).lam)
         assert largest**2 * per_entry <= clext.cli.MAX_HELD_BYTES < (largest + 1)**2 * per_entry
+
+    @pytest.mark.parametrize("argv, key", [
+        (["bd-scan"], "scan_points"),
+        (["pssqm-check", "--p", "1"], "samples"),
+        (["pssqm-check", "--p", "7", "--mu", "3"], "samples"),
+    ])
+    def test_largest_count_is_accepted(self, argv, key):
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(ValidationError, match=f"{key} must be at most") as raised:
+            parse_config([*argv, flag, "100000000"])
+        largest = int(str(raised.value).split()[5])
+        assert getattr(parse_config([*argv, flag, str(largest)]), key) == largest
+        with pytest.raises(ValidationError, match=f"at most {largest} .* got {largest + 1}$"):
+            parse_config([*argv, flag, str(largest + 1)])
+        per_row = clext.cli._held_bytes_per_row(argv[0], parse_config([*argv, flag, "1"]).lam)
+        assert largest * per_row <= clext.cli.MAX_HELD_BYTES < (largest + 1) * per_row
+
+    @pytest.mark.parametrize("argv, key, count", [
+        # every point compatible and printed twice, at 16-digit parameters
+        (["bd-scan", "--dim", "9", "--tol", "1e300", "--scan-from", "-0.12345678901234567",
+          "--scan-to", "-0.9876543210987654"], "scan_points", 600),
+        (["pssqm-check", "--p", "1", "--dim", "5"], "samples", 400),
+        (["pssqm-check", "--p", "3", "--mu", "1", "--dim", "18"], "samples", 300),
+    ])
+    def test_row_budget_bounds_the_peak(self, capsys, argv, key, count):
+        # what a run keeps beyond a one-row run of the same command, whose
+        # peak is the fixed allowance, stays within the per-row estimate
+        flag = "--" + key.replace("_", "-")
+        per_row = clext.cli._held_bytes_per_row(argv[0], parse_config([*argv, flag, "1"]).lam)
+        peaks = []
+        for rows in (1, 1, count):  # the first run loads what the command imports
+            tracemalloc.start()
+            try:
+                code = main([*argv, flag, str(rows)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+            assert code == 0
+        assert peaks[2] - peaks[1] <= per_row * (count - 1), (peaks, per_row * (count - 1))
 
     @pytest.mark.parametrize("argv", [
         ["dump", "--lambda", "3", "--alpha", "1,-0.5,-0.5", "--dim", "300"],
@@ -726,11 +789,34 @@ class TestDumpCommand:
         expected = "".join(f"{z.real!r},{z.imag!r}\n" for z in column_major.tolist())
         assert out == expected
 
+    @pytest.mark.parametrize("alpha, dims", [
+        ([0.3, -0.3], (1, 2, 3, 7, 40)),
+        ([1.0, -0.5, -0.5], (1, 2, 3, 7, 40)),
+        ([0.4, -0.1, 0.2, -0.3, -0.2], (1, 2, 3, 7, 40)),
+        ([0.01 * (-1) ** m for m in range(64)], (1, 2, 3, 7, 40)),
+        ([-0.5, -1.5, 2.0, 0.0], (1, 2)),  # 2-dimensional: dim 2 is the exact rep
+    ])
+    def test_every_matrix_matches_the_dense_oracle(self, capsys, alpha, dims):
+        spec = from_alpha(len(alpha), alpha)
+        for dim in dims:
+            rep = build_fock_rep(spec, dim)
+            a, adag = ladder_matrices(rep)
+            dense = {"a": a, "adag": adag, "num": np.diag(rep.num), "t": np.diag(rep.T),
+                     **{f"p{mu}": np.diag(row) for mu, row in enumerate(rep.P)}}
+            for name, mat in dense.items():
+                code, out, _ = run_cli(["dump", "--alpha", ",".join(map(repr, alpha)),
+                                        "--dim", str(dim), "--matrix", name], capsys)
+                expected = "".join(f"{float(z.real)!r},{float(z.imag)!r}\n"
+                                   for z in np.asarray(mat, dtype=complex).T.ravel())
+                assert (code, out) == (0, expected), (dim, name)
+
     def test_unknown_matrix(self, capsys):
         code, _, err = run_cli(
             ["dump", "--lambda", "2", "--alpha", "0,0", "--matrix", "z"], capsys
         )
         assert code == 2
+        assert err == ("clext: error: unknown matrix 'z'; "
+                       "choose from ['a', 'adag', 'num', 'p0', 'p1', 't']\n")
 
     def test_atomic_write_to_file(self, capsys, tmp_path):
         target = tmp_path / "matrix.txt"

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -123,6 +124,10 @@ class TestDefaultEta:
     @pytest.mark.parametrize("p", (1, 2, 3, 4))
     def test_norm_condition(self, p):
         assert abs((np.abs(default_eta(p)) ** 2).sum() - 2 * p) < 1e-12
+
+    def test_takes_the_order_alone(self):
+        # the values do not depend on the distinguished sector, so no mu is taken
+        assert list(inspect.signature(default_eta).parameters) == ["p"]
 
 
 class TestSolveR:

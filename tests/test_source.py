@@ -92,6 +92,17 @@ def test_pssqm_multiplies_dense_words_only_in_the_multilinear_sum():
     assert "ladder_matrices" not in path.read_text(encoding="utf-8")
 
 
+def test_cli_expands_no_band_into_a_matrix():
+    # every generator is one diagonal of its matrix, so dump writes each
+    # column's one entry from the band; the dense ladder_matrices serve the
+    # tests as an oracle only
+    (path,) = [path for path in SOURCES if path.name == "cli.py"]
+    source = path.read_text(encoding="utf-8")
+    assert _matrix_products(path) == []
+    assert _numpy_calls(ast.parse(source), {"diag", "diagflat"}) == []
+    assert "ladder_matrices" not in source
+
+
 def test_matrix_product_scan_sees_every_form():
     snippets = ("a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "numpy.matmul(a, b)",
                 "np.einsum('ij,jk', a, b)", "np.tensordot(a, b)", "np.inner(a, b)",
