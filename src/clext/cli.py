@@ -264,6 +264,11 @@ def _held_bytes_per_row(command: str, lam: int) -> int:
     return 1536 if command == "bd-scan" else 1536 + 192 * lam
 
 
+def _largest_dim(command: str, lam: int) -> int:
+    """The largest dim whose dim x dim matrices fit MAX_HELD_BYTES for ``command``."""
+    return math.isqrt(MAX_HELD_BYTES // _held_bytes_per_entry(command, lam))
+
+
 def _cap(name: str, value: int, largest: int, command: str, lam: int, per: int,
          unit: str) -> None:
     """Reject ``value`` past ``largest``, the most that fits MAX_HELD_BYTES at
@@ -348,21 +353,29 @@ def parse_config(argv) -> RunConfig:
         raise ValidationError(f"dim must be >= 1, got {dim}")
     if command in ("pssqm-check", "ssqm"):
         cut = cluster_cut(lam - 1)
+        # the ground multiplet, states 0 .. mu, must lie below the cut; ssqm's
+        # broken variant annihilates sector 1.  A mu outside 0 .. p is the
+        # library's error to report, so it asks for the cut alone here.
+        mu = values["mu"] if command == "pssqm-check" else int(values["variant"] != "unbroken")
+        mu = mu if 0 <= mu < lam else 0
+        least = cut + mu + 1
+        if command == "pssqm-check" and least > _largest_dim(command, lam):
+            runs_to = max(order for order in range(2, lam)
+                          if cluster_cut(order - 1) + 1 <= _largest_dim(command, order))
+            raise ValidationError(
+                f"pssqm-check at lambda {lam} needs dim at least {least} to clear the cluster "
+                f"cut, but at most {_largest_dim(command, lam)} fits within "
+                f"{MAX_HELD_BYTES >> 20} MiB; the largest lambda pssqm-check runs at is {runs_to}")
         if dim <= cut:
             raise ValidationError(
                 f"dim must exceed the cluster cut lambda (p + 1) = {cut}, got {dim}")
-        # the ground multiplet, states 0 .. mu, must lie below the cut; ssqm's
-        # broken variant annihilates sector 1.  A mu outside 0 .. p is the
-        # library's error to report.
-        mu = values["mu"] if command == "pssqm-check" else int(values["variant"] != "unbroken")
-        if 0 <= mu < lam and dim <= cut + mu:
+        if dim < least:
             raise ValidationError(
-                f"dim must be at least lambda (p + 1) + mu + 1 = {cut + mu + 1} so that "
+                f"dim must be at least lambda (p + 1) + mu + 1 = {least} so that "
                 f"the ground multiplet (states 0..{mu}) lies below the cluster cut, got {dim}")
     if command in ("pssqm-check", "dump"):
-        per_entry = _held_bytes_per_entry(command, lam)
-        _cap("dim", dim, math.isqrt(MAX_HELD_BYTES // per_entry), command, lam, per_entry,
-             "matrix entry")
+        _cap("dim", dim, _largest_dim(command, lam), command, lam,
+             _held_bytes_per_entry(command, lam), "matrix entry")
     count_key = {"bd-scan": "scan_points", "pssqm-check": "samples"}.get(command)
     if count_key and values[count_key] is not None:
         per_row = _held_bytes_per_row(command, lam)
@@ -685,8 +698,11 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(sys.argv[1:] if argv is None else argv)
-        return run(cfg)
+        # huge couplings overflow on the way to the finiteness checks, which
+        # report them in one error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            cfg = parse_config(sys.argv[1:] if argv is None else argv)
+            return run(cfg)
     except (ClextError, ValueError) as exc:
         print(f"clext: error: {exc}", file=sys.stderr)
         return 2

@@ -107,6 +107,15 @@ def _check_mu(mu: int, lam: int) -> None:
         raise ValueError(f"mu must lie in 0..{lam - 1}, got {mu}")
 
 
+def _eta_norms(p: int, eta: np.ndarray) -> np.ndarray:
+    """|eta|^2 of the p normalized coefficients, which must satisfy sum |eta|^2 = 2p."""
+    norms = np.abs(eta) ** 2
+    total = float(np.add.reduce(norms))  # norms.sum(), without its wrapper
+    if abs(total - 2 * p) > CONSTRAINT_TOL:
+        raise EtaNormViolationError(f"sum |eta|^2 must equal 2p = {2 * p}, got {total!r}")
+    return norms
+
+
 def cluster_cut(p: int) -> int:
     """The top lam (p + 1) states, whose multiplets lose members to truncation."""
     return (p + 1) * (p + 1)
@@ -131,18 +140,13 @@ def solve_r(spec: AlgebraSpec, mu: int, eta=None) -> np.ndarray:
     lam = spec.lam
     p = lam - 1
     _check_mu(mu, lam)
-    eta = _normalized_eta(lam, eta)
-    norms = np.abs(eta) ** 2
-    total = float(np.add.reduce(norms))  # norms.sum(), without its wrapper
-    if abs(total - 2 * p) > CONSTRAINT_TOL:
-        raise EtaNormViolationError(f"sum |eta|^2 must equal 2p = {2 * p}, got {total!r}")
+    norms = _eta_norms(p, _normalized_eta(lam, eta)).tolist()  # [nu - 1]: |eta_{mu+nu}|^2
     if _first_inadmissible(spec._witnesses) is not None:  # classify, without its RepClass
         raise NotBoundedFromBelowError(
             "sector shifts are defined on the bounded-from-below representation only")
 
     a = spec.alpha.tolist()
     a = a[mu:] + a[: mu + 1]  # a[k] = alpha_{mu+k}, k = 0 .. lam
-    norms = norms.tolist()  # norms[nu - 1] is |eta_{mu+nu}|^2 for nu = 1..p
     pinned = prefix = 0.0
     for nu in range(1, p):
         prefix += a[nu + 1]  # the running sum_{rho=0..nu-1} alpha_{mu+rho+2}
@@ -178,15 +182,11 @@ class PssqmConfig:
         object.__setattr__(self, "r", _given_r(self.r))
         if self.r.shape != (lam,):
             raise OrderMismatchError(f"r must have {lam} entries, got {self.r.shape}")
-        total = float((np.abs(self.eta) ** 2).sum())
-        if abs(total - 2 * self.p) > CONSTRAINT_TOL:
-            raise EtaNormViolationError(
-                f"sum |eta|^2 must equal 2p = {2 * self.p}, got {total!r}"
-            )
-        chain = (self.mu + np.arange(1, lam)) % lam  # sectors mu + nu, nu = 1 .. p
-        above = (chain + 1) % lam
+        _eta_norms(self.p, self.eta)
+        above = np.arange(1, lam + 1) % lam
         alpha = self.spec.alpha
-        gaps = self.r[chain] - (2.0 + alpha[chain] + alpha[above] + self.r[above])
+        gaps = self.r - (2.0 + alpha + alpha[above] + self.r[above])
+        gaps[self.mu] = 0.0  # the recursion links every sector to the next but mu
         worst = float(np.abs(gaps).max())
         if breaks_constraint(worst, alpha, self.r):
             raise ValueError(f"sector shifts break the commutation recursion by {worst:.3e}")
@@ -397,10 +397,15 @@ def solve_and_check(
     return KhareRun(report=report, breaking=breaking, solved_r=solved, used_r=used, eta=eta)
 
 
+def _sector_energies(spec: AlgebraSpec, mu: int, eta=None) -> np.ndarray:
+    """E_nu + r_nu / 2, the solved energy of each sector nu's bottom state: affine in alpha."""
+    return energy_values(spec, spec.lam) + solve_r(spec, mu, eta) / 2
+
+
 def ground_energy(spec: AlgebraSpec, mu: int, eta=None) -> float:
-    """Closed-form ground energy of the solved shifted Hamiltonian: the minimum over
-    the lam sector bottom states of E_nu + r_nu / 2, affine in alpha for fixed norms."""
-    return np.minimum.reduce(energy_values(spec, spec.lam) + solve_r(spec, mu, eta) / 2)
+    """Closed-form ground energy of the solved shifted Hamiltonian: the minimum of
+    the lam sector-bottom energies, so concave and piecewise affine in alpha."""
+    return np.minimum.reduce(_sector_energies(spec, mu, eta))
 
 
 def sample_ground_energies(
@@ -428,33 +433,30 @@ def find_null_ground_alpha(
     energy_tol: float = 1e-9,
     max_tries: int = 500,
 ) -> np.ndarray:
-    """Construct an alpha whose solved ground energy vanishes.
-
-    Samples one positive-energy and one negative-energy draw and
-    interpolates: the ground energy is affine in alpha and the admissible
-    region is convex, so the root of the line search is itself admissible.
-    """
+    """An alpha with solved ground energy E = 0: the first of at most ``max_tries`` draws
+    with |E| <= ``energy_tol``, else the zero of E between the first negative and the first
+    positive draw.  E is the minimum of sector-bottom energies affine in alpha, so on that
+    segment it is concave and vanishes once, at the last root of a sector starting negative.
+    RuntimeError if no such pair is drawn or that zero is inadmissible or not null."""
+    found = {}  # the first draw of each sign of E, keyed by E > 0
     for _ in range(max_tries):
-        positive = negative = None
-        for _ in range(max_tries):
-            alpha = sample_bfb_alpha(lam, rng, low, high)
-            energy = ground_energy(from_alpha(lam, alpha), mu)
-            if energy > 1e-6 and positive is None:
-                positive = (alpha, energy)
-            elif energy < -1e-6 and negative is None:
-                negative = (alpha, energy)
-            if positive and negative:
-                break
-        if not (positive and negative):
-            continue
-        weight = positive[1] / (positive[1] - negative[1])
-        candidate = (1 - weight) * positive[0] + weight * negative[0]
-        candidate -= candidate.mean()  # restore exact sum zero after rounding
-        if not admits_bfb(candidate):
-            continue
-        if abs(ground_energy(from_alpha(lam, candidate), mu)) <= energy_tol:
-            return candidate
-    raise RuntimeError("no null-ground alpha found; widen the sampling box")
+        alpha = sample_bfb_alpha(lam, rng, low, high)
+        energies = _sector_energies(from_alpha(lam, alpha), mu)
+        energy = np.minimum.reduce(energies)
+        if abs(energy) <= energy_tol:
+            return alpha
+        found.setdefault(bool(energy > 0), (alpha, energies))
+        if len(found) == 2:
+            break
+    else:
+        raise RuntimeError("no null-ground alpha found; widen the sampling box")
+    (negative, e0), (positive, e1) = found[False], found[True]
+    crossing = max(a / (a - b) for a, b in zip(e0, e1) if a < 0)  # roots in (0, 1)
+    candidate = (1 - crossing) * negative + crossing * positive
+    candidate -= candidate.mean()  # restore exact sum zero after rounding
+    if admits_bfb(candidate) and abs(ground_energy(from_alpha(lam, candidate), mu)) <= energy_tol:
+        return candidate
+    raise RuntimeError("the sector-energy crossing is not a null-ground alpha")
 
 
 @dataclass(frozen=True)
@@ -585,19 +587,16 @@ def bd_scan(
         raise ValueError(f"points must be >= 1, got {points}")
     index = (mu + 2) % 3
     others = [i for i in range(3) if i != index]
-    if dim is None:
-        dim = 36
+    dim = 36 if dim is None else dim
     results = []
     for t in np.linspace(start, stop, points):
         alpha = base_alpha.copy()
         shift = (base_alpha[index] - t) / 2
         alpha[index] = t
         alpha[others] += shift
-        if not admits_bfb(alpha):
-            results.append(BdScanPoint(parameter=float(t), residual=None, bfb=False))
-            continue
-        spec = from_alpha(3, alpha)
-        rep = build_fock_rep(spec, dim, dtype=CHECK_DTYPE)
-        report = beckers_debergh_check(rep, mu, eta=eta, tol=tol)
-        results.append(BdScanPoint(parameter=float(t), residual=report.residual, bfb=True))
+        residual = None
+        if admits_bfb(alpha):
+            rep = build_fock_rep(from_alpha(3, alpha), dim, dtype=CHECK_DTYPE)
+            residual = beckers_debergh_check(rep, mu, eta=eta, tol=tol).residual
+        results.append(BdScanPoint(float(t), residual, bfb=residual is not None))
     return results

@@ -364,6 +364,19 @@ class TestNonFiniteInputs:
         assert (code, out) == (2, "")
         assert err.startswith(f"clext: error: {key} must be finite")
 
+    @pytest.mark.parametrize("argv, message", (
+        (["pssqm-check", "--alpha", "1,-0.5,-0.5", "--eta", "1e200,1"],
+         "sum |eta|^2 must equal 2p = 4, got inf"),
+        (["classify", "--alpha", "1e308,-1e308"], "kappa must be finite, got [(inf+nanj)]"),
+        (["bd-scan", "--scan-from", "1e308", "--scan-to", "-1e308", "--scan-points", "3"],
+         "alpha must be finite, got [inf, inf, -inf]"),
+    ))
+    def test_overflow_is_one_error_line(self, capsys, argv, message):
+        # finite couplings that overflow on the way to the finiteness checks
+        # raise no numpy warning ahead of the error line
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", f"clext: error: {message}\n")
+
 
 class TestPssqmCommands:
     def test_solve_worked_example(self, capsys):
@@ -511,6 +524,29 @@ class TestClusterCut:
         assert err == (f"clext: error: dim must be at least lambda (p + 1) + mu + 1 = "
                        f"{smallest} so that the ground multiplet (states 0..{mu}) lies "
                        f"below the cluster cut, got {dim}\n")
+
+    @pytest.mark.parametrize("dim", [None, "979", "1025"])
+    def test_lambda_past_the_budget_gets_one_message(self, capsys, dim):
+        # at lambda 32 the cut needs dim 1025, and the held-bytes budget allows 979
+        argv = ["pssqm-check", "--p", "31", "--alpha", ",".join(["0"] * 32)]
+        code, out, err = run_cli(argv + (["--dim", dim] if dim else []), capsys)
+        assert (code, out) == (2, "")
+        assert err == ("clext: error: pssqm-check at lambda 32 needs dim at least 1025 to "
+                       "clear the cluster cut, but at most 979 fits within 1024 MiB; the "
+                       "largest lambda pssqm-check runs at is 31\n")
+
+    def test_lambda_31_keeps_its_dim_bounds(self):
+        # parsed only: a dense check at dim 993 takes minutes
+        argv = ["pssqm-check", "--p", "30", "--alpha", ",".join(["0"] * 31), "--dim"]
+        assert [parse_config(argv + [str(dim)]).dim for dim in (962, 993)] == [962, 993]
+        with pytest.raises(ValidationError) as raised:
+            parse_config(argv + ["961"])
+        assert str(raised.value) == "dim must exceed the cluster cut lambda (p + 1) = 961, got 961"
+        with pytest.raises(ValidationError) as raised:
+            parse_config(argv + ["994"])
+        assert str(raised.value) == (
+            "dim must be at most 993 for pssqm-check at lambda 31, which holds up to 1088 "
+            "bytes per matrix entry within 1024 MiB, got 994")
 
     def test_mu_out_of_range_is_reported_as_such(self, capsys):
         code, _, err = run_cli(

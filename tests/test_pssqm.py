@@ -1,10 +1,12 @@
 import dataclasses
 import inspect
 import json
+import time
 
 import numpy as np
 import pytest
 
+import clext.pssqm
 from clext import (
     BdReport,
     BdScanPoint,
@@ -40,6 +42,7 @@ from clext import (
     ssqm_check,
 )
 from clext.cli import main
+from clext.algebra import admits_bfb
 from clext.pssqm import CHECK_DTYPE
 from conftest import digest
 
@@ -506,6 +509,67 @@ class TestBreaking:
         rng = np.random.default_rng(19)
         alpha = find_null_ground_alpha(3, 0, rng)
         assert abs(ground_energy(from_alpha(3, alpha), 0)) < 1e-9
+
+
+class TestNullGroundSearch:
+    """find_null_ground_alpha draws at most max_tries alphas and returns a
+    null draw at once, else the exact zero of E between its first negative
+    and first positive draw; it raises at once where it draws no such pair."""
+
+    PAIRS = [(lam, mu) for lam in (2, 3, 4, 5, 8) for mu in range(lam)]
+
+    def test_every_pair_is_decided_quickly(self):
+        start = time.perf_counter()
+        found = set()
+        for lam, mu in self.PAIRS:
+            rng = np.random.default_rng(1000 * lam + mu)
+            try:
+                alpha = find_null_ground_alpha(lam, mu, rng)
+            except RuntimeError:
+                # E > 0 for every admissible alpha at mu >= p - 1, save (2, 0)
+                continue
+            assert (lam, mu) == (2, 0) or mu < lam - 2
+            assert admits_bfb(alpha)
+            assert abs(ground_energy(from_alpha(lam, alpha), mu)) <= 1e-12
+            found.add((lam, mu))
+        assert time.perf_counter() - start < 5.0
+        assert found >= {(2, 0), (3, 0), (4, 0), (4, 1), (5, 1), (5, 2), (8, 2), (8, 3), (8, 4)}
+
+    def test_identically_null_pair_returns_its_first_draw(self):
+        # at lam 2, mu 0 the ground energy vanishes for every alpha
+        first = sample_bfb_alpha(2, np.random.default_rng(20))
+        np.testing.assert_array_equal(find_null_ground_alpha(2, 0, np.random.default_rng(20)),
+                                      first)
+
+    def test_pair_without_null_raises_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="no null-ground alpha found"):
+            find_null_ground_alpha(3, 1, np.random.default_rng(21))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Every alpha the search draws, in order."""
+        drawn = []
+
+        def recorded(*args):
+            drawn.append(sample_bfb_alpha(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(clext.pssqm, "sample_bfb_alpha", recorded)
+        return drawn
+
+    def test_draws_at_most_max_tries(self, draws):
+        with pytest.raises(RuntimeError):
+            find_null_ground_alpha(3, 1, np.random.default_rng(22), max_tries=7)
+        assert len(draws) == 7
+
+    @pytest.mark.parametrize("lam, mu", [(3, 0), (4, 1), (8, 3)])
+    def test_crossing_lies_between_a_negative_and_a_positive_draw(self, lam, mu, draws):
+        alpha = find_null_ground_alpha(lam, mu, np.random.default_rng(23))
+        energies = [ground_energy(from_alpha(lam, draw), mu) for draw in draws]
+        assert min(energies) < -1e-9 and max(energies) > 1e-9
+        assert abs(ground_energy(from_alpha(lam, alpha), mu)) <= 1e-12
 
 
 class TestSsqm:

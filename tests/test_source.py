@@ -211,6 +211,19 @@ def test_one_cluster_cut():
     assert "cluster_cut" in _imported(trees["cli.py"])[".pssqm"]
 
 
+def test_one_rule_per_pssqm_condition():
+    # the norm condition sum |eta|^2 = 2p raises from one site, and the chain
+    # of sectors mu + nu, nu = 1 .. p, is built once
+    tree = _source("pssqm.py")
+    raises = [node.lineno for node in ast.walk(tree)
+              if _call_name(node) == "EtaNormViolationError"]
+    assert len(raises) == 1
+    chains = [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+              and "np.arange(1, lam)" in ast.unparse(node.left)]
+    assert chains == ["(mu + np.arange(1, lam)) % lam"]
+
+
 def test_block_width_is_not_a_parameter():
     # the width derives from lam and the byte budget, so callers cannot
     # trade memory for speed by accident
