@@ -168,8 +168,8 @@ def from_alpha(lam: int, alpha) -> AlgebraSpec:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (lam,):
         raise LengthMismatchError(f"alpha must have {lam} entries, got {alpha.shape}")
-    require_finite("alpha", alpha)  # before the transform, which warns on inf
-    kappa = np.add.reduce(phase_table(_inverse_phases, lam) * alpha, axis=1) / lam
+    with np.errstate(over="ignore", invalid="ignore"):  # AlgebraSpec rejects what is not finite
+        kappa = np.add.reduce(phase_table(_inverse_phases, lam) * alpha, axis=1) / lam
     return AlgebraSpec(lam=lam, kappa=kappa, alpha=alpha)
 
 
@@ -238,7 +238,7 @@ def classify(spec: AlgebraSpec) -> RepClass:
     if abs(witnesses[m - 1]) <= CONSTRAINT_TOL:
         return RepClass(RepKind.FINITE_DIM, m, witnesses)
     raise NonUnitaryError(
-        f"F({m}) = {witnesses[m - 1]!r} < 0 before any zero: no unitary Fock representation"
+        f"F({m}) = {float(witnesses[m - 1])!r} < 0 before any zero: no unitary Fock representation"
     )
 
 

@@ -36,6 +36,7 @@ from .pssqm import (
     CHECK_DTYPE,
     DEFAULT_PSSQM_TOL,
     DEFAULT_SSQM_TOL,
+    MULTILINEAR_DENSE_WORDS,
     bd_scan,
     cluster_cut,
     ground_energy,
@@ -242,17 +243,17 @@ def _merge_flag_values(argv) -> list[str]:
     return merged
 
 
-def _held_bytes_per_entry(command: str, lam: int) -> int:
-    """Bytes that ``command`` holds at once per entry of a dim x dim matrix.
+def _held_bytes_per_entry(command: str) -> int:
+    """Bytes that ``command`` holds at once per entry of a dim x dim matrix, at any lambda.
 
-    pssqm-check: khare_check's dense words Q^1 .. Q^p, the adjoint, the
-    running sum and two products, lam + 3 in all.  dump: one text line,
-    almost always the 8 characters ``0.0,0.0\\n``, held at most three times
-    (24 bytes per entry under tracemalloc): the text, its encoded bytes and
-    a captured stream's buffer; a list slot and the text while it is joined.
+    pssqm-check: the ``MULTILINEAR_DENSE_WORDS`` dense words of khare_check.
+    dump: one text line, almost always the 8 characters ``0.0,0.0\\n``, held
+    at most three times (24 bytes per entry under tracemalloc): the text, its
+    encoded bytes and a captured stream's buffer; a list slot and the text
+    while it is joined.
     """
     if command == "pssqm-check":
-        return (lam + 3) * np.dtype(CHECK_DTYPE).itemsize
+        return MULTILINEAR_DENSE_WORDS * np.dtype(CHECK_DTYPE).itemsize
     return 3 * len("0.0,0.0\n")
 
 
@@ -264,9 +265,9 @@ def _held_bytes_per_row(command: str, lam: int) -> int:
     return 1536 if command == "bd-scan" else 1536 + 192 * lam
 
 
-def _largest_dim(command: str, lam: int) -> int:
+def _largest_dim(command: str) -> int:
     """The largest dim whose dim x dim matrices fit MAX_HELD_BYTES for ``command``."""
-    return math.isqrt(MAX_HELD_BYTES // _held_bytes_per_entry(command, lam))
+    return math.isqrt(MAX_HELD_BYTES // _held_bytes_per_entry(command))
 
 
 def _cap(name: str, value: int, largest: int, command: str, lam: int, per: int,
@@ -359,13 +360,12 @@ def parse_config(argv) -> RunConfig:
         mu = values["mu"] if command == "pssqm-check" else int(values["variant"] != "unbroken")
         mu = mu if 0 <= mu < lam else 0
         least = cut + mu + 1
-        if command == "pssqm-check" and least > _largest_dim(command, lam):
-            runs_to = max(order for order in range(2, lam)
-                          if cluster_cut(order - 1) + 1 <= _largest_dim(command, order))
-            raise ValidationError(
+        largest = _largest_dim(command)
+        if command == "pssqm-check" and least > largest:
+            raise ValidationError(  # the cut lambda^2 clears it up to lambda isqrt(largest - 1)
                 f"pssqm-check at lambda {lam} needs dim at least {least} to clear the cluster "
-                f"cut, but at most {_largest_dim(command, lam)} fits within "
-                f"{MAX_HELD_BYTES >> 20} MiB; the largest lambda pssqm-check runs at is {runs_to}")
+                f"cut, but at most {largest} fits within {MAX_HELD_BYTES >> 20} MiB; the "
+                f"largest lambda pssqm-check runs at is {math.isqrt(largest - 1)}")
         if dim <= cut:
             raise ValidationError(
                 f"dim must exceed the cluster cut lambda (p + 1) = {cut}, got {dim}")
@@ -374,8 +374,8 @@ def parse_config(argv) -> RunConfig:
                 f"dim must be at least lambda (p + 1) + mu + 1 = {least} so that "
                 f"the ground multiplet (states 0..{mu}) lies below the cluster cut, got {dim}")
     if command in ("pssqm-check", "dump"):
-        _cap("dim", dim, _largest_dim(command, lam), command, lam,
-             _held_bytes_per_entry(command, lam), "matrix entry")
+        _cap("dim", dim, _largest_dim(command), command, lam, _held_bytes_per_entry(command),
+             "matrix entry")
     count_key = {"bd-scan": "scan_points", "pssqm-check": "samples"}.get(command)
     if count_key and values[count_key] is not None:
         per_row = _held_bytes_per_row(command, lam)

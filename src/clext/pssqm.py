@@ -24,8 +24,8 @@ that chain; :func:`khare_check` measures the relation residuals on the
 truncation interior.  Q is a weighted shift, its +1 band q[n] = <n|Q|n-1>,
 and Q^n is the +n band of products of n consecutive q entries, so
 Q^{p+1} = 0, the nonvanishing of Q^n and [H, Q] = 0 are O(p dim) band
-arithmetic.  Only the multilinear sum still multiplies dense words: 2p
-products of the band expansions, with no identity factor.
+arithmetic, and no dense matrix crosses the interface.  Only the multilinear
+sum still multiplies dense words: 2p products, each factor formed from its band.
 
 The order-2 double-commutator variant ([Q, [Qd, Q]] = 2QH with Q^3 = 0) is
 compatible with the same shifted Hamiltonian only where alpha_{mu+2} = -1;
@@ -71,6 +71,10 @@ DEFAULT_SSQM_TOL = 1e-13
 #: extended precision keeps the checks well inside their tolerance.
 CHECK_DTYPE = np.clongdouble
 
+#: Most dense dim x dim words :func:`khare_check` holds at once, in the charge's dtype:
+#: the running sum, the adjoint, a left product, a right factor and their product.
+MULTILINEAR_DENSE_WORDS = 5
+
 
 def default_eta(p: int) -> np.ndarray:
     """Supercharge coefficients with |eta|^2 = 2 in every sector.
@@ -92,9 +96,7 @@ def _normalized_eta(lam: int, eta) -> np.ndarray:
         return default_eta(p)
     eta = np.asarray(eta, dtype=complex)
     if eta.shape != (p,):
-        raise OrderMismatchError(
-            f"eta must have p = lam - 1 = {p} entries, got {eta.shape}"
-        )
+        raise OrderMismatchError(f"eta must have p = lam - 1 = {p} entries, got {eta.shape}")
     require_finite("eta", eta)
     if np.any(np.abs(eta) == 0):
         raise ValueError("eta entries must be nonzero")
@@ -109,7 +111,8 @@ def _check_mu(mu: int, lam: int) -> None:
 
 def _eta_norms(p: int, eta: np.ndarray) -> np.ndarray:
     """|eta|^2 of the p normalized coefficients, which must satisfy sum |eta|^2 = 2p."""
-    norms = np.abs(eta) ** 2
+    with np.errstate(over="ignore"):  # an infinite total fails the condition below
+        norms = np.abs(eta) ** 2
     total = float(np.add.reduce(norms))  # norms.sum(), without its wrapper
     if abs(total - 2 * p) > CONSTRAINT_TOL:
         raise EtaNormViolationError(f"sum |eta|^2 must equal 2p = {2 * p}, got {total!r}")
@@ -204,20 +207,15 @@ def solve_config(spec: AlgebraSpec, mu: int, eta=None) -> PssqmConfig:
     return PssqmConfig(spec=spec, mu=mu, eta=eta, r=solve_r(spec, mu, eta))
 
 
-def _charge_band(rep: TruncatedFockRep, mu: int, eta) -> np.ndarray:
-    """Q as its +1 band q[n] = <n|Q|n-1> = w[(n-1) mod lam] adag[n], with the
-    sector weight w = eta_{mu+nu} on sector mu + nu and 0 on sector mu."""
+def build_supercharge(rep: TruncatedFockRep, mu: int, eta=None) -> np.ndarray:
+    """Parasupercharge Q = sum_nu eta_{mu+nu} adag P_{mu+nu} as its +1 band q[n] = <n|Q|n-1>
+    = w[(n-1) mod lam] adag[n], with q[0] = 0 and the sector weight w = eta_{mu+nu} on
+    sector mu + nu and 0 on sector mu: zero on sector mu, every other raised by one."""
     lam = rep.spec.lam
     _check_mu(mu, lam)
     weights = np.zeros(lam, dtype=complex)
     weights[(mu + np.arange(1, lam)) % lam] = _normalized_eta(lam, eta)
     return rep.adag * weights[(np.arange(rep.dim) - 1) % lam]
-
-
-def build_supercharge(rep: TruncatedFockRep, mu: int, eta=None) -> np.ndarray:
-    """Dense parasupercharge Q = sum_nu eta_{mu+nu} adag P_{mu+nu}, for :func:`khare_check`:
-    zero on sector mu, every other sector raised by one, its band on the subdiagonal."""
-    return np.diag(_charge_band(rep, mu, eta)[1:], -1)
 
 
 @dataclass(frozen=True)
@@ -238,15 +236,18 @@ class PssqmReport:
     to_dict = report_dict
 
 
-def _multilinear_lhs(powers: list) -> np.ndarray:
-    """sum_k Q^(p-k) Qd Q^k, k = 0..p, from the dense Q^m = ``powers[m]``,
-    m = 1..p: the 2p dense products of :func:`khare_check`, no identity factor."""
-    p = len(powers) - 1
-    adjoint = powers[1].conj().T
-    lhs = powers[p] @ adjoint
+def _multilinear_lhs(bands: list, p: int) -> np.ndarray:
+    """sum_k Q^(p-k) Qd Q^k, k = 0..p: the 2p dense products of :func:`khare_check`,
+    no identity factor.  Each dense Q^m = np.diag(bands[m][m:], -m) is formed just
+    before its product, so at most ``MULTILINEAR_DENSE_WORDS`` are held at once."""
+
+    def power(m):
+        return np.diag(bands[m][m:], -m)
+    adjoint = power(1).conj().T
+    lhs = power(p) @ adjoint
     for k in range(1, p):
-        lhs += powers[p - k] @ adjoint @ powers[k]
-    lhs += adjoint @ powers[p]
+        lhs += power(p - k) @ adjoint @ power(k)
+    lhs += adjoint @ power(p)
     return lhs
 
 
@@ -261,41 +262,35 @@ def khare_check(
     Checks Q^{p+1} = 0, [H, Q] = 0, and the multilinear relation, all
     masked with interior margin p + 1, plus the nonvanishing of Q^n for
     n <= p (reported as the smallest unmasked max-entry, which must stay
-    positive).  ``charge`` is the dense Q of :func:`build_supercharge`, zero
-    off its subdiagonal (else ValueError); ``hamiltonian`` holds the energies
-    of H, as returned by :func:`shifted_hamiltonian`.  Q^n is the +n band
-    of products of n consecutive entries of the +1 band q, so nilpotency,
-    the witness and [H, Q] are O(p dim) band arithmetic; only the
-    multilinear sum multiplies dense words, 2p products.  Each entry is one
-    nonzero product plus exact zeros, so every residual equals the dense
-    one bit for bit.  The breaking classification is read off the spectrum
-    of H: a nondegenerate ground cluster means unbroken.  Needs dim above
-    :func:`cluster_cut` so that at least one complete multiplet survives it;
-    that cut is taken before any dense word is formed.
+    positive).  ``charge`` is the +1 band q of :func:`build_supercharge`, one
+    entry per kept state and q[0] = 0 (else ValueError); ``hamiltonian`` holds
+    the energies of H, as returned by :func:`shifted_hamiltonian`.  Q^n is the
+    +n band of products of n consecutive entries of q, so all but the
+    multilinear sum (2p dense products) are O(p dim) band arithmetic.  Each
+    entry is one nonzero product plus exact zeros, so every residual equals
+    the dense one bit for bit.  A nondegenerate ground cluster of H means
+    unbroken.  Needs dim above :func:`cluster_cut` so that at least one
+    complete multiplet survives it; that cut is taken before any dense word.
     """
     p = rep.spec.lam - 1
     margin = p + 1
-    if charge.shape != (rep.dim, rep.dim):
-        raise ValueError(f"charge must be {rep.dim} x {rep.dim}, got {charge.shape}")
-    subdiagonal = np.diagonal(charge, -1)
-    if np.count_nonzero(charge) != np.count_nonzero(subdiagonal):
-        raise ValueError("charge must be zero off its subdiagonal")
+    if charge.shape != (rep.dim,) or charge[0] != 0:
+        raise ValueError(f"charge must be a band of {rep.dim} entries with charge[0] = 0, "
+                         f"as no state lies below |0>; got shape {charge.shape}")
 
-    # q[n] = <n|Q|n-1>; bands[m][n] = <n|Q^m|n-m> = bands[m-1][n] q[n-m+1],
-    # the dense chain's order of factors; bands[0] = 1 stands for Q^0
-    q = lower_shift(subdiagonal, 1, 0, rep.dim)
-    bands = [1, q]
+    # bands[m][n] = <n|Q^m|n-m> = bands[m-1][n] q[n-m+1], the dense chain's
+    # order of factors; bands[0] = 1 stands for Q^0
+    bands = [1, charge]
     for m in range(2, p + 2):
-        bands.append(bands[-1] * lower_shift(q, m - 1))
+        bands.append(bands[-1] * lower_shift(charge, m - 1))
     nilpotency = interior_max_abs(bands[p + 1], margin)
     # nonvanishing needs no interior mask: every entry of Q^n is a true
     # matrix element (truncation only removes paths, never adds them)
     witness = min(float(np.abs(bands[n]).max()) for n in range(1, p + 1))
-    commutator = interior_max_abs(hamiltonian * q - q * lower_shift(hamiltonian), margin)
+    commutator = interior_max_abs(hamiltonian * charge - charge * lower_shift(hamiltonian), margin)
     ground = surviving_clusters(np.real(hamiltonian), drop_top=cluster_cut(p))[0]
 
-    powers = [None, charge] + [np.diag(bands[m][m:], -m) for m in range(2, p + 1)]
-    lhs = _multilinear_lhs(powers)
+    lhs = _multilinear_lhs(bands, p)
     # 2p Q^(p-1) H as a -(p-1) band: H scales column n - p + 1
     rows = np.arange(p - 1, rep.dim)
     lhs[rows, rows - (p - 1)] -= (2 * p * (bands[p - 1] * lower_shift(hamiltonian, p - 1)))[p - 1:]
@@ -493,7 +488,7 @@ def ssqm_check(rep: TruncatedFockRep, variant: str, tol: float = DEFAULT_SSQM_TO
     margin = 2
     mu = 0 if variant == "unbroken" else 1  # the sector Q annihilates
     low, high = rep.P[mu], rep.P[1 - mu]
-    q = _charge_band(rep, mu, [1.0])
+    q = build_supercharge(rep, mu, [1.0])
     hamiltonian = (rep.adag * rep.a) * low + upper_shift(rep.a * rep.adag) * high
     q_up = upper_shift(q)
     nilpotency = interior_max_abs(q * lower_shift(q), margin)
@@ -544,7 +539,7 @@ def beckers_debergh_check(
             f"double-commutator variant is order 2 only (lam = 3), got lam = {rep.spec.lam}"
         )
     shifts = solve_r(rep.spec, mu, eta) if r is None else _given_r(r)
-    q = _charge_band(rep, mu, eta)
+    q = build_supercharge(rep, mu, eta)
     hamiltonian = shifted_hamiltonian(rep, shifts)
     q_up = upper_shift(q)
     inner = np.conj(q_up) * q_up - q * np.conj(q)  # the diagonal [Qd, Q]

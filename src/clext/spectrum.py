@@ -117,6 +117,10 @@ def surviving_clusters(values, drop_top: int) -> list[Cluster]:
     """:func:`degeneracy_profile` at the default tolerance with the top
     ``drop_top`` positions cut; raises ValueError when no cluster survives."""
     clusters = degeneracy_profile(values, DEFAULT_CLUSTER_TOL, drop_top)
+    if not clusters and len(degeneracy_profile(values)) == 1:  # no level spacing resolved
+        raise ValueError(f"all {len(values)} energies fall in one cluster: float64 cannot resolve "
+                         f"their level spacing at magnitude {float(np.max(np.abs(values))):.3g}, "
+                         "and no dim separates them")
     if not clusters:
         raise ValueError("no clusters survive the truncation cutoff; increase dim")
     return clusters

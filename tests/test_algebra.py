@@ -192,6 +192,12 @@ class TestNonFinite:
         with pytest.raises(NonFiniteError, match="^kappa must be finite"):
             from_kappa(4, kappa)
 
+    def test_overflowing_transform_raises_without_a_warning(self):
+        # finite couplings whose kappa overflows: the spec's own check names
+        # kappa, and no RuntimeWarning (an error under this suite) comes first
+        with pytest.raises(NonFiniteError, match=r"^kappa must be finite, got \[\(inf\+nanj\)\]$"):
+            from_alpha(2, [1e308, -1e308])
+
     def test_direct_construction(self):
         with pytest.raises(NonFiniteError, match="^alpha"):
             AlgebraSpec(lam=2, kappa=[0.0], alpha=[np.nan, 0.0])

@@ -317,6 +317,13 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out)["body"]["kind"] == "non-unitary"
 
+    def test_non_unitary_detail_is_a_plain_float(self, capsys):
+        code, out, _ = run_cli(["classify", "--alpha", "5441.513,9802.353,-15246.866,2670.236,"
+                                "7037.608,-6707.149,7601.522,-10599.217"], capsys)
+        assert code == 0
+        assert json.loads(out)["body"]["detail"] == (
+            "F(3) = -1.8189894035458565e-12 < 0 before any zero: no unitary Fock representation")
+
     @pytest.mark.parametrize("alpha", (
         "5000,-5000,0",
         "139,110,102,174,-97,-85,-80,179,7,2,179,-630",
@@ -525,28 +532,30 @@ class TestClusterCut:
                        f"{smallest} so that the ground multiplet (states 0..{mu}) lies "
                        f"below the cluster cut, got {dim}\n")
 
-    @pytest.mark.parametrize("dim", [None, "979", "1025"])
+    @pytest.mark.parametrize("dim", [None, "979", "1025", "2590", "2602"])
     def test_lambda_past_the_budget_gets_one_message(self, capsys, dim):
-        # at lambda 32 the cut needs dim 1025, and the held-bytes budget allows 979
-        argv = ["pssqm-check", "--p", "31", "--alpha", ",".join(["0"] * 32)]
+        # at lambda 51 the cut needs dim 2602, and the held-bytes budget allows
+        # 2590; every dim gets the one message, also the budget and the cut
+        # that lambda 32 once met (979 and 1025), which now run there
+        argv = ["pssqm-check", "--p", "50", "--alpha", ",".join(["0"] * 51)]
         code, out, err = run_cli(argv + (["--dim", dim] if dim else []), capsys)
         assert (code, out) == (2, "")
-        assert err == ("clext: error: pssqm-check at lambda 32 needs dim at least 1025 to "
-                       "clear the cluster cut, but at most 979 fits within 1024 MiB; the "
-                       "largest lambda pssqm-check runs at is 31\n")
+        assert err == ("clext: error: pssqm-check at lambda 51 needs dim at least 2602 to "
+                       "clear the cluster cut, but at most 2590 fits within 1024 MiB; the "
+                       "largest lambda pssqm-check runs at is 50\n")
 
     def test_lambda_31_keeps_its_dim_bounds(self):
-        # parsed only: a dense check at dim 993 takes minutes
+        # parsed only: a dense check at dim 2590 takes minutes
         argv = ["pssqm-check", "--p", "30", "--alpha", ",".join(["0"] * 31), "--dim"]
-        assert [parse_config(argv + [str(dim)]).dim for dim in (962, 993)] == [962, 993]
+        assert [parse_config(argv + [str(dim)]).dim for dim in (962, 2590)] == [962, 2590]
         with pytest.raises(ValidationError) as raised:
             parse_config(argv + ["961"])
         assert str(raised.value) == "dim must exceed the cluster cut lambda (p + 1) = 961, got 961"
         with pytest.raises(ValidationError) as raised:
-            parse_config(argv + ["994"])
+            parse_config(argv + ["2591"])
         assert str(raised.value) == (
-            "dim must be at most 993 for pssqm-check at lambda 31, which holds up to 1088 "
-            "bytes per matrix entry within 1024 MiB, got 994")
+            "dim must be at most 2590 for pssqm-check at lambda 31, which holds up to 160 "
+            "bytes per matrix entry within 1024 MiB, got 2591")
 
     def test_mu_out_of_range_is_reported_as_such(self, capsys):
         code, _, err = run_cli(
@@ -569,7 +578,7 @@ class TestHeldBytesBudget:
          "dim must be at most 6688 for dump at lambda 2, which holds up to 24 bytes per "
          "matrix entry within 1024 MiB, got 200000"),
         (["pssqm-check", "--lambda", "3", "--alpha", "0,0,0", "--dim", "20000"],
-         "dim must be at most 2364 for pssqm-check at lambda 3, which holds up to 192 bytes "
+         "dim must be at most 2590 for pssqm-check at lambda 3, which holds up to 160 bytes "
          "per matrix entry within 1024 MiB, got 20000"),
         (["spectrum", "--lambda", "2", "--alpha", "0,0", "--dim", "300000000"],
          "out of memory (Unable to allocate "),
@@ -608,7 +617,7 @@ class TestHeldBytesBudget:
         assert parse_config([*argv, "--dim", str(largest)]).dim == largest
         with pytest.raises(ValidationError, match=f"at most {largest} .* got {largest + 1}$"):
             parse_config([*argv, "--dim", str(largest + 1)])
-        per_entry = clext.cli._held_bytes_per_entry(argv[0], parse_config(argv).lam)
+        per_entry = clext.cli._held_bytes_per_entry(argv[0])
         assert largest**2 * per_entry <= clext.cli.MAX_HELD_BYTES < (largest + 1)**2 * per_entry
 
     @pytest.mark.parametrize("argv, key", [
@@ -662,7 +671,7 @@ class TestHeldBytesBudget:
     def test_budget_bounds_the_peak(self, capsys, argv):
         # the per-entry estimate covers what the command allocates, up to a
         # fixed allowance for the parser, the spec and the report
-        per_entry = clext.cli._held_bytes_per_entry(argv[0], parse_config(argv).lam)
+        per_entry = clext.cli._held_bytes_per_entry(argv[0])
         tracemalloc.start()
         try:
             code = main(argv)
@@ -737,6 +746,16 @@ class TestSsqmCommand:
     def test_needs_lambda_two(self, capsys):
         code, _, err = run_cli(["ssqm", "--lambda", "3", "--alpha", "0,0,0"], capsys)
         assert code == 2
+
+    def test_unresolved_levels_are_not_a_dim_problem(self, capsys):
+        # the broken variant's energies all sit at 1e300, where float64 cannot
+        # resolve unit spacing: they form one cluster, which no dim would split
+        code, out, err = run_cli(["ssqm", "--alpha", "1e300,-1e300"], capsys)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err == ("clext: error: all 24 energies fall in one cluster: float64 cannot "
+                       "resolve their level spacing at magnitude 1e+300, and no dim separates "
+                       "them\n")
+        assert "increase dim" not in err
 
 
 class TestBdScanCommand:

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from clext import (
 )
 from clext.cli import main
 from clext.algebra import admits_bfb
-from clext.pssqm import CHECK_DTYPE
+from clext.pssqm import CHECK_DTYPE, MULTILINEAR_DENSE_WORDS
 from conftest import digest
 
 WORKED = from_alpha(3, [1.0, -0.5, -0.5])
@@ -111,6 +112,11 @@ def scaled_entries(rep, name, entries, factor=1 + 1e-6):
     band = getattr(rep, name).copy()
     band[list(entries)] *= factor
     return dataclasses.replace(rep, **{name: band})
+
+
+def dense_charge(band):
+    """The dense Q of a +1 band: entry n of the band on row n, column n - 1."""
+    return np.diag(band[1:], -1)
 
 
 def hexes(*values):
@@ -196,6 +202,13 @@ class TestSolveR:
         with pytest.raises(EtaNormViolationError):
             solve_r(WORKED, 0, [1.0, 1.0])
 
+    def test_overflowing_eta_norm_raises_without_a_warning(self):
+        # |1e200|^2 overflows to inf, which fails the norm condition with no
+        # RuntimeWarning (an error under this suite) ahead of it
+        with pytest.raises(EtaNormViolationError) as raised:
+            solve_r(WORKED, 0, [1e200, 1])
+        assert str(raised.value) == "sum |eta|^2 must equal 2p = 4, got inf"
+
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatchError):
             solve_r(WORKED, 0, [np.sqrt(2)] * 3)
@@ -256,9 +269,14 @@ class TestMuRange:
 
 
 class TestSupercharge:
+    def test_is_a_band_with_nothing_below_the_vacuum(self):
+        rep = build_fock_rep(WORKED, 9)
+        band = build_supercharge(rep, 1)
+        assert band.shape == (9,) and band[0] == 0
+
     def test_annihilates_distinguished_sector(self):
         rep = build_fock_rep(WORKED, 9)
-        charge = build_supercharge(rep, 0)
+        charge = dense_charge(build_supercharge(rep, 0))
         for n in (0, 3, 6):
             vec = np.zeros(9, dtype=complex)
             vec[n] = 1.0
@@ -266,7 +284,7 @@ class TestSupercharge:
 
     def test_raises_other_sectors(self):
         rep = build_fock_rep(WORKED, 9)
-        charge = build_supercharge(rep, 0)
+        charge = dense_charge(build_supercharge(rep, 0))
         vec = np.zeros(9, dtype=complex)
         vec[1] = 1.0
         out = charge @ vec
@@ -275,12 +293,12 @@ class TestSupercharge:
     def test_order_one_broken_charge(self):
         spec = from_alpha(2, [0.3, -0.3])
         rep = build_fock_rep(spec, 8)
-        charge = build_supercharge(rep, 1, [np.sqrt(2)])
+        charge = dense_charge(build_supercharge(rep, 1, [np.sqrt(2)]))
         adag = ladder_matrices(rep)[1]
         np.testing.assert_allclose(charge, np.sqrt(2) * (adag @ np.diag(rep.P[0])), atol=1e-15)
 
     def test_matches_projector_products(self):
-        # the expanded band is bit-identical to sum_nu eta adag @ P
+        # the band, placed on the subdiagonal, is bit-identical to sum_nu eta adag @ P
         rng = np.random.default_rng(21)
         for p in (1, 2, 3, 7):
             lam = p + 1
@@ -293,11 +311,11 @@ class TestSupercharge:
                 for nu in range(1, lam):
                     proj = np.diag(rep.P[(mu + nu) % lam])
                     expected = expected + eta[nu - 1] * (adag @ proj)
-                assert np.array_equal(build_supercharge(rep, mu, eta), expected)
+                assert np.array_equal(dense_charge(build_supercharge(rep, mu, eta)), expected)
 
     def test_nilpotency_is_exact(self):
         rep = build_fock_rep(WORKED, 9)
-        charge = build_supercharge(rep, 0)
+        charge = dense_charge(build_supercharge(rep, 0))
         cubed = charge @ charge @ charge
         assert np.max(np.abs(cubed)) == 0.0
 
@@ -342,7 +360,7 @@ class TestKhareCheck:
         assert run.report.passed
         # Q^2 = 0 and QQd + QdQ = 2H at order one
         rep = build_fock_rep(spec, 20, dtype=CHECK_DTYPE)
-        charge = build_supercharge(rep, 0, [np.sqrt(2)])
+        charge = dense_charge(build_supercharge(rep, 0, [np.sqrt(2)]))
         hamiltonian = np.diag(shifted_hamiltonian(rep, run.used_r))
         adjoint = charge.conj().T
         diff = charge @ adjoint + adjoint @ charge - 2 * hamiltonian
@@ -386,9 +404,10 @@ class TestKhareCheck:
             lam = p + 1
             spec = from_alpha(lam, sample_bfb_alpha(lam, rng))
             rep = build_fock_rep(spec, 10 * lam, dtype=CHECK_DTYPE)
-            charge = build_supercharge(rep, 1)
+            band = build_supercharge(rep, 1)
             energies = shifted_hamiltonian(rep, solve_r(spec, 1))
-            report = khare_check(rep, charge, energies)
+            report = khare_check(rep, band, energies)
+            charge = dense_charge(band)
             hamiltonian = np.diag(energies)
             commutator = hamiltonian @ charge - charge @ hamiltonian
             assert report.residual_commutator == interior_max_abs(commutator, p + 1)
@@ -405,7 +424,7 @@ class TestKhareCheck:
             lam = p + 1
             spec = from_alpha(lam, np.zeros(lam))
             rep = build_fock_rep(spec, 2 * lam, dtype=CHECK_DTYPE)
-            charge = build_supercharge(rep, 0)
+            charge = dense_charge(build_supercharge(rep, 0))
             powers = np.eye(2 * lam, dtype=charge.dtype)
             for n in range(1, p + 1):
                 powers = powers @ charge
@@ -417,19 +436,20 @@ class TestKhareCheck:
         return rep, build_supercharge(rep, mu), shifted_hamiltonian(rep, solve_r(spec, mu))
 
     @pytest.mark.parametrize("p", (1, 2, 3, 4))
-    def test_multiplies_2p_dense_words(self, p):
+    def test_multiplies_2p_dense_words(self, p, monkeypatch):
         # Q^n, nilpotency and [H, Q] come from the +1 band; only the
         # multilinear sum multiplies dense words, with no identity factor
         rep, charge, energies = self.khare_inputs(p + 1, 10 * (p + 1), mu=1)
-        counting, products = counting_matrix(charge)
-        assert khare_check(rep, counting, energies) == khare_check(rep, charge, energies)
+        expected = khare_check(rep, charge, energies)
+        products = counting_dense_factors(monkeypatch)
+        assert khare_check(rep, charge, energies) == expected
         assert len(products) == 2 * p
 
-    def test_cluster_cut_fails_before_any_dense_word(self):
+    def test_cluster_cut_fails_before_any_dense_word(self, monkeypatch):
         rep, charge, energies = self.khare_inputs(11, 110)
-        counting, products = counting_matrix(charge)
+        products = counting_dense_factors(monkeypatch)
         with pytest.raises(ValueError, match="drop_top 121 does not fit in 110 values"):
-            khare_check(rep, counting, energies)
+            khare_check(rep, charge, energies)
         assert products == []
 
     def test_margin_error_comes_before_the_cluster_cut(self):
@@ -437,18 +457,38 @@ class TestKhareCheck:
         with pytest.raises(MarginTooLargeError):
             khare_check(rep, charge, energies)
 
-    @pytest.mark.parametrize("entry", ((7, 7), (7, 5), (6, 7)))
-    def test_charge_off_the_subdiagonal_rejected(self, entry):
+    @pytest.mark.parametrize("make, shape", [
+        (dense_charge, "(30, 30)"),
+        (lambda band: band[1:], "(29,)"),
+        (lambda band: np.concatenate(([1e-300], band[1:])), "(30,)"),
+    ], ids=["dense", "short", "below_the_vacuum"])
+    def test_charge_that_is_not_a_band_rejected(self, make, shape):
+        # a band holds one entry per state, and none joins |0> to a state below it
         rep, charge, energies = self.khare_inputs(3, 30)
-        charge = charge.copy()
-        charge[entry] = 1e-300
-        with pytest.raises(ValueError, match="zero off its subdiagonal"):
-            khare_check(rep, charge, energies)
+        with pytest.raises(ValueError) as raised:
+            khare_check(rep, make(charge), energies)
+        assert str(raised.value) == ("charge must be a band of 30 entries with charge[0] = 0, "
+                                     f"as no state lies below |0>; got shape {shape}")
+
+    @pytest.mark.parametrize("lam", (3, 5, 8))
+    def test_multilinear_sum_holds_the_exported_dense_words(self, lam):
+        # whole dim x dim words at the peak; the bands add under one word at dim 200
+        spec = golden_spec(lam)
+        solve_and_check(spec, 0, dim=10 * lam)  # first use loads what the check imports
+        tracemalloc.start()
+        try:
+            solve_and_check(spec, 0, dim=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        word = 200 * 200 * np.dtype(CHECK_DTYPE).itemsize
+        assert peak // word <= MULTILINEAR_DENSE_WORDS, peak / word
 
 
-def counting_matrix(matrix):
-    """``matrix`` as an array that records, in the returned list, each matrix
-    product taken with it or with any array computed from it."""
+def counting_dense_factors(monkeypatch):
+    """Patch np.diag, with which khare_check forms each dense factor, to return an
+    array that records, in the returned list, each matrix product taken with it
+    or with any array computed from it."""
     products = []
 
     class Counting(np.ndarray):
@@ -461,7 +501,9 @@ def counting_matrix(matrix):
             result = getattr(ufunc, method)(*inputs, **kwargs)
             return result.view(Counting) if isinstance(result, np.ndarray) else result
 
-    return matrix.view(Counting), products
+    diag = np.diag
+    monkeypatch.setattr(np, "diag", lambda v, k=0: diag(v, k).view(Counting))
+    return products
 
 
 class TestBreaking:

@@ -37,7 +37,7 @@ def scalar_classify(alpha):
         if abs(value) <= CONSTRAINT_TOL:
             return ("finite-dimensional", m)
         if value < 0:
-            return (f"F({m}) = {witnesses[m - 1]!r} < 0 before any zero: "
+            return (f"F({m}) = {value!r} < 0 before any zero: "
                     "no unitary Fock representation")
     return ("bounded-from-below", None)
 

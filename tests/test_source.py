@@ -43,8 +43,24 @@ def _is_matrix_product(node) -> bool:
     return _call_name(node) in MATRIX_PRODUCTS
 
 
-def _matrix_products(path, allowed=()):
-    """file:line of each matrix product outside the functions named in ``allowed``."""
+#: Calls that build a dense matrix whatever their arguments.
+DENSE_CONSTRUCTORS = {"diag", "diagflat", "eye", "identity", "outer"}
+#: Calls that build a dense matrix when given a shape of two or more axes.
+ALLOCATORS = {"zeros", "ones", "empty", "full"}
+
+
+def _is_dense_constructor(node) -> bool:
+    """np.diag(v, k), np.eye(n) and kin, or an allocation such as np.zeros((dim, dim))."""
+    name = _call_name(node)
+    if name in DENSE_CONSTRUCTORS:
+        return True
+    shape = node.args[0] if name in ALLOCATORS and node.args else None
+    return isinstance(shape, ast.Tuple) and len(shape.elts) >= 2
+
+
+def _matrix_products(path, allowed=(), is_site=_is_matrix_product):
+    """file:line of each matrix product (or other ``is_site`` node) outside the
+    functions named in ``allowed``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     exempt = {
         id(node)
@@ -55,7 +71,7 @@ def _matrix_products(path, allowed=()):
     return [
         f"{path.name}:{node.lineno}"
         for node in ast.walk(tree)
-        if _is_matrix_product(node) and id(node) not in exempt
+        if is_site(node) and id(node) not in exempt
     ]
 
 
@@ -84,11 +100,14 @@ def test_verify_neither_classifies_nor_rolls():
 def test_pssqm_multiplies_dense_words_only_in_the_multilinear_sum():
     # the supercharge is a +1 band, so its powers, nilpotency, [H, Q], ssqm and
     # the double commutator are band arithmetic; the multilinear sum of
-    # khare_check, in its own function, is the one dense path left
+    # khare_check, in its own function, is the one dense path left, and it
+    # alone forms a dense matrix, each factor from its band
     (path,) = [path for path in SOURCES if path.name == "pssqm.py"]
     assert _matrix_products(path, allowed={"_multilinear_lhs"}) == []
     # Q^p Qd, Q^(p-k) Qd Q^k and Qd Q^p: four sites, 2p products at run time
     assert len(_matrix_products(path)) == 4
+    assert _matrix_products(path, {"_multilinear_lhs"}, _is_dense_constructor) == []
+    assert len(_matrix_products(path, is_site=_is_dense_constructor)) == 1
     assert "ladder_matrices" not in path.read_text(encoding="utf-8")
 
 
@@ -110,6 +129,16 @@ def test_matrix_product_scan_sees_every_form():
     for snippet in snippets:
         assert any(map(_is_matrix_product, ast.walk(ast.parse(snippet)))), snippet
     assert not any(map(_is_matrix_product, ast.walk(ast.parse("np.multiply(a, b) * c"))))
+
+
+def test_dense_constructor_scan_sees_every_form():
+    snippets = ("np.diag(v, -1)", "np.diagflat(v)", "np.eye(dim)", "np.identity(dim)",
+                "np.outer(u, v)", "np.zeros((dim, dim))", "np.empty((n, n), dtype)",
+                "np.ones((dim, dim), complex)", "np.full((dim, dim), 0.0)")
+    for snippet in snippets:
+        assert any(map(_is_dense_constructor, ast.walk(ast.parse(snippet)))), snippet
+    for snippet in ("np.zeros(lam, dtype=complex)", "np.empty(p)", "np.diagonal(m, -1)"):
+        assert not any(map(_is_dense_constructor, ast.walk(ast.parse(snippet)))), snippet
 
 
 @pytest.mark.parametrize("lam", (3, 64))
