@@ -8,16 +8,19 @@ and adag[n] = <n|adag|n-1> = conj(a[n]).  N, T and P_mu are functions of N,
 so they are stored as their diagonals: num[n] = n and T[n] = exp(2i pi n / lam).
 The lam projector diagonals form one (lam, dim) array ``P`` whose row mu is
 P_mu, the 0/1 indicator of n = mu (mod lam); ``P[mu]``, iteration over the
-sectors and ``sum(P)`` work as on a sequence of diagonals.  Band entry n joins
-states n - 1 and n, so a product with a diagonal ``d`` is elementwise:
-``band * d`` takes d at the upper state and ``band * lower_shift(d)`` at the
-lower one (a D and D adag are ``band * d``; D a and adag D are
-``band * lower_shift(d)``).  Neighbours are read along the last (state) axis
-by two shifts: :func:`lower_shift`, x[n-k] and 0 for n < k (no state lies
-below |0>), of all states or of a block, and :func:`upper_shift`, x[n+1] and
-0 past the top.  :func:`interior_max_abs` reduces to the truncation interior,
-and :func:`ladder_matrices` expands the ladder bands to dense matrices, the
-tests' oracle; the CLI writes even ``dump`` from the bands.
+sectors and ``sum(P)`` work as on a sequence of diagonals.  The rows are
+shifted copies of one period, so ``P`` is lam windows onto one read-only
+0/1 array of dim + lam - 1 entries, and a rep is O(dim) memory at any lam.
+Band entry n joins states n - 1 and n, so a product with a diagonal ``d`` is
+elementwise: ``band * d`` takes d at the upper state and
+``band * lower_shift(d)`` at the lower one (a D and D adag are ``band * d``;
+D a and adag D are ``band * lower_shift(d)``).  Neighbours are read along
+the last (state) axis by two shifts: :func:`lower_shift`, x[n-k] and 0 for
+n < k (no state lies below |0>), of all states or of a block, and
+:func:`upper_shift`, x[n+1] and 0 past the top.  :func:`interior_max_abs`
+reduces to the truncation interior, and :func:`ladder_matrices` expands the
+ladder bands to dense matrices, the tests' oracle; the CLI writes even
+``dump`` from the bands.
 
 Truncation artifact: a adag is diagonal with entries F(n+1) except at the
 top state, where the missing |dim> contribution leaves a zero.  adag a is
@@ -28,7 +31,7 @@ spec (F(d) = 0, so |d> is never reached): :func:`build_fock_rep` records
 that as ``exact`` from the classification it already makes, and the
 verifiers read it instead of classifying the spec again.
 
-Building a rep is O(lam * dim) elementwise work plus a fixed per-call cost,
+Building a rep is O(dim) elementwise work plus a fixed per-call cost,
 which dominates at the default dims.  So nothing already at hand is derived
 again: the float64 structure values read the spec's own ``beta``, and the
 phase row of T is a read-only table kept per lam (up to the same order as
@@ -57,7 +60,7 @@ from .errors import DimensionTooLargeError, MarginTooLargeError, NonUnitaryTrunc
 @dataclass(frozen=True, eq=False)
 class TruncatedFockRep:
     """Read-only bands of a and adag, read-only diagonals of N and T, the
-    read-only (lam, dim) array P whose row mu is the diagonal of P_mu, and
+    read-only (lam, dim) view P whose row mu is the diagonal of P_mu, and
     whether the rep is an exact finite one (``dim`` equals its dimension)."""
 
     spec: AlgebraSpec
@@ -102,15 +105,18 @@ def build_fock_rep(spec: AlgebraSpec, dim: int, dtype=np.complex128) -> Truncate
         bad = int(negative.argmax()) + 1
         raise NonUnitaryTruncationError(f"F({bad}) < 0 inside the truncation window")
 
+    lam = spec.lam
     n = np.arange(dim)
-    sector = n % spec.lam
     a = np.zeros(dim, dtype=dtype)
     a[1:] = np.sqrt(values[1:])
     adag = a.copy()  # conj(a): the square roots are real
     num = n.astype(rdtype)
-    t_gen = phase_table(_t_phases, spec.lam)[sector]
-    projectors = (sector == np.arange(spec.lam)[:, None]).astype(rdtype)
-    for arr in (a, adag, num, t_gen, projectors):
+    t_gen = phase_table(_t_phases, lam)[n % lam]
+    # period[i] = 1 where i = lam - 1 (mod lam); row mu starts lam - 1 - mu in
+    period = (np.arange(dim + lam - 1) % lam == lam - 1).astype(rdtype)
+    step = period.itemsize
+    projectors = np.ndarray((lam, dim), rdtype, period, (lam - 1) * step, (-step, step))
+    for arr in (a, adag, num, t_gen, period, projectors):
         arr.setflags(write=False)
     return TruncatedFockRep(
         spec=spec, dim=dim, a=a, adag=adag, num=num, T=t_gen, P=projectors,

@@ -471,6 +471,7 @@ class SsqmReport:
     to_dict = report_dict
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge couplings overflow, then fail the cluster cut
 def ssqm_check(rep: TruncatedFockRep, variant: str, tol: float = DEFAULT_SSQM_TOL) -> SsqmReport:
     """Check one of the two lam = 2 supersymmetry realizations.
 

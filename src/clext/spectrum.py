@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import energy_values, structure_values
+from .algebra import energy_values
 from .errors import LengthMismatchError
 from .fock import TruncatedFockRep
 
@@ -17,23 +17,12 @@ DEFAULT_CLUSTER_TOL = 1e-8
 def hamiltonian_h0(rep: TruncatedFockRep) -> np.ndarray:
     """Energies E_n of the oscillator Hamiltonian (1/2){adag, a}, one per kept state.
 
-    The closed form, not the truncated product, which corrupts the top
-    state.  It is checked against (F(n) + F(n+1))/2 to within
-    1e-13 max(1, |E_n|), else ValueError; at sector lam - 1 it exceeds that
-    average by exactly sum(alpha)/2, which the spec admits up to
-    ``CONSTRAINT_TOL * max(1, max |alpha_mu|)`` (1e-12 for |alpha_mu| <= 1).
+    The closed form n + 1/2 + gamma_(n mod lam) in the rep's real dtype, the
+    one derivation of the energies (the truncated product corrupts the top
+    state).  It equals (F(n) + F(n+1))/2 up to the rounding of the one sector
+    table, plus sum(alpha)/2 at sector lam - 1, which the spec admits near 0.
     """
-    spec = rep.spec
-    rdtype = rep.a.real.dtype
-    energies = energy_values(spec, rep.dim, dtype=rdtype)
-    f_values = structure_values(spec, rep.dim + 1, dtype=rdtype)
-    wrap = np.where(np.arange(rep.dim) % spec.lam == spec.lam - 1, spec.alpha.sum() / 2, 0)
-    gap = np.abs(energies - (f_values[:-1] + f_values[1:]) / 2 - wrap)
-    bad = np.flatnonzero(gap > 1e-13 * np.maximum(1, np.abs(energies)))
-    if bad.size:
-        n = bad[0]
-        raise ValueError(f"E_{n} differs from (F({n}) + F({n + 1}))/2 by {float(gap[n]):.3e}")
-    return energies
+    return energy_values(rep.spec, rep.dim, dtype=rep.a.real.dtype)
 
 
 def shifted_hamiltonian(rep: TruncatedFockRep, shifts) -> np.ndarray:
@@ -46,10 +35,8 @@ def shifted_hamiltonian(rep: TruncatedFockRep, shifts) -> np.ndarray:
     shifts = np.asarray(shifts, dtype=float)
     if shifts.shape != (lam,):
         raise LengthMismatchError(f"expected {lam} sector shifts, got {shifts.shape}")
-    rdtype = rep.a.real.dtype
-    energies = energy_values(rep.spec, rep.dim, dtype=rdtype)
-    n = np.arange(rep.dim)
-    return energies + shifts.astype(rdtype)[n % lam] / 2
+    energies = hamiltonian_h0(rep)
+    return energies + shifts.astype(energies.dtype)[np.arange(rep.dim) % lam] / 2
 
 
 def report_dict(report) -> dict:
@@ -117,13 +104,15 @@ def surviving_clusters(values, drop_top: int) -> list[Cluster]:
     """:func:`degeneracy_profile` at the default tolerance with the top
     ``drop_top`` positions cut; raises ValueError when no cluster survives."""
     clusters = degeneracy_profile(values, DEFAULT_CLUSTER_TOL, drop_top)
-    if not clusters and len(degeneracy_profile(values)) == 1:  # no level spacing resolved
-        raise ValueError(f"all {len(values)} energies fall in one cluster: float64 cannot resolve "
-                         f"their level spacing at magnitude {float(np.max(np.abs(values))):.3g}, "
-                         "and no dim separates them")
-    if not clusters:
+    if clusters:
+        return clusters
+    magnitude = float(np.max(np.abs(values)))
+    if np.spacing(magnitude) <= 1:  # float64 resolves the unit level spacing, so dim is short
         raise ValueError("no clusters survive the truncation cutoff; increase dim")
-    return clusters
+    count = len(degeneracy_profile(values))
+    where = "one cluster" if count == 1 else f"{count} clusters"
+    raise ValueError(f"all {len(values)} energies fall in {where}: float64 cannot resolve their "
+                     f"level spacing at magnitude {magnitude:.3g}, and no dim separates them")
 
 
 @dataclass(frozen=True)

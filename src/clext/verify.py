@@ -13,10 +13,12 @@ The states are taken in blocks of at most ``_block_width(lam, dim)``, so
 that a (lam, width) complex array fits in ``_BLOCK_BYTES``.  Each relation
 writes its |difference| into one row of a (relations, width) table, and the
 residuals are running maxima of the rows, so memory is that table and a few
-(lam, width) temporaries whatever the dim.  A block reads one state past
-each edge through the shifts of :mod:`clext.fock`: the lower neighbour n - 1
-of a product with a diagonal, 0 at n = 0 (where a[0] = adag[0] = 0), and the
-upper neighbour n + 1 of [a, adag], whose a[n+1] adag[n+1] is zero past the top.
+(lam, width) temporaries whatever the dim.  A block copies its slice of the
+rep's strided ``P`` to a contiguous array, where the arithmetic runs faster.
+A block reads one state past each edge through the shifts of
+:mod:`clext.fock`: the lower neighbour n - 1 of a product with a diagonal, 0
+at n = 0 (where a[0] = adag[0] = 0), and the upper neighbour n + 1 of
+[a, adag], whose a[n+1] adag[n+1] is zero past the top.
 
 The interior margin equals the relation's word length (the largest number
 of ladder factors in any term), because each ladder factor can propagate
@@ -207,7 +209,7 @@ def _defining_checks(rep: TruncatedFockRep, lo: int, hi: int):
     spec = rep.spec
     lam = spec.lam
     a, adag = rep.a[lo:hi], rep.adag[lo:hi]
-    num, t_gen, proj = rep.num[lo:hi], rep.T[lo:hi], rep.P[:, lo:hi]
+    num, t_gen, proj = rep.num[lo:hi], rep.T[lo:hi], np.ascontiguousarray(rep.P[:, lo:hi])
     num_lo, t_lo, proj_lo = (lower_shift(values, 1, lo, hi) for values in (rep.num, rep.T, rep.P))
     q = np.exp(2j * np.pi / lam)
     t_powers = _t_powers(t_gen, lam + 1)  # row m: T^m
@@ -262,7 +264,7 @@ def _projector_algebra_checks(rep: TruncatedFockRep, lo: int, hi: int):
     max_(m != k) |v_m v_k|).  P is real, so |v_m v_k| rounds to |v_m| |v_k|,
     and rounding is monotone: the second term is the product of the two
     largest |v_m|, exactly.  Completeness sum(P) = 1 follows."""
-    proj = rep.P[:, lo:hi]
+    proj = np.ascontiguousarray(rep.P[:, lo:hi])
     t_powers = _t_powers(rep.T[lo:hi], rep.spec.lam)
     mag = np.abs(proj)
     mag.partition(-2, axis=0)  # rows -2 and -1: the two largest

@@ -16,6 +16,7 @@ from clext import (
     structure_function,
 )
 from clext.fock import lower_shift, upper_shift
+from clext.pssqm import CHECK_DTYPE
 
 WORKED = from_alpha(3, [1.0, -0.5, -0.5])
 
@@ -81,6 +82,24 @@ class TestBuild:
         for mu in range(3):
             np.testing.assert_array_equal(rep.P[mu], (np.arange(10) % 3 == mu).astype(float))
         np.testing.assert_array_equal(sum(rep.P), np.ones(10))
+
+    @pytest.mark.parametrize("dtype", (np.complex128, CHECK_DTYPE))
+    @pytest.mark.parametrize("lam", (2, 3, 64))
+    def test_projectors_are_the_sector_indicators(self, lam, dtype):
+        dim = 5 * lam + 2
+        rep = build_fock_rep(from_alpha(lam, [0.0] * lam), dim, dtype=dtype)
+        n = np.arange(dim)
+        expected = (n % lam == np.arange(lam)[:, None]).astype(np.finfo(dtype).dtype)
+        # exact equality: tobytes would read long double's padding bytes
+        np.testing.assert_array_equal(rep.P, expected, strict=True)
+        assert not rep.P.flags.writeable
+
+    @pytest.mark.parametrize("lam", (2, 3, 64))
+    def test_projectors_share_one_period(self, lam):
+        # the rows are windows onto one buffer, not lam rows of dim entries
+        rep = build_fock_rep(from_alpha(lam, [0.0] * lam), 1000)
+        assert rep.P.base.shape == (1000 + lam - 1,)
+        assert not rep.P.base.flags.writeable
 
     def test_finite_dim_truncation_guard(self):
         spec = from_alpha(2, [-1.0, 1.0])  # one-dimensional representation

@@ -662,6 +662,13 @@ class TestSsqm:
         # the scaled rep; [H, Q] vanishes for any a in the product form of H
         assert report.residual_anticommutator > 1e-6 and report.residual_commutator == 0.0
 
+    def test_huge_couplings_raise_without_a_numpy_warning(self):
+        # the band products overflow; under filterwarnings = error a numpy
+        # RuntimeWarning would surface here instead of the cluster cut's error
+        rep = build_fock_rep(from_alpha(2, [1e300, -1e300]), 24)
+        with pytest.raises(ValueError, match="float64 cannot resolve their level spacing"):
+            ssqm_check(rep, "broken")
+
     def test_wrong_lambda(self):
         rep = build_fock_rep(WORKED, 9)
         with pytest.raises(WrongLambdaError):

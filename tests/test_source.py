@@ -253,6 +253,33 @@ def test_one_rule_per_pssqm_condition():
     assert chains == ["(mu + np.arange(1, lam)) % lam"]
 
 
+def test_energies_have_one_derivation():
+    # E_n is the closed form of the sector table; hamiltonian_h0 does not
+    # derive it a second time through F(n) to compare the two
+    tree = _source("spectrum.py")
+    assert [node.lineno for node in ast.walk(tree)
+            if _call_name(node) == "structure_values"] == []
+    assert "structure_values" not in _imported(tree).get(".algebra", set())
+
+
+def _sector_broadcasts(tree) -> list[str]:
+    """Each comparison with an operand broadcast along a new axis, such as
+    ``n % lam == np.arange(lam)[:, None]``, which builds a (lam, dim) array."""
+    return [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            for operand in (node.left, *node.comparators) for sub in ast.walk(operand)
+            if isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.Tuple)
+            and any(isinstance(item, ast.Constant) and item.value is None
+                    for item in sub.slice.elts)]
+
+
+def test_fock_stores_one_projector_period():
+    # the rows of P are windows onto one period of dim + lam - 1 entries,
+    # never lam rows compared out of the sector index
+    assert _sector_broadcasts(_source("fock.py")) == []
+    sample = "p = (sector == np.arange(lam)[:, None])\nq = n % lam == lam - 1"
+    assert _sector_broadcasts(ast.parse(sample)) == ["sector == np.arange(lam)[:, None]"]
+
+
 def test_block_width_is_not_a_parameter():
     # the width derives from lam and the byte budget, so callers cannot
     # trade memory for speed by accident

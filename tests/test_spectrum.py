@@ -9,15 +9,19 @@ from clext import (
     build_fock_rep,
     degeneracy_profile,
     energy_level,
+    energy_values,
     from_alpha,
     grading_sector,
     hamiltonian_h0,
     sample_bfb_alpha,
     shifted_hamiltonian,
+    solve_and_check,
     spectrum_report,
+    ssqm_check,
     structure_function,
 )
 from clext.cli import main
+from clext.pssqm import CHECK_DTYPE
 from conftest import digest
 
 WORKED = from_alpha(3, [1.0, -0.5, -0.5])
@@ -50,20 +54,13 @@ class TestHamiltonian:
             ]
             np.testing.assert_allclose(diag, expected, atol=1e-13)
 
-    @pytest.mark.parametrize("sector", (0, 1))
-    def test_perturbed_energy_still_raises(self, monkeypatch, sector):
-        # only the sum(alpha)/2 residue at sector lam - 1 is forgiven
-        closed_form = spectrum_module.energy_values
-
-        def perturbed(spec, count, dtype=float):
-            energies = closed_form(spec, count, dtype)
-            energies[sector::spec.lam] += 1e-9  # gamma_sector moved by 1e-9
-            return energies
-
-        monkeypatch.setattr(spectrum_module, "energy_values", perturbed)
-        rep = build_fock_rep(from_alpha(2, [0.5, -0.4999999999995]), 8)
-        with pytest.raises(ValueError, match=f"E_{sector} differs"):
-            hamiltonian_h0(rep)
+    def test_closed_form_in_the_rep_dtype(self):
+        # the energies are derived once, from the spec's sector table
+        for dtype in (np.complex128, CHECK_DTYPE):
+            rep = build_fock_rep(WORKED, 30, dtype=dtype)
+            rdtype = np.finfo(dtype).dtype
+            np.testing.assert_array_equal(hamiltonian_h0(rep), energy_values(WORKED, 30, rdtype),
+                                          strict=True)
 
     def test_sector_restriction_is_arithmetic(self):
         rng = np.random.default_rng(43)
@@ -151,6 +148,26 @@ class TestDegeneracyProfile:
     def test_empty_input(self):
         assert degeneracy_profile([]) == []
         assert degeneracy_profile(np.array([]), drop_top=3) == []
+
+
+class TestSurvivingClusters:
+    def test_unresolved_levels_are_not_a_dim_problem(self):
+        # float64 steps past the unit level spacing at 2.5e299: the shifted
+        # energies fall in two clusters that both reach the top, at any dim
+        for dim in (30, 300):
+            with pytest.raises(ValueError, match="all .* energies fall in 2 clusters: float64 "
+                                                 "cannot resolve") as info:
+                solve_and_check(from_alpha(3, [1e300, -5e299, -5e299]), 0, dim=dim)
+            assert "increase dim" not in str(info.value)
+
+    def test_small_dim_asks_for_a_larger_one(self):
+        # the broken doublets at 1, 2 and 3 all reach the cut of the top 4
+        # states at dim 5; dim 6 keeps the ground doublet
+        rep = build_fock_rep(from_alpha(2, [0.0, 0.0]), 5)
+        with pytest.raises(ValueError, match="^no clusters survive the truncation cutoff; "
+                                             "increase dim$"):
+            ssqm_check(rep, "broken")
+        assert ssqm_check(build_fock_rep(rep.spec, 6), "broken").ground_multiplicity == 2
 
 
 def loop_profile(values, cluster_tol, drop_top):

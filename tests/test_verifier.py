@@ -228,10 +228,8 @@ class TestReportShape:
         assert body["defining_relations"]["dim"] == 768
         assert body["all_pass"] is True
 
-    def test_lambda_64_verifies_at_dim_200000(self):
-        # the reports hold one block of states at a time, so only the rep,
-        # about 0.6 KB per state at lam 64, grows with dim
-        dim = 200_000
+    @staticmethod
+    def verify_lambda_64_in_guarded_child(dim):
         proc = cli_in_guarded_child(
             ["verify", "--lambda", "64", "--alpha", ",".join(["0"] * 64), "--dim", str(dim)], 512)
         assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
@@ -245,6 +243,16 @@ class TestReportShape:
         # ulps; only those two may fail, by roundoff
         assert set(failed) <= {"commutator_T", "commutator_P"}, failed
         assert all(residual < 1e-13 * dim for residual in failed.values()), failed
+
+    def test_lambda_64_verifies_at_dim_200000(self):
+        # the reports hold one block of states at a time, so only the rep,
+        # about 64 bytes per state at any lam, grows with dim
+        self.verify_lambda_64_in_guarded_child(200_000)
+
+    def test_lambda_64_verifies_at_dim_1000000(self):
+        # P is lam windows onto one period of dim + lam - 1 entries: lam rows
+        # of their own would take 488 MiB here and fail the guard
+        self.verify_lambda_64_in_guarded_child(1_000_000)
 
 
 class TestReportEntries:
