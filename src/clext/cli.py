@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from typing import Callable
@@ -433,10 +434,17 @@ def _clean(obj):
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` atomically, with the mode ``open(path, "w")`` leaves."""
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        os.umask(umask := os.umask(0))  # the umask is read only by setting it
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".clext-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -23,9 +23,10 @@ ladder bands to dense matrices, the tests' oracle; the CLI writes even
 ``dump`` from the bands.
 
 Truncation artifact: a adag is diagonal with entries F(n+1) except at the
-top state, where the missing |dim> contribution leaves a zero.  adag a is
-exact on every kept state.  Verifiers mask the artifact with an interior
-margin instead of padding.  The artifact is absent only on an exact
+top state, where the missing |dim> contribution leaves a zero.  adag a, a
+band times diagonals and the diagonals stay on the kept states, so they are
+exact: verifiers mask that one state of a adag (margin 1), instead of
+padding, and no other.  The artifact is absent only on an exact
 finite rep, whose ``dim`` equals the dimension d of a finite-dimensional
 spec (F(d) = 0, so |d> is never reached): :func:`build_fock_rep` records
 that as ``exact`` from the classification it already makes, and the

@@ -480,7 +480,9 @@ def ssqm_check(rep: TruncatedFockRep, variant: str, tol: float = DEFAULT_SSQM_TO
     H = a adag P_0 + adag a P_1 (every level doubly degenerate).  Q^2,
     {Qd, Q} - H and [H, Q] are band products, O(dim), on interior margin 2;
     the degeneracy profile uses the exact diagonal of H, since the product
-    form zeroes the top state.
+    form zeroes the top state.  Q^2 and [H, Q] are structural zeros of this
+    form, so only {Qd, Q} - H can fail, and not on a and adag changed alike:
+    H is built from the same bands.
     """
     if rep.spec.lam != 2:
         raise WrongLambdaError(f"supersymmetry check needs lam = 2, got {rep.spec.lam}")

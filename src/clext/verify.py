@@ -20,19 +20,18 @@ A block reads one state past each edge through the shifts of
 at n = 0 (where a[0] = adag[0] = 0), and the upper neighbour n + 1 of
 [a, adag], whose a[n+1] adag[n+1] is zero past the top.
 
-The interior margin equals the relation's word length (the largest number
-of ladder factors in any term), because each ladder factor can propagate
-the truncation artifact at most one state down from the top.  Blocks are
-counted down from the top, so the top block is full and the margin is
-masked there alone.  An exact finite-dimensional rep (dim = d with
-F(d) = 0) has no artifact: margin 0.
+The truncation cuts one path: of the relations' terms only a adag leaves
+the kept states, from the top state, where (a adag)[dim - 1] needs the
+missing |dim> and reads 0, not F(dim).  So ``commutator_T`` and
+``commutator_P`` mask the top state (margin 1) and every other relation is
+checked on all states (margin 0), whatever its word length.  Blocks are
+counted down from the top, so the top block is full and the mask applies
+there alone.  An exact finite rep (dim = d with F(d) = 0) has margin 0.
 
 At the default dims (lam up to 24) a report's cost is mostly fixed per
-call, not per state.  So what a report derives from its relation list (the
-margins and the mask of the top states) is worked out once, at import, and
-an entry is a named tuple: a one-block report is its checks' arithmetic,
-one ``abs`` per relation into the table, one reduction over it and one
-tuple of entries.
+call, not per state: a one-block report is its checks' arithmetic, one
+``abs`` per relation into the table, one reduction over it and one tuple
+of named-tuple entries; each report's relations are module constants.
 
 Each relation belongs to one report.  Projector orthogonality and
 completeness are relations of the projector algebra that the DFT of the
@@ -73,7 +72,7 @@ class ResidualReport:
     entries: tuple[RelationResidual, ...]
     tolerance: float
     dim: int
-    margin_policy: str = field(default="word-length")
+    margin_policy: str = field(default="artifact")
 
     @property
     def all_pass(self) -> bool:
@@ -109,39 +108,27 @@ class ResidualReport:
 
 
 class _Relations(NamedTuple):
-    """A report's relations and what ``_evaluate`` derives from them, worked
-    out once at import: which of the top ``depth`` states the word-length
-    margin of each row masks."""
+    """A report's relations, in report order, and each one's margin on a
+    rep that is not exact: 1 where a term holds a adag, else 0."""
 
     names: tuple[str, ...]
     word_lengths: tuple[int, ...]
-    no_margins: tuple[int, ...]  # an exact finite rep's
-    depth: int  # the largest word length
-    past_interior: np.ndarray  # read-only (relations, depth)
+    margins: tuple[int, ...]
 
 
-def _relations(*pairs: tuple[str, int]) -> _Relations:
-    """The constants of ``_evaluate`` for (relation, word_length) pairs."""
-    names, word_lengths = zip(*pairs)
-    count, depth = len(names), max(word_lengths)
-    past_interior = np.arange(-depth, 0) >= -np.array(word_lengths)[:, None]
-    past_interior.setflags(write=False)
-    return _Relations(names, word_lengths, (0,) * count, depth, past_interior)
-
-
-#: The relations of each report, as (relation, word_length) in report
-#: order; each report's checks yield one difference per relation, in order.
-_DEFINING = _relations(
-    ("t_cyclic", 0), ("commutator_T", 2), ("number_lowering", 1), ("number_raising", 1),
-    ("number_T_commutes", 0), ("quommutation_a", 1), ("quommutation_adag", 1),
-    ("hermiticity_N", 0), ("hermiticity_a", 0), ("unitarity_T", 0), ("commutator_P", 2),
-    ("number_P_commutes", 0), ("sector_shift_a", 1), ("sector_shift_adag", 1),
-    ("hermiticity_P", 0),
-)
-_PROJECTOR_ALGEBRA = _relations(
-    ("projector_orthogonality", 0), ("projector_completeness", 0),
-    ("projector_from_T", 0), ("T_from_projectors", 0),
-)
+#: The relations of each report, as (relation, word_length, margin); each
+#: report's checks yield one difference per relation, in order.
+_DEFINING = _Relations(*zip(
+    ("t_cyclic", 0, 0), ("commutator_T", 2, 1), ("number_lowering", 1, 0),
+    ("number_raising", 1, 0), ("number_T_commutes", 0, 0), ("quommutation_a", 1, 0),
+    ("quommutation_adag", 1, 0), ("hermiticity_N", 0, 0), ("hermiticity_a", 0, 0),
+    ("unitarity_T", 0, 0), ("commutator_P", 2, 1), ("number_P_commutes", 0, 0),
+    ("sector_shift_a", 1, 0), ("sector_shift_adag", 1, 0), ("hermiticity_P", 0, 0),
+))
+_PROJECTOR_ALGEBRA = _Relations(*zip(
+    ("projector_orthogonality", 0, 0), ("projector_completeness", 0, 0),
+    ("projector_from_T", 0, 0), ("T_from_projectors", 0, 0),
+))
 
 
 def _block_width(lam: int, dim: int) -> int:
@@ -163,12 +150,9 @@ def _evaluate(rep: TruncatedFockRep, tol: float, relations: _Relations, checks) 
     """Run ``checks`` block by block and reduce each relation's |difference|
     to its maximum over the interior.  Margins are 0 on an exact finite rep."""
     dim = rep.dim
-    if rep.exact:
-        margins, depth = relations.no_margins, 0
-    else:
-        margins, depth = relations.word_lengths, relations.depth
-    if depth >= dim:
-        raise MarginTooLargeError(f"margin {depth} does not fit in dimension {dim}")
+    margins = (0,) * len(relations.names) if rep.exact else relations.margins
+    if max(margins) >= dim:
+        raise MarginTooLargeError(f"margin {max(margins)} does not fit in dimension {dim}")
     width = _block_width(rep.spec.lam, dim)
     table = np.empty((len(margins), width))
     peak = None
@@ -176,15 +160,17 @@ def _evaluate(rep: TruncatedFockRep, tol: float, relations: _Relations, checks) 
         block = table[:, : hi - lo]
         for row, diff in zip(block, checks(rep, lo, hi)):
             np.abs(diff, out=row)
-        if hi == dim and depth:
-            block[:, -depth:][relations.past_interior] = 0.0
+        if hi == dim:
+            for row, margin in enumerate(margins):
+                if margin:
+                    block[row, -1] = 0.0  # the top state
         block_peak = block.max(axis=1)
         peak = block_peak if peak is None else np.maximum(peak, block_peak, out=peak)
     residuals = peak.tolist()
     passed = [residual <= tol for residual in residuals]
     entries = tuple(map(RelationResidual._make, zip(
         relations.names, relations.word_lengths, margins, residuals, passed)))
-    policy = "exact" if rep.exact else "word-length"
+    policy = "exact" if rep.exact else "artifact"
     return ResidualReport(entries=entries, tolerance=tol, dim=dim, margin_policy=policy)
 
 

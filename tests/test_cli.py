@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -66,6 +68,17 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify", "--lambda", "3"], capsys)
         assert code == 2
         assert "--alpha or --kappa" in err
+
+    def test_smallest_dim(self, capsys):
+        # only the top state of [a, adag] is masked, so dim 2 leaves one
+        # state to check the commutators on, and dim 1 none
+        code, out, _ = run_cli(["verify", "--alpha", "1,-0.5,-0.5", "--dim", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["body"]["all_pass"] is True
+        code, out, err = run_cli(["verify", "--alpha", "1,-0.5,-0.5", "--dim", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "clext: error: margin 1 does not fit in dimension 1\n"
 
     def test_each_relation_is_reported_once(self, capsys):
         code, out, _ = run_cli(["verify", "--lambda", "3", "--alpha", "1,-0.5,-0.5"], capsys)
@@ -883,6 +896,34 @@ class TestDumpCommand:
         assert code == 0
         assert target.read_text().splitlines() == ["0.0,0.0", "0.0,0.0", "0.0,0.0", "1.0,0.0"]
         assert "written" in out
+
+
+class TestOutFileMode:
+    """``--out`` leaves the file with the mode of a plain ``open(path, "w")``."""
+
+    ARGV = ["classify", "--lambda", "2", "--alpha", "1,-1", "--out"]
+
+    @pytest.fixture
+    def umask_022(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    def test_new_file_takes_the_umask(self, capsys, tmp_path, umask_022):
+        target = tmp_path / "out.json"
+        code, _, _ = run_cli([*self.ARGV, str(target)], capsys)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+        assert json.loads(target.read_text())["body"]["kind"] == "bounded-from-below"
+
+    def test_replaced_file_keeps_its_mode(self, capsys, tmp_path, umask_022):
+        target = tmp_path / "out.json"
+        target.write_text("old")
+        target.chmod(0o640)
+        code, _, _ = run_cli([*self.ARGV, str(target)], capsys)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert target.read_text() != "old"
 
 
 class TestNegativeValues:

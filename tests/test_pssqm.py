@@ -662,6 +662,29 @@ class TestSsqm:
         # the scaled rep; [H, Q] vanishes for any a in the product form of H
         assert report.residual_anticommutator > 1e-6 and report.residual_commutator == 0.0
 
+    @pytest.mark.parametrize("variant", ("unbroken", "broken"))
+    def test_tamper_table(self, variant):
+        # Q^2 and [H, Q] are structural zeros of the product form, so only
+        # {Qd, Q} - H can see a tamper.  It sees a or adag tampered alone on
+        # each band entry that Q reads: the even entries for unbroken Q =
+        # adag P_1, the odd ones for broken Q = adag P_0.  a with adag to
+        # match passes, since H is built from the same bands
+        rep = build_fock_rep(from_alpha(2, [0.3, -0.3]), 24)
+        print(f"\n{variant}: Q^2, {{Qd, Q}} - H, [H, Q]")
+        for n in (1, 2, 9, 10, rep.dim - 4, rep.dim - 3):
+            a_alone = scaled_entries(rep, "a", (n,))
+            adag_alone = scaled_entries(rep, "adag", (n,))
+            both = dataclasses.replace(a_alone, adag=a_alone.a.copy())
+            for name, tampered in (("a", a_alone), ("adag", adag_alone), ("a+adag", both)):
+                report = ssqm_check(tampered, variant)
+                print(f"  {name:>6} @ {n:<2}  {report.residual_nilpotency:.1e}  "
+                      f"{report.residual_anticommutator:.1e}  {report.residual_commutator:.1e}")
+                assert report.residual_nilpotency == 0.0
+                assert report.residual_commutator == 0.0
+                if name != "a+adag":
+                    read = (n % 2 == 0) == (variant == "unbroken")
+                    assert report.passed != read, (name, n)
+
     def test_huge_couplings_raise_without_a_numpy_warning(self):
         # the band products overflow; under filterwarnings = error a numpy
         # RuntimeWarning would surface here instead of the cluster cut's error

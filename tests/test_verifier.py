@@ -127,13 +127,21 @@ class TestDefiningRelations:
         for report in (verify_defining_relations(rep), verify_projector_algebra(rep)):
             assert report.all_pass, [e.relation for e in report.entries if not e.passed]
 
-    def test_margins_follow_word_length(self):
-        report = verify_defining_relations(build_fock_rep(WORKED, 12))
-        for entry in report.entries:
-            assert entry.margin == entry.word_length
+    def test_margins_mask_only_the_top_state_of_a_adag(self):
+        # a adag at the top state needs the missing |dim>; no other term
+        # leaves the kept states, whatever its word length
+        rep = build_fock_rep(WORKED, 12)
+        report = verify_defining_relations(rep)
+        assert report.margin_policy == "artifact"
+        margins = {entry.relation: entry.margin for entry in report.entries}
+        assert margins == {relation: int(relation in ("commutator_T", "commutator_P"))
+                           for relation, _ in DEFINING_ORDER}
         assert report.entry("commutator_T").word_length == 2
         assert report.entry("quommutation_a").word_length == 1
         assert report.entry("t_cyclic").word_length == 0
+        projectors = verify_projector_algebra(rep)
+        assert projectors.margin_policy == "artifact"
+        assert all(entry.margin == 0 for entry in projectors.entries)
 
     def test_hermiticity_is_exact(self):
         report = verify_defining_relations(build_fock_rep(WORKED, 12))
@@ -285,7 +293,7 @@ class TestReportEntries:
     # sha256 of json.dumps(report.to_dict()), both reports at tol 1e-16 (so
     # some entries fail): the worked spec at dim 30, and the exact rep of
     # alpha (0.5, -2.5, 2), whose F(2) = 0, at dim 2
-    TO_DICT = {30: ["8f86534fe362d6b6", "0a5fc222522566c8"],
+    TO_DICT = {30: ["f38acce7a3bf1d81", "82116d090782e3e6"],
                2: ["b451b6e4290c4272", "3779aa01af473efa"]}
 
     @pytest.mark.parametrize("dim", list(TO_DICT))
@@ -352,7 +360,10 @@ class TestNumberRelations:
 def dense_residuals(rep):
     """Residuals of the ladder relations from dense a and adag rebuilt from
     the bands: each diagonal scales rows (``d[:, None] * x``) or columns
-    (``x * d``), and [a, adag] is a dense matrix product."""
+    (``x * d``), and [a, adag] is a dense matrix product.  Only a @ adag
+    passes through a state past the top, the missing |dim> from the top
+    state, so the commutators alone mask one state, and none on an exact
+    finite rep."""
     lam = rep.spec.lam
     a = np.diag(rep.a[1:], 1)
     adag = np.diag(rep.adag[1:], -1)
@@ -360,29 +371,29 @@ def dense_residuals(rep):
     q = np.exp(2j * np.pi / lam)
     t_powers = np.cumprod([np.ones_like(t_gen)] + [t_gen] * lam, axis=0)
     commutator = a @ adag - adag @ a
+    top = int(classify(rep.spec).dim != rep.dim)
     kappa_side = 1.0 + sum(rep.spec.kappa[m - 1] * t_powers[m] for m in range(1, lam))
     alpha_side = 1.0 + sum(rep.spec.alpha[m] * proj[m] for m in range(lam))
     diffs = {
-        "commutator_T": (2, [commutator - np.diag(kappa_side)]),
-        "commutator_P": (2, [commutator - np.diag(alpha_side)]),
-        "number_lowering": (1, [(num[:, None] - num + 1) * a]),
-        "number_raising": (1, [(num[:, None] - num - 1) * adag]),
+        "commutator_T": (top, [commutator - np.diag(kappa_side)]),
+        "commutator_P": (top, [commutator - np.diag(alpha_side)]),
+        "number_lowering": (0, [(num[:, None] - num + 1) * a]),
+        "number_raising": (0, [(num[:, None] - num - 1) * adag]),
         "number_T_commutes": (0, [np.diag(num * t_gen - t_gen * num)]),
         "number_P_commutes": (0, [np.diag(num * p - p * num) for p in proj]),
-        "quommutation_a": (1, [a * t_gen - q * (t_gen[:, None] * a)]),
-        "quommutation_adag": (1, [adag * t_gen - np.conj(q) * (t_gen[:, None] * adag)]),
+        "quommutation_a": (0, [a * t_gen - q * (t_gen[:, None] * a)]),
+        "quommutation_adag": (0, [adag * t_gen - np.conj(q) * (t_gen[:, None] * adag)]),
         "hermiticity_a": (0, [adag.conj().T - a]),
         "sector_shift_a": (
-            1, [a * proj[m] - proj[(m - 1) % lam][:, None] * a for m in range(lam)]
+            0, [a * proj[m] - proj[(m - 1) % lam][:, None] * a for m in range(lam)]
         ),
         "sector_shift_adag": (
-            1, [adag * proj[m] - proj[(m + 1) % lam][:, None] * adag for m in range(lam)]
+            0, [adag * proj[m] - proj[(m + 1) % lam][:, None] * adag for m in range(lam)]
         ),
     }
-    truncated = classify(rep.spec).dim != rep.dim
     return {
-        relation: max(interior_max_abs(d, word if truncated else 0) for d in family)
-        for relation, (word, family) in diffs.items()
+        relation: max(interior_max_abs(d, margin) for d in family)
+        for relation, (margin, family) in diffs.items()
     }
 
 
@@ -436,8 +447,10 @@ class TestExactFiniteRep:
             assert all(entry.margin == 0 for entry in exact.entries)
             if d > 3:  # below the exact dim the truncation artifact is back
                 truncated = verify_defining_relations(build_fock_rep(spec, d - 1))
-                assert truncated.margin_policy == "word-length"
-                assert all(e.margin == e.word_length for e in truncated.entries)
+                assert truncated.margin_policy == "artifact"
+                assert [e.relation for e in truncated.entries if e.margin == 1] == [
+                    "commutator_T", "commutator_P"]
+                assert all(e.margin in (0, 1) for e in truncated.entries)
                 assert truncated.all_pass
 
 
@@ -486,7 +499,7 @@ def _loop_checks(rep):
     proj_lo = [np.roll(p, 1) for p in proj]
     q = np.exp(2j * np.pi / lam)
     t_powers = np.cumprod([np.ones_like(t_gen)] + [t_gen] * lam, axis=0)
-    commutator = np.append(a[1:] * adag[1:], 0) - adag * a
+    commutator = np.append(a[1:] * adag[1:], 0) - adag * a  # a adag reads 0 at the top
 
     defining = [
         ("t_cyclic", 0, t_powers[lam] - 1.0),
@@ -534,14 +547,17 @@ def _loop_checks(rep):
 
 def loop_oracle(rep, tol=1e-12):
     """(relation, word_length, margin, residual, passed) per report entry,
-    each residual the largest over its relation's differences."""
-    margin_of = (lambda w: w) if classify(rep.spec).dim != rep.dim else (lambda w: 0)
+    each residual the largest over its relation's differences.  The
+    commutators' a adag is the one term that leaves the kept states, at the
+    top state, so they alone mask it (margin 1), unless the rep is exact."""
+    top = int(classify(rep.spec).dim != rep.dim)
     reports = []
     for checks in _loop_checks(rep):
         entries = []
         for (relation, word), group in groupby(checks, key=itemgetter(0, 1)):
-            residual = max(interior_max_abs(d, margin_of(word)) for _, _, d in group)
-            entries.append((relation, word, margin_of(word), residual, residual <= tol))
+            margin = top if relation in ("commutator_T", "commutator_P") else 0
+            residual = max(interior_max_abs(d, margin) for _, _, d in group)
+            entries.append((relation, word, margin, residual, residual <= tol))
         reports.append(entries)
     return reports
 
@@ -650,40 +666,38 @@ def golden_reps(key):
 
 
 #: Digests of the reports (x86-64, numpy 2.4, where clongdouble is the 80-bit
-#: extended type), re-recorded when the defining report stopped listing the
-#: projector orthogonality and completeness that the projector report owns;
+#: extended type), re-recorded when the margins came to mask only the top
+#: state of a adag (all but "finite", an exact rep, which has no margin);
 #: any change in arithmetic or order of evaluation shows up as a changed bit.
 GOLDEN_REPORTS = {
-    2: ["8f34991d0323611a", "b473e2d454c42e08", "fa81a393af54d02e",
-        "5213138312219027", "8d2c6c42dba8d780", "12180814646bb867"],
-    3: ["9ed916e594e1e650", "efc8db98cbd9586b", "bc683e81a135ef62",
-        "72723d6e04e624e5", "72f6a043b02d7cc4", "624c2a7941f2bd35"],
-    7: ["e84e00fee15fc167", "2b4f0d6989301890", "e5b820d8698939b8",
-        "5cea4f6e93654b20", "fbc3413bc0c9bcf5", "39733f65d14b10ff"],
-    11: ["ff5bea76cbb83d49", "ac0fe7c3e33fc1dd", "8a68941d19db46f7",
-         "00f9fca55e6b9610", "97f5cc6eb86bdf35", "4e45e3e51106db51"],
-    24: ["b2f5c74b3851de0c", "83aeaafa80257777", "b9cf70e870dc2ef1",
-         "328d050d7d0cea00", "edaeb4d07e496f9b", "95133337d0302f6d"],
-    64: ["14ec691be8f46142", "6ff3b8517f5215fd", "201727e7edec8521",
-         "56319bfc22e9924f", "0cb981321237679d", "f9727bc4a2bcf55c"],
+    2: ["b645757f7725efa5", "257781fd425c3c1b", "61131bc2623a24b5",
+        "eb8eca03294e3eb0", "9d8db9c724e68f4e", "4861ab2750c96d7a"],
+    3: ["80bad67d3744cfcf", "1f2583c38e0388ab", "b9e1283597cea62b",
+        "0c84bc39de5de904", "16ebb4ee207d1300", "b550a88461c6a9ec"],
+    7: ["1a54a83dd9fabc48", "3e730810992a3b32", "4206591fd6d8375a",
+        "53a61e6b9a4f9c34", "218a010d5105b2d0", "5d4a22b6d3c3ea37"],
+    11: ["29770b9b13abf215", "d4950fcd859362dc", "87516a25e2927827",
+         "12f5382863329fae", "86d3f3bbe73453f8", "af54eb5ff494b645"],
+    24: ["c8c06b0c325d2e53", "422ed22832569d72", "eb2b6b7af3781286",
+         "de73b31252016b60", "453c48f7d083f4cf", "7293d135fbc2f3c4"],
+    64: ["9a46cc5c15a31676", "b7bcf6312530b428", "851158d9c282ea49",
+         "56f11834b0fa007e", "dc357feabca5d453", "43c3ba396b5d4224"],
     "finite": ["0c0915148f79df6c"],
-    "tampered": ["0b4e205eed254ced"],
-    # first recorded before verify evaluated in blocks of states
-    "blocks-2": ["1f8fdb5329877416", "5f33bfd17b0e51c9"],
-    "blocks-3": ["53f23af270b8e30c", "00d4bc84b227ea92"],
-    "blocks-8": ["e0d7b5b5000a1044", "56b64f2a54a77039"],
-    "blocks-64": ["02c432aa2a32a11a", "0a11d4875216eab4"],
-    # the first re-recorded when state 0's lower neighbour stopped wrapping
-    "blocks-tampered": ["2cb25b2a71e098f6", "794eac3dff356a50", "a2cf5df014599eca",
-                        "3a1bfde25c2c2481", "b94399f1eb3509e6", "6b20702b26e01977",
-                        "78306a361ae4bf9f", "e68287254a0ec1c5", "ed7704ff5fc9de0c",
-                        "02c432aa2a32a11a", "b7a09006670b8ae3", "5bceab67f6584c7b"],
+    "tampered": ["3eae6314c76d7c9f"],
+    "blocks-2": ["30e78066c73c891f", "3a0964d9853a28c3"],
+    "blocks-3": ["f5f6a37fb727fed0", "d9d7f9c67b1b648b"],
+    "blocks-8": ["da27ff31a3068eb6", "201013072f1bfec3"],
+    "blocks-64": ["d006a6659cc89cbe", "b75ea424200b1029"],
+    "blocks-tampered": ["b1cffc9b2d71e1e9", "3001aa5572ebc460", "5d19f62fd38a7ca0",
+                        "573202deefc68ae6", "9111730e27b660ef", "69e8f566dff588d9",
+                        "cb21a8327fdc84c5", "b594102b8b866420", "b41f795fa68e55e4",
+                        "53242bae42abba2a", "6902709da5d72a03", "0d46539efa96fd64"],
 }
 
 #: Digest of ``clext verify`` stdout for each argv, with its exit code.
 GOLDEN_CLI = {
-    "--lambda 3 --alpha 1,-0.5,-0.5": ("61d17cfda2620ca0", 0),
-    "--lambda 2 --alpha 0.3,-0.3 --dim 600 --tol 1e-14": ("7d4abff80a85316c", 1),
+    "--lambda 3 --alpha 1,-0.5,-0.5": ("d1bbcf5dde3f4c74", 0),
+    "--lambda 2 --alpha 0.3,-0.3 --dim 600 --tol 1e-14": ("3e9c42e95104545d", 1),
 }
 
 
@@ -707,17 +721,105 @@ class TestGoldenDigests:
         dim = BLOCK_DIMS[64]
         second = list(verify._blocks(dim, verify._block_width(64, dim)))[1]
         assert TAMPER_STATES == (0, second[0], second[1] - 1, dim - 1)
-        # every tamper changes the reports but that of a[dim - 1]: each
-        # relation that reads it masks the top state, and adag matches it
+        # every tamper changes the reports, that of a[dim - 1] too: only the
+        # top state of [a, adag] is masked, and a[dim - 1] adag[dim - 1]
+        # enters it at dim - 2
         untampered = GOLDEN_REPORTS["blocks-64"][0]
         changed = [value != untampered for value in GOLDEN_REPORTS["blocks-tampered"]]
-        assert changed == [True] * 9 + [False, True, True]
+        assert changed == [True] * 12
 
     @pytest.mark.parametrize("argv", list(GOLDEN_CLI))
     def test_cli_stdout(self, argv, capsys):
         code = main(["verify", *argv.split()])
         out = capsys.readouterr().out
         assert (digest([out]), code) == GOLDEN_CLI[argv]
+
+
+#: Relations that no real-valued tamper of one entry can fail, and why.
+STRUCTURAL = {
+    "number_T_commutes": "N and T are diagonals, and products of diagonals commute exactly",
+    "number_P_commutes": "N and P_mu are diagonals, and products of diagonals commute exactly",
+    "hermiticity_N": "a real diagonal is its own conjugate",
+    "hermiticity_P": "a real diagonal is its own conjugate",
+}
+
+
+def _nudged(values, n):
+    """A copy of ``values`` with entry n moved by 1e-7 of its size, at least
+    by 1e-7, so that the zero entries a[0] and num[0] move too."""
+    values = values.copy()
+    values[n] += 1e-7 * max(1.0, abs(values[n]))
+    return values
+
+
+def _mutations(rep, n):
+    """(name, rep) for each generator tampered once at state n: a with adag
+    to match, adag alone, num, T, and the entry of P that puts state n in a
+    second sector (rotating a P column keeps it one-hot, which neither
+    orthogonality nor completeness can see)."""
+    a = _nudged(rep.a, n)
+    proj = np.array(rep.P)
+    proj[(n + 1) % rep.spec.lam, n] = 1.0
+    return [("a+adag", dataclasses.replace(rep, a=a, adag=a.copy())),
+            ("adag", dataclasses.replace(rep, adag=_nudged(rep.adag, n))),
+            ("num", dataclasses.replace(rep, num=_nudged(rep.num, n))),
+            ("T", dataclasses.replace(rep, T=_nudged(rep.T, n))),
+            ("P", dataclasses.replace(rep, P=proj))]
+
+
+class TestMutationMatrix:
+    """Every generator tampered once, at the bottom, at a block edge and at
+    the top: each tamper must show in the reports.  ``pytest -s`` prints the
+    matrix: X a relation that fails tampered only, x one that fails
+    untampered too, ~ a changed residual that passes, . no change."""
+
+    @staticmethod
+    def entries(rep):
+        return [entry for check in (verify_defining_relations, verify_projector_algebra)
+                for entry in check(rep).entries]
+
+    @pytest.mark.parametrize("lam, dim", ((2, 24), (3, 36), (64, BLOCK_DIMS[64])))
+    def test_every_tamper_shows(self, lam, dim):
+        spec = from_alpha(lam, sample_bfb_alpha(lam, np.random.default_rng(1100 + lam)))
+        rep = build_fock_rep(spec, dim)
+        blocks = list(verify._blocks(dim, verify._block_width(lam, dim)))
+        edges = {blocks[1][0], blocks[1][1] - 1} if len(blocks) > 1 else set()
+        states = sorted({0, 1, dim - 2, dim - 1} | edges)
+        clean = self.entries(rep)
+        relations = [entry.relation for entry in clean]
+        untampered_pass = all(entry.passed for entry in clean)
+        print(f"\nlam {lam}, dim {dim}, untampered all_pass {untampered_pass}")
+        print("\n".join(f"  {col:2d} {relation}" for col, relation in enumerate(relations)))
+        failed_somewhere = set()
+        for n in states:
+            for name, tampered in _mutations(rep, n):
+                entries = self.entries(tampered)
+                marks = "".join(
+                    ("X" if c.passed else "x") if not e.passed
+                    else "." if e.residual == c.residual else "~"
+                    for e, c in zip(entries, clean))
+                print(f"  {name:>6} @ {n:<5} {marks}")
+                label = (name, n)
+                assert any(e.residual != c.residual for e, c in zip(entries, clean)), label
+                failed = {e.relation for e in entries if not e.passed}
+                if untampered_pass:
+                    assert failed, label
+                for e, c in zip(entries, clean):
+                    if e.relation in STRUCTURAL:
+                        assert e.residual == c.residual, (label, e.relation)
+                failed_somewhere |= failed
+        assert failed_somewhere | set(STRUCTURAL) == set(relations)
+
+    @pytest.mark.parametrize("lam, dim", ((3, 60), (8, 80)))
+    @pytest.mark.parametrize("generator", ("a+adag", "num"))
+    def test_top_state_tampers_fail(self, lam, dim, generator):
+        # a[dim - 1] adag[dim - 1] enters [a, adag] at dim - 2, below the
+        # masked top state, and num[dim - 1] the number relations at dim - 1
+        # (each scaled by 1 + 1e-7)
+        rep = build_fock_rep(from_alpha(lam, [0.0] * lam), dim)
+        assert verify_defining_relations(rep).all_pass
+        tampered = dict(_mutations(rep, dim - 1))[generator]
+        assert not verify_defining_relations(tampered).all_pass
 
 
 class TestSharedProjectorRows:
