@@ -434,14 +434,14 @@ def _clean(obj):
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` atomically, with the mode ``open(path, "w")`` leaves."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Replace ``path`` atomically as ``open(path, "w")`` would: through a symlink, same mode."""
+    path = os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
         os.umask(umask := os.umask(0))  # the umask is read only by setting it
         mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".clext-tmp-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".clext-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             os.fchmod(fh.fileno(), mode)

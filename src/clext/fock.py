@@ -22,15 +22,17 @@ reduces to the truncation interior, and :func:`ladder_matrices` expands the
 ladder bands to dense matrices, the tests' oracle; the CLI writes even
 ``dump`` from the bands.
 
-Truncation artifact: a adag is diagonal with entries F(n+1) except at the
-top state, where the missing |dim> contribution leaves a zero.  adag a, a
-band times diagonals and the diagonals stay on the kept states, so they are
-exact: verifiers mask that one state of a adag (margin 1), instead of
-padding, and no other.  The artifact is absent only on an exact
-finite rep, whose ``dim`` equals the dimension d of a finite-dimensional
-spec (F(d) = 0, so |d> is never reached): :func:`build_fock_rep` records
-that as ``exact`` from the classification it already makes, and the
-verifiers read it instead of classifying the spec again.
+Truncation artifact: a word that raises a state past the top and lowers it
+back misses the |dim> contribution.  Each such word lowers once, so it errs
+in the top row alone: a adag reads 0 for F(dim) at the top state, Qd Q
+likewise, and Qd Q^p errs at column dim - p.  adag a, Q^n, bands times
+diagonals and the diagonals stay on the kept states and are exact.  So
+every checker masks the top state (margin 1) of a residual holding such a
+word, instead of padding, and checks every other residual on all states
+(margin 0).  The artifact is absent only on an exact finite rep, whose
+``dim`` equals the dimension d of a finite-dimensional spec (F(d) = 0, so
+|d> is never reached): :func:`build_fock_rep` records that as ``exact``
+from the classification it already makes, and the verifiers read it.
 
 Building a rep is O(dim) elementwise work plus a fixed per-call cost,
 which dominates at the default dims.  So nothing already at hand is derived

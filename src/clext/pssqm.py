@@ -259,21 +259,19 @@ def khare_check(
 ) -> PssqmReport:
     """Residuals of the order-p relations for given Q and the energies of H.
 
-    Checks Q^{p+1} = 0, [H, Q] = 0, and the multilinear relation, all
-    masked with interior margin p + 1, plus the nonvanishing of Q^n for
-    n <= p (reported as the smallest unmasked max-entry, which must stay
-    positive).  ``charge`` is the +1 band q of :func:`build_supercharge`, one
-    entry per kept state and q[0] = 0 (else ValueError); ``hamiltonian`` holds
-    the energies of H, as returned by :func:`shifted_hamiltonian`.  Q^n is the
-    +n band of products of n consecutive entries of q, so all but the
-    multilinear sum (2p dense products) are O(p dim) band arithmetic.  Each
-    entry is one nonzero product plus exact zeros, so every residual equals
-    the dense one bit for bit.  A nondegenerate ground cluster of H means
-    unbroken.  Needs dim above :func:`cluster_cut` so that at least one
-    complete multiplet survives it; that cut is taken before any dense word.
+    Checks Q^{p+1} = 0 and [H, Q] = 0 on every state, the multilinear
+    relation without the top state, where its Qd Q^p errs (the truncation
+    rule of :mod:`clext.fock`), and the nonvanishing of Q^n for n <= p (the
+    smallest max-entry, which must stay positive).  ``charge`` is the +1
+    band q of :func:`build_supercharge`, one entry per kept state and
+    q[0] = 0 (else ValueError); ``hamiltonian`` holds the energies of H, as
+    returned by :func:`shifted_hamiltonian`.  Each dense entry is one nonzero
+    product plus exact zeros, so every band residual equals the dense one bit
+    for bit.  A nondegenerate ground cluster of H means unbroken.  Needs dim
+    above :func:`cluster_cut` so that at least one complete multiplet
+    survives it; that cut is taken before any dense word.
     """
     p = rep.spec.lam - 1
-    margin = p + 1
     if charge.shape != (rep.dim,) or charge[0] != 0:
         raise ValueError(f"charge must be a band of {rep.dim} entries with charge[0] = 0, "
                          f"as no state lies below |0>; got shape {charge.shape}")
@@ -283,18 +281,17 @@ def khare_check(
     bands = [1, charge]
     for m in range(2, p + 2):
         bands.append(bands[-1] * lower_shift(charge, m - 1))
-    nilpotency = interior_max_abs(bands[p + 1], margin)
-    # nonvanishing needs no interior mask: every entry of Q^n is a true
-    # matrix element (truncation only removes paths, never adds them)
+    nilpotency = interior_max_abs(bands[p + 1], 0)
+    # every entry of Q^n is a true matrix element: truncation only removes paths
     witness = min(float(np.abs(bands[n]).max()) for n in range(1, p + 1))
-    commutator = interior_max_abs(hamiltonian * charge - charge * lower_shift(hamiltonian), margin)
+    commutator = interior_max_abs(hamiltonian * charge - charge * lower_shift(hamiltonian), 0)
     ground = surviving_clusters(np.real(hamiltonian), drop_top=cluster_cut(p))[0]
 
     lhs = _multilinear_lhs(bands, p)
     # 2p Q^(p-1) H as a -(p-1) band: H scales column n - p + 1
     rows = np.arange(p - 1, rep.dim)
     lhs[rows, rows - (p - 1)] -= (2 * p * (bands[p - 1] * lower_shift(hamiltonian, p - 1)))[p - 1:]
-    multilinear = interior_max_abs(lhs, margin)
+    multilinear = interior_max_abs(lhs, 1)
 
     return PssqmReport(
         order=p,
@@ -478,25 +475,25 @@ def ssqm_check(rep: TruncatedFockRep, variant: str, tol: float = DEFAULT_SSQM_TO
     unbroken: Q = adag P_1, H = adag a P_0 + a adag P_1 (nondegenerate
     ground state, doubly degenerate excited states); broken: Q = adag P_0,
     H = a adag P_0 + adag a P_1 (every level doubly degenerate).  Q^2,
-    {Qd, Q} - H and [H, Q] are band products, O(dim), on interior margin 2;
-    the degeneracy profile uses the exact diagonal of H, since the product
-    form zeroes the top state.  Q^2 and [H, Q] are structural zeros of this
-    form, so only {Qd, Q} - H can fail, and not on a and adag changed alike:
-    H is built from the same bands.
+    {Qd, Q} - H and [H, Q] are band products, O(dim); the degeneracy
+    profile uses the exact diagonal of H, since the product form zeroes the
+    top state.  Q^2 and [H, Q] are structural zeros of this form, so only
+    {Qd, Q} - H can fail, and it is checked without the top state, where
+    its Qd Q and a adag err (:mod:`clext.fock`); it cannot see a and adag
+    changed alike, since H is built from the same bands.
     """
     if rep.spec.lam != 2:
         raise WrongLambdaError(f"supersymmetry check needs lam = 2, got {rep.spec.lam}")
     if variant not in ("unbroken", "broken"):
         raise ValueError(f"variant must be 'unbroken' or 'broken', got {variant!r}")
-    margin = 2
     mu = 0 if variant == "unbroken" else 1  # the sector Q annihilates
     low, high = rep.P[mu], rep.P[1 - mu]
     q = build_supercharge(rep, mu, [1.0])
     hamiltonian = (rep.adag * rep.a) * low + upper_shift(rep.a * rep.adag) * high
     q_up = upper_shift(q)
-    nilpotency = interior_max_abs(q * lower_shift(q), margin)
-    anticommutator = interior_max_abs(np.conj(q_up) * q_up + q * np.conj(q) - hamiltonian, margin)
-    commutator = interior_max_abs(hamiltonian * q - q * lower_shift(hamiltonian), margin)
+    nilpotency = interior_max_abs(q * lower_shift(q), 0)
+    anticommutator = interior_max_abs(np.conj(q_up) * q_up + q * np.conj(q) - hamiltonian, 1)
+    commutator = interior_max_abs(hamiltonian * q - q * lower_shift(hamiltonian), 0)
 
     values = structure_values(rep.spec, rep.dim + 1)  # F(n) = <n|adag a|n>, F(n+1) = <n|a adag|n>
     breaking = classify_breaking(values[:-1] * low + values[1:] * high, mu, 1)
@@ -534,8 +531,9 @@ def beckers_debergh_check(
     """Residual of [Q, [Qd, Q]] = 2 Q H at order p = 2.
 
     Uses the charge band and the solved shifted Hamiltonian of the order-2
-    check (``r`` defaults to the solved chain); the residual is a band, O(dim),
-    on interior margin 3.  The relation holds only where alpha_{mu+2} = -1.
+    check (``r`` defaults to the solved chain); the residual is a band,
+    O(dim), less its top state, where [Qd, Q] errs (:mod:`clext.fock`).
+    The relation holds only where alpha_{mu+2} = -1.
     """
     if rep.spec.lam != 3:
         raise WrongOrderError(
@@ -547,7 +545,7 @@ def beckers_debergh_check(
     q_up = upper_shift(q)
     inner = np.conj(q_up) * q_up - q * np.conj(q)  # the diagonal [Qd, Q]
     residual = interior_max_abs(
-        q * lower_shift(inner) - inner * q - 2.0 * (q * lower_shift(hamiltonian)), 3)
+        q * lower_shift(inner) - inner * q - 2.0 * (q * lower_shift(hamiltonian)), 1)
     return BdReport(residual=residual, bd_compatible=residual <= tol, tolerance=tol)
 
 

@@ -808,6 +808,16 @@ class TestBdScanCommand:
         assert (code, out) == (2, "")
         assert "mu must lie in 0..2, got 7" in err
 
+    def test_smallest_dim(self, capsys):
+        # the residual masks only its top state, so dim 2 leaves one state to
+        # check and dim 1 none
+        code, out, _ = run_cli(["bd-scan", "--dim", "2", "--scan-points", "3"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["body"]["rows"]) == 3
+        code, out, err = run_cli(["bd-scan", "--dim", "1", "--scan-points", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "clext: error: margin 1 does not fit in dimension 1\n"
+
 
 class TestDumpCommand:
     def test_column_major_entries(self, capsys):
@@ -899,7 +909,8 @@ class TestDumpCommand:
 
 
 class TestOutFileMode:
-    """``--out`` leaves the file with the mode of a plain ``open(path, "w")``."""
+    """``--out`` leaves the file with the mode of a plain ``open(path, "w")``,
+    and writes through a symlink as that call does."""
 
     ARGV = ["classify", "--lambda", "2", "--alpha", "1,-1", "--out"]
 
@@ -924,6 +935,16 @@ class TestOutFileMode:
         assert code == 0
         assert stat.S_IMODE(target.stat().st_mode) == 0o640
         assert target.read_text() != "old"
+
+    def test_symlink_writes_its_target(self, capsys, tmp_path, umask_022):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old")
+        link.symlink_to(target.name)
+        code, _, _ = run_cli([*self.ARGV, str(link)], capsys)
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert json.loads(target.read_text())["body"]["kind"] == "bounded-from-below"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "target.json"]
 
 
 class TestNegativeValues:

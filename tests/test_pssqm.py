@@ -14,7 +14,6 @@ from clext import (
     BreakingReport,
     Cluster,
     EtaNormViolationError,
-    MarginTooLargeError,
     NotBoundedFromBelowError,
     OrderMismatchError,
     PssqmConfig,
@@ -81,30 +80,102 @@ def random_admissible_eta(p, rng):
     return np.sqrt(weights) * phases
 
 
-def dense_ssqm_residuals(rep, variant):
-    """Q^2, {Qd, Q} - H and [H, Q] on margin 2 as dense products (the oracle)."""
+#: Each checker's margins under the truncation rule of clext.fock: 1 on a
+#: residual holding a word that lowers from above the top state (Qd Q^p, Qd Q,
+#: a adag), 0 on the others.  TestTruncationMargins proves them.
+KHARE_MARGINS = {"nilpotency": 0, "commutator": 0, "multilinear": 1}
+SSQM_MARGINS = {"nilpotency": 0, "anticommutator": 1, "commutator": 0}
+BD_MARGIN = 1
+
+
+def dense_khare_words(rep, band, energies):
+    """Each khare_check residual as (its dense terms, the residual word they sum
+    to), with the factors and terms in the order of the check's dense sum."""
+    p = rep.spec.lam - 1
+    charge, hamiltonian = dense_charge(band), np.diag(energies)
+    powers = [np.eye(rep.dim, dtype=charge.dtype)]
+    for _ in range(p + 1):
+        powers.append(powers[-1] @ charge)
+    adjoint = charge.conj().T
+    lhs = [powers[p - k] @ adjoint @ powers[k] for k in range(p + 1)]
+    rhs = (2 * p) * (powers[p - 1] @ hamiltonian)
+    products = [hamiltonian @ charge, charge @ hamiltonian]
+    return {
+        "nilpotency": ([powers[p + 1]], powers[p + 1]),
+        "commutator": (products, products[0] - products[1]),
+        "multilinear": ([*lhs, rhs], sum(lhs) - rhs),
+    }
+
+
+def dense_ssqm_words(rep, variant):
+    """Q^2, {Qd, Q} - H and [H, Q] as (dense terms, residual word)."""
     low, high = (rep.P[0], rep.P[1]) if variant == "unbroken" else (rep.P[1], rep.P[0])
     a, adag = ladder_matrices(rep)
     charge = adag * high
-    hamiltonian = (adag @ a) * low + (a @ adag) * high
+    energies = [(adag @ a) * low, (a @ adag) * high]
+    hamiltonian = energies[0] + energies[1]
     adjoint = charge.conj().T
-    words = (
-        charge @ charge,
-        adjoint @ charge + charge @ adjoint - hamiltonian,
-        hamiltonian @ charge - charge @ hamiltonian,
-    )
-    return [interior_max_abs(word, 2) for word in words]
+    anti = [adjoint @ charge, charge @ adjoint]
+    products = [hamiltonian @ charge, charge @ hamiltonian]
+    return {
+        "nilpotency": ([charge @ charge], charge @ charge),
+        "anticommutator": ([*anti, *energies], anti[0] + anti[1] - hamiltonian),
+        "commutator": (products, products[0] - products[1]),
+    }
 
 
-def dense_bd_residual(rep, mu, eta, shifts):
-    """[Q, [Qd, Q]] - 2 Q H on margin 3 as dense products (the oracle)."""
+def dense_ssqm_residuals(rep, variant):
+    """Q^2, {Qd, Q} - H and [H, Q] as dense products (the oracle)."""
+    words = dense_ssqm_words(rep, variant)
+    return [interior_max_abs(words[name][1], margin) for name, margin in SSQM_MARGINS.items()]
+
+
+def dense_bd_words(rep, mu, eta, shifts):
+    """[Q, [Qd, Q]] - 2 Q H as (dense terms, residual word)."""
     weights = np.zeros(3, dtype=complex)
     weights[[(mu + 1) % 3, (mu + 2) % 3]] = default_eta(2) if eta is None else eta
     charge = ladder_matrices(rep)[1] * weights[np.arange(rep.dim) % 3]
     hamiltonian = shifted_hamiltonian(rep, shifts)
     adjoint = charge.conj().T
     inner = adjoint @ charge - charge @ adjoint
-    return interior_max_abs(charge @ inner - inner @ charge - 2.0 * (charge * hamiltonian), 3)
+    terms = [charge @ inner, inner @ charge, 2.0 * (charge * hamiltonian)]
+    return terms, terms[0] - terms[1] - terms[2]
+
+
+def dense_bd_residual(rep, mu, eta, shifts):
+    """[Q, [Qd, Q]] - 2 Q H as dense products (the oracle)."""
+    return interior_max_abs(dense_bd_words(rep, mu, eta, shifts)[1], BD_MARGIN)
+
+
+def truncation_margin(narrow, wide):
+    """The smallest margin that masks every entry in which a term at dim, in
+    ``narrow``, differs from the same term at a wider truncation, in ``wide``,
+    cut back to dim: dim - max(row, column) over those entries, else 0."""
+    margin = 0
+    for term, wider in zip(narrow, wide):
+        dim = term.shape[0]
+        rows, cols = np.nonzero(term != wider[:dim, :dim])
+        margin = max([margin, *(dim - np.maximum(rows, cols))])
+    return margin
+
+
+def structural_reason(kind, values, n, lam, mu):
+    """Why scaling q[n] (``kind`` "q") or h[n] ("h"), entry n of ``values``,
+    can fail no relation of the order-p checks, or None.  Q links the states
+    m .. m + p of each multiplet, m = mu + 1 (mod lam); the ground multiplet
+    is 0 .. mu, and the truncation cuts the top one when m + p >= dim."""
+    p, dim = lam - 1, len(values)
+    start = n - (n - mu - 1) % lam
+    kept = len(range(max(start, 0), min(start + p, dim - 1) + 1))
+    if values[n] == 0:
+        return "a zero entry stays zero"
+    if kind == "q" and start + p >= dim:
+        return "its multiplet is cut by the top: every relation reading it needs q[dim]"
+    if kind == "q" and start < 0 and kept - 1 < p - 1:
+        return "the ground multiplet has fewer than p - 1 links: no word spans them"
+    if kind == "h" and kept == 1 and (p > 1 or start + p >= dim):
+        return "its multiplet keeps one state: no kept relation links its energy"
+    return None
 
 
 def scaled_entries(rep, name, entries, factor=1 + 1e-6):
@@ -407,16 +478,10 @@ class TestKhareCheck:
             band = build_supercharge(rep, 1)
             energies = shifted_hamiltonian(rep, solve_r(spec, 1))
             report = khare_check(rep, band, energies)
-            charge = dense_charge(band)
-            hamiltonian = np.diag(energies)
-            commutator = hamiltonian @ charge - charge @ hamiltonian
-            assert report.residual_commutator == interior_max_abs(commutator, p + 1)
-            powers = [np.eye(rep.dim, dtype=charge.dtype)]
-            for _ in range(p):
-                powers.append(powers[-1] @ charge)
-            lhs = sum(powers[p - k] @ charge.conj().T @ powers[k] for k in range(p + 1))
-            rhs = (2 * p) * (powers[p - 1] @ hamiltonian)
-            assert report.residual_multilinear == interior_max_abs(lhs - rhs, p + 1)
+            words = dense_khare_words(rep, band, energies)
+            for name, margin in KHARE_MARGINS.items():
+                residual = getattr(report, f"residual_{name}")
+                assert residual == interior_max_abs(words[name][1], margin), name
 
     def test_witness_positive_at_minimal_dimension(self):
         # Q^n stays visibly nonzero already at two states per sector
@@ -452,9 +517,11 @@ class TestKhareCheck:
             khare_check(rep, charge, energies)
         assert products == []
 
-    def test_margin_error_comes_before_the_cluster_cut(self):
+    def test_cluster_cut_rejects_the_smallest_dims(self):
+        # the multilinear margin 1 fits from dim 2, so no MarginTooLargeError
+        # comes before the cut, which needs dim above lam^2
         rep, charge, energies = self.khare_inputs(3, 3)
-        with pytest.raises(MarginTooLargeError):
+        with pytest.raises(ValueError, match="drop_top 9 does not fit in 3 values"):
             khare_check(rep, charge, energies)
 
     @pytest.mark.parametrize("make, shape", [
@@ -765,6 +832,150 @@ class TestBeckersDebergh:
         assert all(pt.bfb for pt in points)
 
 
+class TestTruncationMargins:
+    """Each residual's margin, proven against a wider truncation.  Every dense
+    term of a residual word at dim is compared with the same term at
+    dim + lam + 2 cut back to dim, at dims of every residue mod lam (the top
+    multiplet's shape repeats with it).  The smallest margin that masks every
+    entry that differs must be the checker's: no unmasked entry differs, and
+    one state fewer would leave one that does.  On inputs whose residuals grow
+    to the top, the checker's residual equals the dense word's at that margin."""
+
+    @staticmethod
+    def proven_margins(words_at, dims, lam):
+        margins = {}
+        for dim in dims:
+            narrow, wide = words_at(dim), words_at(dim + lam + 2)
+            for name, (terms, _) in narrow.items():
+                margins[name] = max(margins.get(name, 0), truncation_margin(terms, wide[name][0]))
+        return margins
+
+    @pytest.mark.parametrize("p", (1, 2, 3, 4))
+    def test_khare_check(self, p):
+        lam, mu = p + 1, p // 2
+        spec = from_alpha(lam, sample_bfb_alpha(lam, np.random.default_rng(60 + p)))
+        shifts = solve_r(spec, mu)
+        shifts[(mu + 2) % lam] += 1e-3
+
+        def words_at(dim):
+            rep = build_fock_rep(spec, dim, dtype=CHECK_DTYPE)
+            band, energies = build_supercharge(rep, mu), shifted_hamiltonian(rep, shifts)
+            return dense_khare_words(rep, band, energies)
+
+        dims = range(10 * lam, 11 * lam)
+        assert self.proven_margins(words_at, dims, lam) == KHARE_MARGINS
+        for dim in dims:
+            rep = build_fock_rep(spec, dim, dtype=CHECK_DTYPE)
+            report = khare_check(rep, build_supercharge(rep, mu), shifted_hamiltonian(rep, shifts))
+            for name, (_, word) in words_at(dim).items():
+                residual = getattr(report, f"residual_{name}")
+                assert residual == interior_max_abs(word, KHARE_MARGINS[name]), (dim, name)
+
+    @pytest.mark.parametrize("variant", ("unbroken", "broken"))
+    def test_ssqm_check(self, variant):
+        # a scaled alone, so that {Qd, Q} - H grows to the top
+        spec = from_alpha(2, sample_bfb_alpha(2, np.random.default_rng(62)))
+
+        def rep_at(dim):
+            rep = build_fock_rep(spec, dim, dtype=CHECK_DTYPE)
+            return dataclasses.replace(rep, a=rep.a * (1 + 1e-6))
+
+        dims = (20, 21)
+        margins = self.proven_margins(lambda dim: dense_ssqm_words(rep_at(dim), variant), dims, 2)
+        assert margins == SSQM_MARGINS
+        for dim in dims:
+            report = ssqm_check(rep_at(dim), variant)
+            residuals = (report.residual_nilpotency, report.residual_anticommutator,
+                         report.residual_commutator)
+            assert hexes(*residuals) == hexes(*dense_ssqm_residuals(rep_at(dim), variant))
+        assert report.residual_anticommutator > 1e-6
+
+    @pytest.mark.parametrize("mu", (0, 1, 2))
+    def test_beckers_debergh_check(self, mu):
+        spec = from_alpha(3, sample_bfb_alpha(3, np.random.default_rng(63)))
+        shifts = solve_r(spec, mu) + [0.0, 1e-3, 0.0]
+
+        def words_at(dim):
+            rep = build_fock_rep(spec, dim, dtype=CHECK_DTYPE)
+            return {"residual": dense_bd_words(rep, mu, None, shifts)}
+
+        dims = (30, 31, 32)
+        assert self.proven_margins(words_at, dims, 3) == {"residual": BD_MARGIN}
+        for dim in dims:
+            rep = build_fock_rep(spec, dim, dtype=CHECK_DTYPE)
+            residual = beckers_debergh_check(rep, mu, r=shifts).residual
+            assert hexes(residual) == hexes(dense_bd_residual(rep, mu, None, shifts))
+
+
+def bd_shifts(rep, mu):
+    """Sector shifts under which [Q, [Qd, Q]] = 2 Q H holds: 2 h[m] = 2 |q[m+1]|^2
+    - |q[m]|^2 - |q[m+2]|^2 wherever Q raises m, read at the bottom state of each
+    sector.  With the default eta that is affine in m with the energies' slope 1,
+    so one shift per sector fits every state, also at mu = 1, where no
+    bounded-from-below alpha makes the solved chain compatible."""
+    norms = np.abs(build_supercharge(rep, mu)) ** 2
+    energies = shifted_hamiltonian(rep, np.zeros(3))
+    return np.array([0.0 if m == mu else
+                     float(2 * norms[m + 1] - norms[m] - norms[m + 2] - 2 * energies[m])
+                     for m in range(3)])
+
+
+class TestMutationMatrix:
+    """The charge band q and the energies h, and for the double-commutator
+    check a with adag to match, each scaled by 1 + 1e-7 at states 0, 1 and
+    dim - p - 1 .. dim - 1, on inputs that pass untampered.  Each tamper
+    must fail a relation, or be structural for the reason
+    :func:`structural_reason` gives, and then move no verdict.  ``pytest -s``
+    prints the matrix: per residual, X fails, ~ moved but passes, . unchanged."""
+
+    FIELDS = ("nilpotency", "commutator", "multilinear")
+
+    @staticmethod
+    def states(dim, p):
+        return sorted({0, 1, *range(dim - p - 1, dim)})
+
+    @pytest.mark.parametrize("lam", (2, 3, 5))
+    def test_khare_check(self, lam):
+        p, dim = lam - 1, 12 * lam
+        spec = from_alpha(lam, [0.0] * lam)
+        rep = build_fock_rep(spec, dim, dtype=CHECK_DTYPE)
+        for mu in range(lam):
+            inputs = {"q": build_supercharge(rep, mu),
+                      "h": shifted_hamiltonian(rep, solve_r(spec, mu))}
+            clean = khare_check(rep, inputs["q"], inputs["h"])
+            assert clean.passed, (lam, mu)
+            print(f"\nlam {lam}, dim {dim}, mu {mu}: {', '.join(self.FIELDS)}")
+            for n in self.states(dim, p):
+                for kind, values in inputs.items():
+                    tampered = dict(inputs, **{kind: values.copy()})
+                    tampered[kind][n] *= 1 + 1e-7
+                    report = khare_check(rep, tampered["q"], tampered["h"])
+                    marks = ""
+                    for name in self.FIELDS:
+                        value, before = (getattr(r, f"residual_{name}") for r in (report, clean))
+                        marks += "X" if value > clean.tolerance else "." if value == before else "~"
+                    reason = structural_reason(kind, values, n, lam, mu)
+                    print(f"  {kind}[{n}] {marks} {reason or ''}")
+                    assert report.passed == (reason is not None), (lam, mu, kind, n)
+
+    @pytest.mark.parametrize("mu", (0, 1, 2))
+    def test_beckers_debergh_check(self, mu):
+        spec = from_alpha(3, sample_bfb_alpha(3, np.random.default_rng(64)))
+        rep = build_fock_rep(spec, 36, dtype=CHECK_DTYPE)
+        shifts = bd_shifts(rep, mu)
+        clean = beckers_debergh_check(rep, mu, r=shifts)
+        assert clean.bd_compatible
+        print(f"\nbeckers_debergh_check, dim 36, mu {mu}, untampered {clean.residual:.1e}")
+        for n in self.states(36, 2):
+            a = rep.a.copy()
+            a[n] *= 1 + 1e-7
+            tampered = dataclasses.replace(rep, a=a, adag=a.copy())
+            report = beckers_debergh_check(tampered, mu, r=shifts)
+            reason = structural_reason("q", build_supercharge(rep, mu), n, 3, mu)
+            print(f"  a+adag[{n}], so q[{n}]: {report.residual:.1e} {reason or ''}")
+            assert report.bd_compatible == (reason is not None), (mu, n)
+
+
 @pytest.mark.parametrize("report, keys", [
     (PssqmReport(2, 0.0, 1.0, 0.0, 0.0, "unbroken", -0.25, 1, 1e-10, True),
      ["order", "residual_nilpotency", "nonvanishing_witness", "residual_commutator",
@@ -821,41 +1032,40 @@ def golden_complex128_report(lam):
 
 
 #: Digests of every PssqmReport and BreakingReport field, one per mu (four
-#: runs each), as first recorded with the dense multilinear products
-#: (x86-64, numpy 2.4, where clongdouble is the 80-bit extended type).
+#: runs each), on x86-64 with numpy 2.4, where clongdouble is the 80-bit
+#: extended type.
 GOLDEN_KHARE = {
-    2: ["dee589141e2570ad", "bfb60516498a0dec"],
-    3: ["a0e91d8e1e0020ee", "052b48a5c02b4cd9", "c7f8e439ead00e6d"],
-    4: ["bb38835425d88fa2", "e7b6369cf45c7423", "0189878a0c1dbf3d", "18b1c445c2c31842"],
-    5: ["34ad938ce58fdc54", "1c254ae37f88ef39", "ab3682455dced78b", "ac3b457fb1bdd0b3",
-        "354c5c6ff5b24122"],
-    6: ["04e11790406652c0", "3d9d44d9e333252f", "2a63e42ddd3e7563", "236e492c13b6d274",
-        "42b18459f606a373", "9915fb8b74b027a2"],
-    7: ["3a36e2b7b1247ca0", "30ed86d53dc4a42d", "13b43bdc62d79390", "45c53bb38a27faa9",
-        "45255e7e5e7c6be1", "210e9cec9b2a276c", "6c285b93ad18e832"],
-    8: ["adb80f65875d4c0c", "41619a4127a78164", "39320341da4d6531", "f347ab1c52c52b96",
-        "ed35a0c208674715", "8537d73a405828df", "1baba61ee12fa3bd", "4e5e2ce0ca329d20"],
+    2: ["163eea189f98ceb5", "5a122476627d6240"],
+    3: ["879e3e1761349804", "945e13a6ca246cdd", "06e7ac612097d038"],
+    4: ["a66e93cbbf960673", "58ef93e93d17b38e", "1424d51919244da1", "31bf683816b2e26b"],
+    5: ["9957bc79b39d0f96", "6d8edb9ab7d25ae3", "e08131040b687123", "76635d623a0360cc",
+        "6c60e96611560dc3"],
+    6: ["83d07308e76c58d6", "d997ed174d66759a", "29aa013c4d7bd89d", "02b3ecf95e28f567",
+        "f9f3583fcf33f214", "84d24c36cc34e6a8"],
+    7: ["7906f027f1844c42", "50ca7c7a8f882eba", "1ff8dfadfce1d9ed", "fcda69479d1a453b",
+        "47b579431d54a6eb", "91436e4830fccd8e", "8eccde770fdc4e43"],
+    8: ["959b3404d825de58", "38a29e348c98be41", "d72507a5a2e91d06", "cd738f34396664ca",
+        "1e07f794cee51aff", "8c2602339fc53130", "5f08058eb4b5e6dc", "ee4634df71c61558"],
 }
 
 #: Digest of the khare_check reports of :func:`golden_complex128_report`, lam 2 to 8.
-GOLDEN_COMPLEX128 = "152d729efc5e7b59"
+GOLDEN_COMPLEX128 = "6c3ee220fbc9cd2c"
 
 
 #: Digest of ``clext pssqm-check`` stdout for each argv, with its exit code.
 GOLDEN_CLI = {
-    "--p 2 --alpha 1,-0.5,-0.5": ("05ae3aa9a0ac6ae7", 0),
-    "--p 5 --alpha 0,0,0,0,0,0": ("8a0497f372f68f8b", 1),
-    "--p 2 --samples 3": ("9bdfbadcf06e9c29", 0),
+    "--p 2 --alpha 1,-0.5,-0.5": ("c893fe2fcc56b6d2", 0),
+    "--p 5 --alpha 0,0,0,0,0,0": ("8c693406be085926", 1),
+    "--p 2 --samples 3": ("6cf0bd464f994013", 0),
     "--p 1 --alpha 0,0": ("1337dcfdc441a79e", 0),
 }
 
 
-#: Digest of ``clext bd-scan`` stdout for each argv, with its exit code, first
-#: recorded before ``bd-scan`` built its JSON body only for JSON output.
+#: Digest of ``clext bd-scan`` stdout for each argv, with its exit code.
 GOLDEN_BD_SCAN = {
-    "--alpha 0.2,-0.1,-0.1 --mu 1 --scan-points 9": ("8bb428e7dfca49c1", 0),
-    "--alpha 0.2,-0.1,-0.1 --mu 1 --scan-points 9 --format csv": ("751aaed61486733c", 0),
-    "--format csv": ("99f39850731d43d2", 0),
+    "--alpha 0.2,-0.1,-0.1 --mu 1 --scan-points 9": ("52a7598e5ffce24d", 0),
+    "--alpha 0.2,-0.1,-0.1 --mu 1 --scan-points 9 --format csv": ("93c27496a88bab3a", 0),
+    "--format csv": ("2722e972d6f86340", 0),
 }
 
 
