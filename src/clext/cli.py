@@ -39,7 +39,6 @@ from .pssqm import (
     DEFAULT_SSQM_TOL,
     MULTILINEAR_DENSE_WORDS,
     bd_scan,
-    cluster_cut,
     ground_energy,
     solve_and_check,
     solve_config,
@@ -266,11 +265,6 @@ def _held_bytes_per_row(command: str, lam: int) -> int:
     return 1536 if command == "bd-scan" else 1536 + 192 * lam
 
 
-def _largest_dim(command: str) -> int:
-    """The largest dim whose dim x dim matrices fit MAX_HELD_BYTES for ``command``."""
-    return math.isqrt(MAX_HELD_BYTES // _held_bytes_per_entry(command))
-
-
 def _cap(name: str, value: int, largest: int, command: str, lam: int, per: int,
          unit: str) -> None:
     """Reject ``value`` past ``largest``, the most that fits MAX_HELD_BYTES at
@@ -353,29 +347,9 @@ def parse_config(argv) -> RunConfig:
     dim = values["dim"] if values["dim"] is not None else 12 * lam
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
-    if command in ("pssqm-check", "ssqm"):
-        cut = cluster_cut(lam - 1)
-        # the ground multiplet, states 0 .. mu, must lie below the cut; ssqm's
-        # broken variant annihilates sector 1.  A mu outside 0 .. p is the
-        # library's error to report, so it asks for the cut alone here.
-        mu = values["mu"] if command == "pssqm-check" else int(values["variant"] != "unbroken")
-        mu = mu if 0 <= mu < lam else 0
-        least = cut + mu + 1
-        largest = _largest_dim(command)
-        if command == "pssqm-check" and least > largest:
-            raise ValidationError(  # the cut lambda^2 clears it up to lambda isqrt(largest - 1)
-                f"pssqm-check at lambda {lam} needs dim at least {least} to clear the cluster "
-                f"cut, but at most {largest} fits within {MAX_HELD_BYTES >> 20} MiB; the "
-                f"largest lambda pssqm-check runs at is {math.isqrt(largest - 1)}")
-        if dim <= cut:
-            raise ValidationError(
-                f"dim must exceed the cluster cut lambda (p + 1) = {cut}, got {dim}")
-        if dim < least:
-            raise ValidationError(
-                f"dim must be at least lambda (p + 1) + mu + 1 = {least} so that "
-                f"the ground multiplet (states 0..{mu}) lies below the cluster cut, got {dim}")
     if command in ("pssqm-check", "dump"):
-        _cap("dim", dim, _largest_dim(command), command, lam, _held_bytes_per_entry(command),
+        per_entry = _held_bytes_per_entry(command)
+        _cap("dim", dim, math.isqrt(MAX_HELD_BYTES // per_entry), command, lam, per_entry,
              "matrix entry")
     count_key = {"bd-scan": "scan_points", "pssqm-check": "samples"}.get(command)
     if count_key and values[count_key] is not None:

@@ -62,9 +62,9 @@ from .errors import DimensionTooLargeError, MarginTooLargeError, NonUnitaryTrunc
 
 @dataclass(frozen=True, eq=False)
 class TruncatedFockRep:
-    """Read-only bands of a and adag, read-only diagonals of N and T, the
-    read-only (lam, dim) view P whose row mu is the diagonal of P_mu, and
-    whether the rep is an exact finite one (``dim`` equals its dimension)."""
+    """Read-only bands of a and adag (one array as built), read-only diagonals of
+    N and T, the read-only (lam, dim) view P whose row mu is the diagonal of P_mu,
+    and whether the rep is an exact finite one (``dim`` equals its dimension)."""
 
     spec: AlgebraSpec
     dim: int
@@ -112,17 +112,16 @@ def build_fock_rep(spec: AlgebraSpec, dim: int, dtype=np.complex128) -> Truncate
     n = np.arange(dim)
     a = np.zeros(dim, dtype=dtype)
     a[1:] = np.sqrt(values[1:])
-    adag = a.copy()  # conj(a): the square roots are real
     num = n.astype(rdtype)
     t_gen = phase_table(_t_phases, lam)[n % lam]
     # period[i] = 1 where i = lam - 1 (mod lam); row mu starts lam - 1 - mu in
     period = (np.arange(dim + lam - 1) % lam == lam - 1).astype(rdtype)
     step = period.itemsize
     projectors = np.ndarray((lam, dim), rdtype, period, (lam - 1) * step, (-step, step))
-    for arr in (a, adag, num, t_gen, period, projectors):
+    for arr in (a, num, t_gen, period, projectors):
         arr.setflags(write=False)
-    return TruncatedFockRep(
-        spec=spec, dim=dim, a=a, adag=adag, num=num, T=t_gen, P=projectors,
+    return TruncatedFockRep(  # adag = conj(a) = a, the square roots being real
+        spec=spec, dim=dim, a=a, adag=a, num=num, T=t_gen, P=projectors,
         exact=rep_class.dim == dim,
     )
 

@@ -20,7 +20,7 @@ fixes the shift differences through the recursion
 and the multilinear relation holds on every Fock state iff the coefficient
 norms satisfy sum |eta|^2 = 2p together with one linear condition that
 pins r_{mu+2} (and with it the whole chain).  :func:`solve_r` implements
-that chain; :func:`khare_check` measures the relation residuals on the
+that chain; :func:`khare_check` decides each relation state by state on the
 truncation interior.  Q is a weighted shift, its +1 band q[n] = <n|Q|n-1>,
 and Q^n is the +n band of products of n consecutive q entries, so
 Q^{p+1} = 0, the nonvanishing of Q^n and [H, Q] = 0 are O(p dim) band
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -60,10 +61,14 @@ from .errors import (
     WrongOrderError,
 )
 from .fock import TruncatedFockRep, build_fock_rep, interior_max_abs, lower_shift, upper_shift
-from .spectrum import report_dict, shifted_hamiltonian, surviving_clusters
+from .spectrum import Cluster, degeneracy_profile, report_dict, shifted_hamiltonian
 
 DEFAULT_PSSQM_TOL = 1e-10
 DEFAULT_SSQM_TOL = 1e-13
+
+#: Relative tolerance of the per-state [H, Q] and multilinear decisions: a state
+#: passes when its residual is within ``tol`` or within RELATIVE_TOL of its scale.
+RELATIVE_TOL = 1e-13
 
 #: Matrix precision for relation checks.  Words of length p+1 at the
 #: default truncation reach entry magnitudes around 1e5, where plain double
@@ -117,11 +122,6 @@ def _eta_norms(p: int, eta: np.ndarray) -> np.ndarray:
     if abs(total - 2 * p) > CONSTRAINT_TOL:
         raise EtaNormViolationError(f"sum |eta|^2 must equal 2p = {2 * p}, got {total!r}")
     return norms
-
-
-def cluster_cut(p: int) -> int:
-    """The top lam (p + 1) states, whose multiplets lose members to truncation."""
-    return (p + 1) * (p + 1)
 
 
 def solve_r(spec: AlgebraSpec, mu: int, eta=None) -> np.ndarray:
@@ -220,13 +220,15 @@ def build_supercharge(rep: TruncatedFockRep, mu: int, eta=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PssqmReport:
-    """Interior residuals of the order-p relations plus spectrum data."""
+    """Interior residuals of the order-p relations, absolute and per-state relative."""
 
     order: int
     residual_nilpotency: float
     nonvanishing_witness: float
     residual_commutator: float
     residual_multilinear: float
+    relative_commutator: float
+    relative_multilinear: float
     breaking: str
     ground_energy: float
     ground_multiplicity: int
@@ -236,9 +238,32 @@ class PssqmReport:
     to_dict = report_dict
 
 
+def _complete_levels(energies, lam: int) -> list[Cluster]:
+    """Clusters of the levels every sector's progression reaches in the truncation:
+    energies rise by lam a step in a sector, so those up to the cluster of the lowest
+    top kept state of a sector, min(energies[dim - lam:]).  ValueError below dim 2 lam,
+    the least at which the ground (states 0 .. mu) and first excited multiplets are
+    complete for every mu, and when float64 puts a top state in the ground cluster."""
+    values = np.asarray(energies, dtype=float)
+    dim = len(values)
+    if dim < 2 * lam:
+        raise ValueError(f"dim must be at least 2 lam = {2 * lam}, where the ground and the "
+                         f"first excited multiplet are complete for every mu, got {dim}")
+    clusters = degeneracy_profile(values)
+    top = dim - lam + int(np.argmin(values[dim - lam:]))
+    last = next(i for i, cluster in enumerate(clusters) if top in cluster.members)
+    if last == 0:
+        magnitude = float(np.max(np.abs(values)))
+        where = "one cluster" if len(clusters) == 1 else f"{len(clusters)} clusters"
+        raise ValueError(f"all {dim} energies fall in {where}: float64 cannot resolve their "
+                         f"level spacing at magnitude {magnitude:.3g}, and no dim separates them")
+    return clusters[: last + 1]
+
+
 def _multilinear_lhs(bands: list, p: int) -> np.ndarray:
-    """sum_k Q^(p-k) Qd Q^k, k = 0..p: the 2p dense products of :func:`khare_check`,
-    no identity factor.  Each dense Q^m = np.diag(bands[m][m:], -m) is formed just
+    """sum_k Q^(p-k) Qd Q^k, k = 0..p, as its one nonzero band, offset -(p - 1):
+    entry n is column n.  The 2p dense products of :func:`khare_check`, no
+    identity factor; each dense Q^m = np.diag(bands[m][m:], -m) is formed just
     before its product, so at most ``MULTILINEAR_DENSE_WORDS`` are held at once."""
 
     def power(m):
@@ -248,7 +273,16 @@ def _multilinear_lhs(bands: list, p: int) -> np.ndarray:
     for k in range(1, p):
         lhs += power(p - k) @ adjoint @ power(k)
     lhs += adjoint @ power(p)
-    return lhs
+    return np.diagonal(lhs, -(p - 1))
+
+
+def _relative(residual: np.ndarray, scale: np.ndarray, covered: np.ndarray,
+              tol: float) -> tuple[float, bool]:
+    """The largest covered residual over its state's scale, and whether every state
+    passes: within ``tol`` or within RELATIVE_TOL of its scale."""
+    size = np.abs(residual)
+    relative = float((size[covered] / scale[covered]).max(initial=0.0))
+    return relative, bool(np.all(size <= np.maximum(tol, RELATIVE_TOL * scale)))
 
 
 def khare_check(
@@ -259,53 +293,61 @@ def khare_check(
 ) -> PssqmReport:
     """Residuals of the order-p relations for given Q and the energies of H.
 
-    Checks Q^{p+1} = 0 and [H, Q] = 0 on every state, the multilinear
-    relation without the top state, where its Qd Q^p errs (the truncation
-    rule of :mod:`clext.fock`), and the nonvanishing of Q^n for n <= p (the
-    smallest max-entry, which must stay positive).  ``charge`` is the +1
-    band q of :func:`build_supercharge`, one entry per kept state and
-    q[0] = 0 (else ValueError); ``hamiltonian`` holds the energies of H, as
-    returned by :func:`shifted_hamiltonian`.  Each dense entry is one nonzero
-    product plus exact zeros, so every band residual equals the dense one bit
-    for bit.  A nondegenerate ground cluster of H means unbroken.  Needs dim
-    above :func:`cluster_cut` so that at least one complete multiplet
-    survives it; that cut is taken before any dense word.
+    Checks Q^{p+1} = 0 (absolute) and [H, Q] = 0 on every state, the multilinear
+    relation without the top state, where its Qd Q^p errs (the truncation rule
+    of :mod:`clext.fock`), and the nonvanishing of Q^n for n <= p (the smallest
+    max-entry, which must stay positive).  ``charge`` is the +1 band q of
+    :func:`build_supercharge`, q[0] = 0 (else ValueError); ``hamiltonian`` holds
+    the energies h of H.  [H, Q] at state n is q[n] (h(n) - h(n-1)), and column n
+    of the multilinear relation prod_(j=1..p-1) q[n+j] (sum_k |q[n+k]|^2 - 2p h(n));
+    each passes within ``tol`` or within RELATIVE_TOL of its scale, |q[n]|
+    max(|h(n)|, |h(n-1)|, 1) and |prod| max(max_k |q[n+k]|^2, 2p max(|h(n)|, 1)).
+    A nondegenerate ground of :func:`_complete_levels`, taken before any dense
+    word, means unbroken.
     """
     p = rep.spec.lam - 1
     if charge.shape != (rep.dim,) or charge[0] != 0:
         raise ValueError(f"charge must be a band of {rep.dim} entries with charge[0] = 0, "
                          f"as no state lies below |0>; got shape {charge.shape}")
+    ground = _complete_levels(np.real(hamiltonian), p + 1)[0]
 
     # bands[m][n] = <n|Q^m|n-m> = bands[m-1][n] q[n-m+1], the dense chain's
-    # order of factors; bands[0] = 1 stands for Q^0
-    bands = [1, charge]
+    # order of factors; bands[0] = 1 is Q^0
+    bands = [np.ones_like(charge), charge]
     for m in range(2, p + 2):
         bands.append(bands[-1] * lower_shift(charge, m - 1))
     nilpotency = interior_max_abs(bands[p + 1], 0)
     # every entry of Q^n is a true matrix element: truncation only removes paths
     witness = min(float(np.abs(bands[n]).max()) for n in range(1, p + 1))
-    commutator = interior_max_abs(hamiltonian * charge - charge * lower_shift(hamiltonian), 0)
-    ground = surviving_clusters(np.real(hamiltonian), drop_top=cluster_cut(p))[0]
 
-    lhs = _multilinear_lhs(bands, p)
-    # 2p Q^(p-1) H as a -(p-1) band: H scales column n - p + 1
-    rows = np.arange(p - 1, rep.dim)
-    lhs[rows, rows - (p - 1)] -= (2 * p * (bands[p - 1] * lower_shift(hamiltonian, p - 1)))[p - 1:]
-    multilinear = interior_max_abs(lhs, 1)
+    below = lower_shift(hamiltonian)
+    commutator = hamiltonian * charge - charge * below
+    scale = np.abs(charge) * np.maximum(np.maximum(np.abs(hamiltonian), np.abs(below)), 1)
+    relative_commutator, commutes = _relative(commutator, scale, charge != 0, tol)
+
+    # column n of 2p Q^(p-1) H is 2p prod_(j=1..p-1) q[n+j] h(n), n = 0 .. dim - p
+    product = bands[p - 1][p - 1:]
+    multilinear = _multilinear_lhs(bands, p) - 2 * p * (product * hamiltonian[: rep.dim - p + 1])
+    count = rep.dim - p  # without column dim - p, whose row is the top state
+    norms = np.abs(charge) ** 2
+    peak = reduce(np.maximum, (norms[k : k + count] for k in range(p + 1)))  # max_k |q[n+k]|^2
+    product, energies = product[:count], np.abs(hamiltonian[:count])
+    scale = np.abs(product) * np.maximum(peak, 2 * p * np.maximum(energies, 1))
+    relative_multilinear, holds = _relative(multilinear[:count], scale, product != 0, tol)
 
     return PssqmReport(
         order=p,
         residual_nilpotency=nilpotency,
         nonvanishing_witness=witness,
-        residual_commutator=commutator,
-        residual_multilinear=multilinear,
+        residual_commutator=interior_max_abs(commutator, 0),
+        residual_multilinear=interior_max_abs(multilinear, 1),
+        relative_commutator=relative_commutator,
+        relative_multilinear=relative_multilinear,
         breaking="unbroken" if ground.multiplicity == 1 else "broken",
         ground_energy=ground.energy,
         ground_multiplicity=ground.multiplicity,
         tolerance=tol,
-        passed=(
-            nilpotency <= tol and commutator <= tol and multilinear <= tol and witness > 0
-        ),
+        passed=nilpotency <= tol and commutes and holds and witness > 0,
     )
 
 
@@ -329,13 +371,10 @@ class BreakingReport:
 
 
 def classify_breaking(h_diagonal, mu: int, p: int) -> BreakingReport:
-    """Classify breaking from the energies of a solved shifted Hamiltonian.
-
-    Clusters the spectrum with the top :func:`cluster_cut` states excluded
-    and reads the ground multiplicity from the lowest surviving cluster.
-    """
+    """Classify breaking from the complete levels (:func:`_complete_levels`) of the
+    energies of a solved shifted Hamiltonian, the ground being the lowest of them."""
     _check_mu(mu, p + 1)
-    clusters = surviving_clusters(h_diagonal, drop_top=cluster_cut(p))
+    clusters = _complete_levels(h_diagonal, p + 1)
     ground = clusters[0]
     excited = tuple(c.multiplicity for c in clusters[1:])
     breaking = "unbroken" if ground.multiplicity == 1 else "broken"
@@ -468,7 +507,7 @@ class SsqmReport:
     to_dict = report_dict
 
 
-@np.errstate(over="ignore", invalid="ignore")  # huge couplings overflow, then fail the cluster cut
+@np.errstate(over="ignore", invalid="ignore")  # huge couplings overflow, then fail to resolve
 def ssqm_check(rep: TruncatedFockRep, variant: str, tol: float = DEFAULT_SSQM_TOL) -> SsqmReport:
     """Check one of the two lam = 2 supersymmetry realizations.
 
@@ -533,12 +572,16 @@ def beckers_debergh_check(
     Uses the charge band and the solved shifted Hamiltonian of the order-2
     check (``r`` defaults to the solved chain); the residual is a band,
     O(dim), less its top state, where [Qd, Q] errs (:mod:`clext.fock`).
-    The relation holds only where alpha_{mu+2} = -1.
+    The relation holds only where alpha_{mu+2} = -1.  Needs dim >= lam + 1 = 4,
+    the least dim at which the checked states read a nonzero q for every mu.
     """
     if rep.spec.lam != 3:
         raise WrongOrderError(
             f"double-commutator variant is order 2 only (lam = 3), got lam = {rep.spec.lam}"
         )
+    if rep.dim < 4:
+        raise ValueError(f"dim must be at least lam + 1 = 4, where the checked states read a "
+                         f"nonzero charge entry for every mu, got {rep.dim}")
     shifts = solve_r(rep.spec, mu, eta) if r is None else _given_r(r)
     q = build_supercharge(rep, mu, eta)
     hamiltonian = shifted_hamiltonian(rep, shifts)

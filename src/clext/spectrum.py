@@ -100,21 +100,6 @@ def degeneracy_profile(values, cluster_tol: float = DEFAULT_CLUSTER_TOL, drop_to
     return clusters
 
 
-def surviving_clusters(values, drop_top: int) -> list[Cluster]:
-    """:func:`degeneracy_profile` at the default tolerance with the top
-    ``drop_top`` positions cut; raises ValueError when no cluster survives."""
-    clusters = degeneracy_profile(values, DEFAULT_CLUSTER_TOL, drop_top)
-    if clusters:
-        return clusters
-    magnitude = float(np.max(np.abs(values)))
-    if np.spacing(magnitude) <= 1:  # float64 resolves the unit level spacing, so dim is short
-        raise ValueError("no clusters survive the truncation cutoff; increase dim")
-    count = len(degeneracy_profile(values))
-    where = "one cluster" if count == 1 else f"{count} clusters"
-    raise ValueError(f"all {len(values)} energies fall in {where}: float64 cannot resolve their "
-                     f"level spacing at magnitude {magnitude:.3g}, and no dim separates them")
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     """Levels, degeneracy clusters, and ground-state data of a Hamiltonian's energies."""
@@ -123,12 +108,11 @@ class SpectrumReport:
     clusters: tuple[Cluster, ...]
     ground: Cluster
     cluster_tol: float
-    dropped_top: int
 
     def to_dict(self) -> dict:
         return {
             "cluster_tol": self.cluster_tol,
-            "dropped_top": self.dropped_top,
+            "dropped_top": 0,  # every state is profiled; the key keeps the report's layout
             "levels": [
                 {"n": n, "energy": energy, "sector": sector}
                 for n, energy, sector in self.levels
@@ -138,7 +122,7 @@ class SpectrumReport:
         }
 
 
-def spectrum_report(rep: TruncatedFockRep, diagonal=None, drop_top: int = 0) -> SpectrumReport:
+def spectrum_report(rep: TruncatedFockRep, diagonal=None) -> SpectrumReport:
     """Spectrum of a Hamiltonian's energies over the truncation.
 
     Defaults to the oscillator energies of :func:`hamiltonian_h0`; pass
@@ -149,11 +133,10 @@ def spectrum_report(rep: TruncatedFockRep, diagonal=None, drop_top: int = 0) -> 
     diagonal = np.asarray(hamiltonian_h0(rep) if diagonal is None else diagonal, dtype=float)
     energies, lam = diagonal.tolist(), rep.spec.lam
     levels = tuple((n, energies[n], n % lam) for n in range(rep.dim))
-    clusters = tuple(surviving_clusters(diagonal, drop_top))
+    clusters = tuple(degeneracy_profile(diagonal))
     return SpectrumReport(
         levels=levels,
         clusters=clusters,
         ground=clusters[0],
         cluster_tol=DEFAULT_CLUSTER_TOL,
-        dropped_top=drop_top,
     )

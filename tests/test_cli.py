@@ -420,6 +420,26 @@ class TestPssqmCommands:
         assert code == 0, err
         assert json.loads(out)["body"]["p"] == 7
 
+    def test_check_at_large_couplings(self, capsys):
+        # absolute residuals of 52.9 and 4.7e-10 are roundoff at that size
+        code, out, err = run_cli(
+            ["pssqm-check", "--mu", "3", "--alpha", "2370,1092,7687,7150,8689,811,5914,-33713"],
+            capsys,
+        )
+        assert code == 0, err
+        relations = json.loads(out)["body"]["relations"]
+        assert relations["residual_multilinear"] > 50
+        assert relations["residual_commutator"] > relations["tolerance"]
+        assert max(relations["relative_multilinear"], relations["relative_commutator"]) < 1e-15
+
+    def test_check_at_p_11_runs_at_its_default_dim(self, capsys):
+        code, out, err = run_cli(["pssqm-check", "--p", "11", "--alpha", ",".join(["0"] * 12)],
+                                 capsys)
+        assert (code, err) == (0, "")
+        body = json.loads(out)["body"]
+        assert body["breaking"]["excited_multiplicities"] == [12] * 11
+        assert json.loads(out)["header"]["dim"] == 144
+
     def test_solve_summary_prints_plain_floats(self, capsys, tmp_path):
         target = tmp_path / "solve.json"
         code, out, _ = run_cli(
@@ -496,11 +516,12 @@ class TestPssqmCommands:
 
 
 class TestClusterCut:
-    """pssqm-check and ssqm cluster the spectrum without its top lambda (p + 1)
-    states, so a dim that does not exceed that cut is a usage error that names
-    it, whether the dim is given or the default 12 lambda.  A dim that leaves
-    the ground multiplet, states 0 .. mu, touching the cut is one too, and
-    names the smallest valid dim, lambda (p + 1) + mu + 1."""
+    """pssqm-check and ssqm once clustered the spectrum without its top
+    lambda (p + 1) states and rejected every dim up to that cut plus mu.  Now
+    the levels that every sector reaches inside the truncation count, so the
+    dims that cut refused run (the old cut and smallest dim are kept as
+    parameters), and the one floor, dim >= 2 lambda, is the library's
+    ValueError in one ``clext: error:`` line."""
 
     @pytest.mark.parametrize("argv, cut, dim", [
         (["pssqm-check", "--p", "12", "--alpha", ",".join(["0"] * 13)], 169, 156),
@@ -511,9 +532,8 @@ class TestClusterCut:
     ])
     def test_dim_at_or_below_the_cut(self, capsys, argv, cut, dim):
         code, out, err = run_cli(argv, capsys)
-        assert (code, out) == (2, "")
-        assert err == (f"clext: error: dim must exceed the cluster cut "
-                       f"lambda (p + 1) = {cut}, got {dim}\n")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["header"]["dim"] == dim <= cut
 
     @pytest.mark.parametrize("argv", [
         ["pssqm-check", "--p", "2", "--alpha", "1,-0.5,-0.5", "--dim", "10"],
@@ -538,32 +558,50 @@ class TestClusterCut:
         (["ssqm", "--alpha", "0,0", "--variant", "broken", "--dim", "5"], 6, 1, 5),
     ])
     def test_ground_multiplet_at_the_cut(self, capsys, argv, smallest, mu, dim):
-        # the library would find no cluster below the cut and raise ValueError
+        # the ground multiplet, states 0 .. mu, is complete below the old smallest dim
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and dim < smallest
+        body = json.loads(out)["body"]
+        if argv[0] == "ssqm":
+            assert body["variants"][-1]["ground_multiplicity"] == mu + 1
+        elif "rows" in body:
+            assert body["all_pass"]
+        else:
+            assert body["breaking"]["ground_multiplicity"] == mu + 1 and body["pass"]
+
+    @pytest.mark.parametrize("argv, dim", [
+        (["pssqm-check", "--p", "2", "--alpha", "1,-0.5,-0.5", "--dim", "5"], 5),
+        (["pssqm-check", "--p", "12", "--samples", "1", "--dim", "25"], 25),
+        (["ssqm", "--alpha", "0,0", "--dim", "3"], 3),
+    ])
+    def test_dim_below_the_floor_gets_the_library_error(self, capsys, argv, dim):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
-        assert err == (f"clext: error: dim must be at least lambda (p + 1) + mu + 1 = "
-                       f"{smallest} so that the ground multiplet (states 0..{mu}) lies "
-                       f"below the cluster cut, got {dim}\n")
+        lam = 2 if argv[0] == "ssqm" else int(argv[2]) + 1
+        assert err == (f"clext: error: dim must be at least 2 lam = {2 * lam}, where the ground "
+                       f"and the first excited multiplet are complete for every mu, got {dim}\n")
 
     @pytest.mark.parametrize("dim", [None, "979", "1025", "2590", "2602"])
-    def test_lambda_past_the_budget_gets_one_message(self, capsys, dim):
-        # at lambda 51 the cut needs dim 2602, and the held-bytes budget allows
-        # 2590; every dim gets the one message, also the budget and the cut
-        # that lambda 32 once met (979 and 1025), which now run there
+    def test_lambda_past_the_budget_gets_one_message(self, dim):
+        # the lambda-51 message is gone: every dim within the held-bytes budget
+        # parses (a dense check there takes minutes, so none runs), and a dim
+        # past it gets the budget's one message
         argv = ["pssqm-check", "--p", "50", "--alpha", ",".join(["0"] * 51)]
-        code, out, err = run_cli(argv + (["--dim", dim] if dim else []), capsys)
-        assert (code, out) == (2, "")
-        assert err == ("clext: error: pssqm-check at lambda 51 needs dim at least 2602 to "
-                       "clear the cluster cut, but at most 2590 fits within 1024 MiB; the "
-                       "largest lambda pssqm-check runs at is 50\n")
+        argv += ["--dim", dim] if dim else []
+        if dim == "2602":
+            with pytest.raises(ValidationError) as raised:
+                parse_config(argv)
+            assert str(raised.value) == (
+                "dim must be at most 2590 for pssqm-check at lambda 51, which holds up to 160 "
+                "bytes per matrix entry within 1024 MiB, got 2602")
+        else:
+            assert parse_config(argv).dim == int(dim or 612)
 
     def test_lambda_31_keeps_its_dim_bounds(self):
-        # parsed only: a dense check at dim 2590 takes minutes
+        # parsed only: a dense check at dim 2590 takes minutes; below the budget
+        # the library decides the floor
         argv = ["pssqm-check", "--p", "30", "--alpha", ",".join(["0"] * 31), "--dim"]
-        assert [parse_config(argv + [str(dim)]).dim for dim in (962, 2590)] == [962, 2590]
-        with pytest.raises(ValidationError) as raised:
-            parse_config(argv + ["961"])
-        assert str(raised.value) == "dim must exceed the cluster cut lambda (p + 1) = 961, got 961"
+        assert [parse_config(argv + [str(dim)]).dim for dim in (61, 961, 2590)] == [61, 961, 2590]
         with pytest.raises(ValidationError) as raised:
             parse_config(argv + ["2591"])
         assert str(raised.value) == (
@@ -809,14 +847,17 @@ class TestBdScanCommand:
         assert "mu must lie in 0..2, got 7" in err
 
     def test_smallest_dim(self, capsys):
-        # the residual masks only its top state, so dim 2 leaves one state to
-        # check and dim 1 none
-        code, out, _ = run_cli(["bd-scan", "--dim", "2", "--scan-points", "3"], capsys)
+        # below lam + 1 = 4 the checked states read no nonzero charge entry at
+        # some mu, so every point would pass at residual 0; dim 4 tells -1 apart
+        for dim in ("1", "2", "3"):
+            code, out, err = run_cli(["bd-scan", "--dim", dim, "--scan-points", "5"], capsys)
+            assert (code, out) == (2, "")
+            assert err == ("clext: error: dim must be at least lam + 1 = 4, where the checked "
+                           f"states read a nonzero charge entry for every mu, got {dim}\n")
+        code, out, _ = run_cli(["bd-scan", "--dim", "4", "--scan-points", "5"], capsys)
         assert code == 0
-        assert len(json.loads(out)["body"]["rows"]) == 3
-        code, out, err = run_cli(["bd-scan", "--dim", "1", "--scan-points", "3"], capsys)
-        assert (code, out) == (2, "")
-        assert err == "clext: error: margin 1 does not fit in dimension 1\n"
+        rows = json.loads(out)["body"]["rows"]
+        assert [row["residual"] <= 1e-10 for row in rows] == [False, False, True, False, False]
 
 
 class TestDumpCommand:

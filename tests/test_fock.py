@@ -55,6 +55,19 @@ class TestBuild:
                 assert band[0] == 0
                 assert not band.flags.writeable
 
+    def test_rep_holds_48_bytes_a_state(self):
+        # adag = conj(a) = a, the square roots being real, so one read-only
+        # band serves both: a complex128 rep holds the band (16 bytes a state),
+        # N (8), T (16) and P's one period (8)
+        rep = build_fock_rep(from_alpha(64, [0.0] * 64), 100_000)
+        assert rep.adag is rep.a
+        buffers = {}
+        for array in (rep.a, rep.adag, rep.num, rep.T, rep.P):
+            while array.base is not None:
+                array = array.base
+            buffers[id(array)] = array.nbytes
+        assert sum(buffers.values()) <= 48 * (rep.dim + 64)
+
     def test_number_operator(self):
         rep = build_fock_rep(WORKED, 5)
         np.testing.assert_array_equal(rep.num, np.arange(5))

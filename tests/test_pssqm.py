@@ -43,7 +43,7 @@ from clext import (
 )
 from clext.cli import main
 from clext.algebra import admits_bfb
-from clext.pssqm import CHECK_DTYPE, MULTILINEAR_DENSE_WORDS
+from clext.pssqm import CHECK_DTYPE, MULTILINEAR_DENSE_WORDS, RELATIVE_TOL
 from conftest import digest
 
 WORKED = from_alpha(3, [1.0, -0.5, -0.5])
@@ -510,19 +510,28 @@ class TestKhareCheck:
         assert khare_check(rep, charge, energies) == expected
         assert len(products) == 2 * p
 
-    def test_cluster_cut_fails_before_any_dense_word(self, monkeypatch):
-        rep, charge, energies = self.khare_inputs(11, 110)
-        products = counting_dense_factors(monkeypatch)
-        with pytest.raises(ValueError, match="drop_top 121 does not fit in 110 values"):
-            khare_check(rep, charge, energies)
-        assert products == []
+    def test_default_dim_at_lam_11_passes(self):
+        # the default dim 10 lam = 110 once fell below the cut lam (p + 1) = 121;
+        # its multilinear residual is absolute roundoff, about 4e-3 at relative 1e-16
+        run = solve_and_check(golden_spec(11), 0)
+        assert run.report.passed and run.breaking.matches_prediction
+        assert run.breaking.excited_multiplicities == (11,) * 9
+        assert run.report.residual_multilinear > run.report.tolerance
+        assert run.report.relative_multilinear < RELATIVE_TOL / 100
 
-    def test_cluster_cut_rejects_the_smallest_dims(self):
-        # the multilinear margin 1 fits from dim 2, so no MarginTooLargeError
-        # comes before the cut, which needs dim above lam^2
-        rep, charge, energies = self.khare_inputs(3, 3)
-        with pytest.raises(ValueError, match="drop_top 9 does not fit in 3 values"):
-            khare_check(rep, charge, energies)
+    def test_dim_below_2_lam_fails_before_any_dense_word(self, monkeypatch):
+        # dim 2 lam is the least at which the ground and first excited
+        # multiplets are complete for every mu
+        for lam, mu in ((3, 2), (11, 0), (11, 10)):
+            rep, charge, energies = self.khare_inputs(lam, 2 * lam, mu)
+            assert khare_check(rep, charge, energies).passed
+            rep, charge, energies = self.khare_inputs(lam, 2 * lam - 1, mu)
+            products = counting_dense_factors(monkeypatch)
+            with pytest.raises(ValueError, match=f"^dim must be at least 2 lam = {2 * lam}, "
+                                                 f"where .* got {2 * lam - 1}$"):
+                khare_check(rep, charge, energies)
+            assert products == []
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("make, shape", [
         (dense_charge, "(30, 30)"),
@@ -571,6 +580,109 @@ def counting_dense_factors(monkeypatch):
     diag = np.diag
     monkeypatch.setattr(np, "diag", lambda v, k=0: diag(v, k).view(Counting))
     return products
+
+
+class TestPerStateScale:
+    """[H, Q] and the multilinear relation are decided state by state, within
+    tol or within RELATIVE_TOL of the state's scale: roundoff of a correct
+    configuration stays far below it at any dim, and a 1e-9 change of one
+    solved shift stays far above it."""
+
+    @pytest.mark.parametrize("lam", (2, 3, 8, 11))
+    def test_relative_tol_from_both_sides(self, lam):
+        plain = from_alpha(lam, [0.0] * lam)
+        drawn = from_alpha(lam, sample_bfb_alpha(lam, np.random.default_rng(70 + lam)))
+        for dim in (2 * lam, 10 * lam + 1, 20 * lam):
+            inputs = [(plain, 0), (drawn, lam - 1)] if lam < 11 or dim < 20 * lam else [(plain, 0)]
+            for spec, mu in inputs:
+                report = solve_and_check(spec, mu, dim=dim).report
+                assert report.passed, (dim, mu)
+                assert max(report.relative_commutator,
+                           report.relative_multilinear) < RELATIVE_TOL / 10, (dim, mu)
+                if dim == 20 * lam:
+                    continue
+                shifts = solve_r(spec, mu)
+                shifts[(mu + 2) % lam] += 1e-9
+                report = solve_and_check(spec, mu, dim=dim, r=shifts).report
+                assert not report.passed, (dim, mu)
+                assert min(report.relative_commutator,
+                           report.relative_multilinear) > RELATIVE_TOL * 10, (dim, mu)
+
+    @pytest.mark.parametrize("lam", range(2, 12))
+    def test_every_moved_shift_fails(self, lam):
+        spec = from_alpha(lam, [0.0] * lam)
+        for mu in (0, lam - 1):
+            for moved in range(lam):
+                shifts = solve_r(spec, mu)
+                shifts[moved] += 1e-9
+                assert not solve_and_check(spec, mu, dim=2 * lam, r=shifts).report.passed
+
+    def test_large_couplings_pass_at_their_scale(self):
+        # absolute residuals of 53 and 5e-10 are roundoff at couplings near 3e4
+        spec = from_alpha(8, [2370, 1092, 7687, 7150, 8689, 811, 5914, -33713])
+        run = solve_and_check(spec, 3, dim=96)
+        report = run.report
+        assert report.passed and run.breaking.matches_prediction
+        assert report.residual_multilinear > 1 and report.residual_commutator > 1e-10
+        assert max(report.relative_commutator, report.relative_multilinear) < 1e-15
+        shifts = run.solved_r.copy()
+        shifts[5] *= 1 + 1e-9
+        assert not solve_and_check(spec, 3, dim=96, r=shifts).report.passed
+
+    def test_absolute_tol_still_admits(self):
+        # a state within tol passes whatever its scale: tol keeps its meaning
+        spec = from_alpha(3, [0.0] * 3)
+        shifts = solve_r(spec, 0)
+        shifts[2] += 1e-9
+        report = solve_and_check(spec, 0, dim=30, r=shifts).report
+        assert not report.passed
+        tol = 2 * max(report.residual_commutator, report.residual_multilinear)
+        assert solve_and_check(spec, 0, dim=30, r=shifts, tol=tol).report.passed
+
+
+class TestCompleteLevels:
+    """The complete levels are those at or below the lowest energy among the
+    sectors' top kept states: ground multiplicity mu + 1 and lam at every
+    complete excited level, whatever the dim from 2 lam."""
+
+    @pytest.mark.parametrize("lam", range(2, 12))
+    def test_sweep(self, lam):
+        rng = np.random.default_rng(80 + lam)
+        alphas = [[0.0] * lam] + [sample_bfb_alpha(lam, rng) for _ in range(3)]
+        for alpha in alphas:
+            spec = from_alpha(lam, alpha)
+            for mu in range(lam):
+                shifts = solve_r(spec, mu)
+                for dim in (2 * lam, 10 * lam + mu, 20 * lam):
+                    rep = build_fock_rep(spec, dim, dtype=CHECK_DTYPE)
+                    result = classify_breaking(shifted_hamiltonian(rep, shifts), mu, lam - 1)
+                    assert result.ground_multiplicity == mu + 1, (alpha, mu, dim)
+                    assert set(result.excited_multiplicities) == {lam}, (alpha, mu, dim)
+                    assert result.matches_prediction
+
+    def test_ssqm_diagonals(self):
+        rng = np.random.default_rng(90)
+        for alpha in [[0.0, 0.0]] + [sample_bfb_alpha(2, rng) for _ in range(20)]:
+            spec = from_alpha(2, alpha)
+            for dim in (4, 5, 24, 41):
+                for variant, ground in (("unbroken", 1), ("broken", 2)):
+                    report = ssqm_check(build_fock_rep(spec, dim), variant)
+                    assert report.ground_multiplicity == ground, (alpha, dim, variant)
+                    assert set(report.excited_multiplicities) == {2}, (alpha, dim, variant)
+
+    def test_every_level_up_to_the_lowest_top_state(self):
+        # at mu = 0 the excited multiplet k holds the states (k - 1) lam + 1 .. k lam;
+        # at dim 10 lam + 3 the top states 9 lam + 3 .. 10 lam + 2 end multiplet
+        # 10 and begin multiplet 11, which lacks two members, so ten levels count
+        lam = 4
+        rep = build_fock_rep(from_alpha(lam, [0.0] * lam), 10 * lam + 3, dtype=CHECK_DTYPE)
+        result = classify_breaking(shifted_hamiltonian(rep, solve_r(rep.spec, 0)), 0, lam - 1)
+        assert result.excited_multiplicities == (lam,) * 10
+        assert result.matches_prediction
+
+    def test_floor_applies_to_classify_breaking(self):
+        with pytest.raises(ValueError, match="^dim must be at least 2 lam = 6, .* got 5$"):
+            classify_breaking(np.arange(5.0), 0, 2)
 
 
 class TestBreaking:
@@ -754,7 +866,7 @@ class TestSsqm:
 
     def test_huge_couplings_raise_without_a_numpy_warning(self):
         # the band products overflow; under filterwarnings = error a numpy
-        # RuntimeWarning would surface here instead of the cluster cut's error
+        # RuntimeWarning would surface here instead of the unresolved levels' error
         rep = build_fock_rep(from_alpha(2, [1e300, -1e300]), 24)
         with pytest.raises(ValueError, match="float64 cannot resolve their level spacing"):
             ssqm_check(rep, "broken")
@@ -977,10 +1089,10 @@ class TestMutationMatrix:
 
 
 @pytest.mark.parametrize("report, keys", [
-    (PssqmReport(2, 0.0, 1.0, 0.0, 0.0, "unbroken", -0.25, 1, 1e-10, True),
+    (PssqmReport(2, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, "unbroken", -0.25, 1, 1e-10, True),
      ["order", "residual_nilpotency", "nonvanishing_witness", "residual_commutator",
-      "residual_multilinear", "breaking", "ground_energy", "ground_multiplicity",
-      "tolerance", "pass"]),
+      "residual_multilinear", "relative_commutator", "relative_multilinear", "breaking",
+      "ground_energy", "ground_multiplicity", "tolerance", "pass"]),
     (BreakingReport("broken", 0.5, 2, (3, 3), 2, True),
      ["breaking", "ground_energy", "ground_multiplicity", "excited_multiplicities",
       "predicted_ground_multiplicity", "matches_prediction"]),
@@ -1035,29 +1147,29 @@ def golden_complex128_report(lam):
 #: runs each), on x86-64 with numpy 2.4, where clongdouble is the 80-bit
 #: extended type.
 GOLDEN_KHARE = {
-    2: ["163eea189f98ceb5", "5a122476627d6240"],
-    3: ["879e3e1761349804", "945e13a6ca246cdd", "06e7ac612097d038"],
-    4: ["a66e93cbbf960673", "58ef93e93d17b38e", "1424d51919244da1", "31bf683816b2e26b"],
-    5: ["9957bc79b39d0f96", "6d8edb9ab7d25ae3", "e08131040b687123", "76635d623a0360cc",
-        "6c60e96611560dc3"],
-    6: ["83d07308e76c58d6", "d997ed174d66759a", "29aa013c4d7bd89d", "02b3ecf95e28f567",
-        "f9f3583fcf33f214", "84d24c36cc34e6a8"],
-    7: ["7906f027f1844c42", "50ca7c7a8f882eba", "1ff8dfadfce1d9ed", "fcda69479d1a453b",
-        "47b579431d54a6eb", "91436e4830fccd8e", "8eccde770fdc4e43"],
-    8: ["959b3404d825de58", "38a29e348c98be41", "d72507a5a2e91d06", "cd738f34396664ca",
-        "1e07f794cee51aff", "8c2602339fc53130", "5f08058eb4b5e6dc", "ee4634df71c61558"],
+    2: ["0cb15e4ad65ff8ab", "2511331230768e43"],
+    3: ["01796bb842abe485", "5bce6c8ce278cee9", "bc466d82a9acb791"],
+    4: ["8e597309d873aad9", "7fe4e27426b798c2", "193bfb76a791d6c5", "baab278ee69ab666"],
+    5: ["161c6bc4d28589e4", "fc45b8144ed77397", "92c6d43b8a966614", "917211af28cd018c",
+        "75b831d27919ef3b"],
+    6: ["c0acb6dfecec26ba", "42682d0963028071", "08f0d72b45e1ca9f", "80e06febdb421edf",
+        "854da962c12a545d", "801a0e3502834dbe"],
+    7: ["ffe6a2f5e5d454d2", "48b3638196f2df7b", "14fa12716e701ab1", "082186c5915d9d5d",
+        "91042382bb498c1b", "eb3324654d77823c", "738a04798d3104d3"],
+    8: ["7c5082bacbe1fcf9", "ea6c6ff85c3a5afd", "9fa15023d064f6c7", "572677fd9675cbe3",
+        "421aa7275dca9dea", "bf04b680e3a87714", "69a1109d6a04a07c", "37e9d26f6cb4010f"],
 }
 
 #: Digest of the khare_check reports of :func:`golden_complex128_report`, lam 2 to 8.
-GOLDEN_COMPLEX128 = "6c3ee220fbc9cd2c"
+GOLDEN_COMPLEX128 = "2d538ba67f41a8c4"
 
 
 #: Digest of ``clext pssqm-check`` stdout for each argv, with its exit code.
 GOLDEN_CLI = {
-    "--p 2 --alpha 1,-0.5,-0.5": ("c893fe2fcc56b6d2", 0),
-    "--p 5 --alpha 0,0,0,0,0,0": ("8c693406be085926", 1),
+    "--p 2 --alpha 1,-0.5,-0.5": ("272af75201908bb9", 0),
+    "--p 5 --alpha 0,0,0,0,0,0": ("909ff1a1248f70f5", 0),
     "--p 2 --samples 3": ("6cf0bd464f994013", 0),
-    "--p 1 --alpha 0,0": ("1337dcfdc441a79e", 0),
+    "--p 1 --alpha 0,0": ("c8c09a5bf9e7bd04", 0),
 }
 
 

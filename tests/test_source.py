@@ -58,6 +58,18 @@ def _is_dense_constructor(node) -> bool:
     return isinstance(shape, ast.Tuple) and len(shape.elts) >= 2
 
 
+#: Generic types, whose subscripts in annotations such as tuple[float, bool] index nothing.
+GENERICS = {"tuple", "dict", "list", "type"}
+
+
+def _is_two_axis_index(node) -> bool:
+    """x[i, j] (two or more axes), or np.diagonal, which reads one band of a matrix."""
+    if isinstance(node, ast.Subscript):
+        return (isinstance(node.slice, ast.Tuple) and len(node.slice.elts) >= 2
+                and getattr(node.value, "id", None) not in GENERICS)
+    return _call_name(node) == "diagonal"
+
+
 def _matrix_products(path, allowed=(), is_site=_is_matrix_product):
     """file:line of each matrix product (or other ``is_site`` node) outside the
     functions named in ``allowed``."""
@@ -108,6 +120,9 @@ def test_pssqm_multiplies_dense_words_only_in_the_multilinear_sum():
     assert len(_matrix_products(path)) == 4
     assert _matrix_products(path, {"_multilinear_lhs"}, _is_dense_constructor) == []
     assert len(_matrix_products(path, is_site=_is_dense_constructor)) == 1
+    # it returns the sum's one band, so no other function indexes a 2-D array
+    assert _matrix_products(path, {"_multilinear_lhs"}, _is_two_axis_index) == []
+    assert len(_matrix_products(path, is_site=_is_two_axis_index)) == 1
     assert "ladder_matrices" not in path.read_text(encoding="utf-8")
 
 
@@ -139,6 +154,13 @@ def test_dense_constructor_scan_sees_every_form():
         assert any(map(_is_dense_constructor, ast.walk(ast.parse(snippet)))), snippet
     for snippet in ("np.zeros(lam, dtype=complex)", "np.empty(p)", "np.diagonal(m, -1)"):
         assert not any(map(_is_dense_constructor, ast.walk(ast.parse(snippet)))), snippet
+
+
+def test_two_axis_index_scan_sees_every_form():
+    for snippet in ("m[rows, cols]", "m[1:, :-1]", "m[:, None]", "np.diagonal(m, -1)"):
+        assert any(map(_is_two_axis_index, ast.walk(ast.parse(snippet)))), snippet
+    for snippet in ("x[1:]", "x[n]", "rep.P[mu]", "x[k : k + count]", "tuple[float, bool]"):
+        assert not any(map(_is_two_axis_index, ast.walk(ast.parse(snippet)))), snippet
 
 
 @pytest.mark.parametrize("lam", (3, 64))
@@ -221,23 +243,25 @@ def test_one_way_to_read_a_neighbour():
                         PADDING) == [(None, "append"), (None, "roll")]
 
 
-def test_one_cluster_cut():
-    # the top lam (p + 1) states that the breaking statistics leave out are
-    # defined once; ssqm_check takes its multiplets from classify_breaking
+def test_one_completeness_rule():
+    # the levels that every sector's progression reaches inside the truncation
+    # are found once, in pssqm.py; khare_check and classify_breaking take them
+    # from there and ssqm_check from classify_breaking, and no positional cut
+    # of the top states remains in the library
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     defined = [(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef) and node.name == "cluster_cut"]
-    assert defined == [("pssqm.py", "cluster_cut")]
-    cuts = [(name, _call_name(keyword.value)) for name, tree in trees.items()
-            for node in ast.walk(tree) if isinstance(node, ast.Call)
-            for keyword in node.keywords if keyword.arg == "drop_top"]
-    assert cuts == [("pssqm.py", "cluster_cut")] * 2
+               if isinstance(node, ast.FunctionDef) and node.name == "_complete_levels"]
+    assert defined == [("pssqm.py", "_complete_levels")]
     clustering = {func.name: {_call_name(node) for node in ast.walk(func)}
                   for func in ast.walk(trees["pssqm.py"]) if isinstance(func, ast.FunctionDef)}
-    assert {name for name, calls in clustering.items() if "surviving_clusters" in calls} == {
+    assert {name for name, calls in clustering.items() if "_complete_levels" in calls} == {
         "khare_check", "classify_breaking"}
     assert "classify_breaking" in clustering["ssqm_check"]
-    assert "cluster_cut" in _imported(trees["cli.py"])[".pssqm"]
+    assert [(name, node.lineno) for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.keyword) and node.arg == "drop_top"] == []
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        assert "cluster_cut" not in text and "surviving_clusters" not in text, path.name
 
 
 def test_one_rule_per_pssqm_condition():

@@ -151,6 +151,9 @@ class TestDegeneracyProfile:
 
 
 class TestSurvivingClusters:
+    """The complete levels of :mod:`clext.pssqm` (which replaced
+    ``surviving_clusters`` and its cut of the top states) keep its two errors."""
+
     def test_unresolved_levels_are_not_a_dim_problem(self):
         # float64 steps past the unit level spacing at 2.5e299: the shifted
         # energies fall in two clusters that both reach the top, at any dim
@@ -161,13 +164,14 @@ class TestSurvivingClusters:
             assert "increase dim" not in str(info.value)
 
     def test_small_dim_asks_for_a_larger_one(self):
-        # the broken doublets at 1, 2 and 3 all reach the cut of the top 4
-        # states at dim 5; dim 6 keeps the ground doublet
-        rep = build_fock_rep(from_alpha(2, [0.0, 0.0]), 5)
-        with pytest.raises(ValueError, match="^no clusters survive the truncation cutoff; "
-                                             "increase dim$"):
+        # dim 2 lam = 4 keeps the broken ground doublet and the first excited
+        # one whole; dim 3 asks for 4
+        rep = build_fock_rep(from_alpha(2, [0.0, 0.0]), 3)
+        with pytest.raises(ValueError, match="^dim must be at least 2 lam = 4, .* got 3$"):
             ssqm_check(rep, "broken")
-        assert ssqm_check(build_fock_rep(rep.spec, 6), "broken").ground_multiplicity == 2
+        for dim in (4, 5):
+            report = ssqm_check(build_fock_rep(rep.spec, dim), "broken")
+            assert (report.ground_multiplicity, report.excited_multiplicities) == (2, (2,))
 
 
 def loop_profile(values, cluster_tol, drop_top):
