@@ -66,8 +66,8 @@ from .spectrum import Cluster, degeneracy_profile, report_dict, shifted_hamilton
 DEFAULT_PSSQM_TOL = 1e-10
 DEFAULT_SSQM_TOL = 1e-13
 
-#: Relative tolerance of the per-state [H, Q] and multilinear decisions: a state
-#: passes when its residual is within ``tol`` or within RELATIVE_TOL of its scale.
+#: Relative tolerance of the per-state [H, Q], multilinear and {Qd, Q} - H decisions: a
+#: state passes when its residual is within ``tol`` or within RELATIVE_TOL of its scale.
 RELATIVE_TOL = 1e-13
 
 #: Matrix precision for relation checks.  Words of length p+1 at the
@@ -276,13 +276,13 @@ def _multilinear_lhs(bands: list, p: int) -> np.ndarray:
     return np.diagonal(lhs, -(p - 1))
 
 
-def _relative(residual: np.ndarray, scale: np.ndarray, covered: np.ndarray,
-              tol: float) -> tuple[float, bool]:
-    """The largest covered residual over its state's scale, and whether every state
-    passes: within ``tol`` or within RELATIVE_TOL of its scale."""
+def _per_state_rule(residual: np.ndarray, scale: np.ndarray, covered,
+                    tol: float) -> tuple[float, float, bool]:
+    """The largest |residual|, the largest covered |residual| over its state's scale,
+    and whether every state passes: within ``tol`` or within RELATIVE_TOL of its scale."""
     size = np.abs(residual)
     relative = float((size[covered] / scale[covered]).max(initial=0.0))
-    return relative, bool(np.all(size <= np.maximum(tol, RELATIVE_TOL * scale)))
+    return float(size.max()), relative, bool(np.all(size <= np.maximum(tol, RELATIVE_TOL * scale)))
 
 
 def khare_check(
@@ -321,9 +321,9 @@ def khare_check(
     witness = min(float(np.abs(bands[n]).max()) for n in range(1, p + 1))
 
     below = lower_shift(hamiltonian)
-    commutator = hamiltonian * charge - charge * below
     scale = np.abs(charge) * np.maximum(np.maximum(np.abs(hamiltonian), np.abs(below)), 1)
-    relative_commutator, commutes = _relative(commutator, scale, charge != 0, tol)
+    commutator, relative_commutator, commutes = _per_state_rule(
+        hamiltonian * charge - charge * below, scale, charge != 0, tol)
 
     # column n of 2p Q^(p-1) H is 2p prod_(j=1..p-1) q[n+j] h(n), n = 0 .. dim - p
     product = bands[p - 1][p - 1:]
@@ -333,14 +333,15 @@ def khare_check(
     peak = reduce(np.maximum, (norms[k : k + count] for k in range(p + 1)))  # max_k |q[n+k]|^2
     product, energies = product[:count], np.abs(hamiltonian[:count])
     scale = np.abs(product) * np.maximum(peak, 2 * p * np.maximum(energies, 1))
-    relative_multilinear, holds = _relative(multilinear[:count], scale, product != 0, tol)
+    multilinear, relative_multilinear, holds = _per_state_rule(
+        multilinear[:count], scale, product != 0, tol)
 
     return PssqmReport(
         order=p,
         residual_nilpotency=nilpotency,
         nonvanishing_witness=witness,
-        residual_commutator=interior_max_abs(commutator, 0),
-        residual_multilinear=interior_max_abs(multilinear, 1),
+        residual_commutator=commutator,
+        residual_multilinear=multilinear,
         relative_commutator=relative_commutator,
         relative_multilinear=relative_multilinear,
         breaking="unbroken" if ground.multiplicity == 1 else "broken",
@@ -498,6 +499,7 @@ class SsqmReport:
     residual_nilpotency: float
     residual_anticommutator: float
     residual_commutator: float
+    relative_anticommutator: float
     ground_energy: float
     ground_multiplicity: int
     excited_multiplicities: tuple[int, ...]
@@ -507,46 +509,56 @@ class SsqmReport:
     to_dict = report_dict
 
 
-@np.errstate(over="ignore", invalid="ignore")  # huge couplings overflow, then fail to resolve
 def ssqm_check(rep: TruncatedFockRep, variant: str, tol: float = DEFAULT_SSQM_TOL) -> SsqmReport:
-    """Check one of the two lam = 2 supersymmetry realizations.
+    """Check one of the two lam = 2 supersymmetry realizations, order-p
+    parasupersymmetry at p = 1 with eta = 1.
 
     unbroken: Q = adag P_1, H = adag a P_0 + a adag P_1 (nondegenerate
     ground state, doubly degenerate excited states); broken: Q = adag P_0,
-    H = a adag P_0 + adag a P_1 (every level doubly degenerate).  Q^2,
-    {Qd, Q} - H and [H, Q] are band products, O(dim); the degeneracy
-    profile uses the exact diagonal of H, since the product form zeroes the
-    top state.  Q^2 and [H, Q] are structural zeros of this form, so only
-    {Qd, Q} - H can fail, and it is checked without the top state, where
-    its Qd Q and a adag err (:mod:`clext.fock`); it cannot see a and adag
-    changed alike, since H is built from the same bands.
+    H = a adag P_0 + adag a P_1 (every level doubly degenerate).  H is taken
+    from the sector table, F(n) = <n|adag a|n> and F(n + 1) = <n|a adag|n>,
+    not from the bands it checks, and the breaking report clusters it.
+    Q^2, {Qd, Q} - H and [H, Q] are band arithmetic, O(dim).  {Qd, Q} - H is
+    decided as in :func:`khare_check`, without the top state, where its Qd Q
+    errs (:mod:`clext.fock`): state n passes within ``tol`` or within
+    RELATIVE_TOL of max(|q[n]|^2, |q[n+1]|^2, |h(n)|, 1).  Q^2 vanishes by the
+    sector weights and [H, Q] unless ``rep.P`` is tampered; both are absolute.
     """
     if rep.spec.lam != 2:
         raise WrongLambdaError(f"supersymmetry check needs lam = 2, got {rep.spec.lam}")
     if variant not in ("unbroken", "broken"):
         raise ValueError(f"variant must be 'unbroken' or 'broken', got {variant!r}")
     mu = 0 if variant == "unbroken" else 1  # the sector Q annihilates
-    low, high = rep.P[mu], rep.P[1 - mu]
+    values = structure_values(rep.spec, rep.dim + 1, rep.a.real.dtype)
+    hamiltonian = values[:-1] * rep.P[mu] + values[1:] * rep.P[1 - mu]
+    breaking = classify_breaking(hamiltonian, mu, 1)
     q = build_supercharge(rep, mu, [1.0])
-    hamiltonian = (rep.adag * rep.a) * low + upper_shift(rep.a * rep.adag) * high
-    q_up = upper_shift(q)
     nilpotency = interior_max_abs(q * lower_shift(q), 0)
-    anticommutator = interior_max_abs(np.conj(q_up) * q_up + q * np.conj(q) - hamiltonian, 1)
     commutator = interior_max_abs(hamiltonian * q - q * lower_shift(hamiltonian), 0)
-
-    values = structure_values(rep.spec, rep.dim + 1)  # F(n) = <n|adag a|n>, F(n+1) = <n|a adag|n>
-    breaking = classify_breaking(values[:-1] * low + values[1:] * high, mu, 1)
+    norms = np.abs(q) ** 2  # <n|Q Qd|n>, and the next state's is <n|Qd Q|n>
+    above = upper_shift(norms)
+    scale = reduce(np.maximum, (above, norms, np.abs(hamiltonian), 1))  # at least 1: all covered
+    anticommutator, relative, holds = _per_state_rule(
+        (above + norms - hamiltonian)[:-1], scale[:-1], ..., tol)
     return SsqmReport(
         variant=variant,
         residual_nilpotency=nilpotency,
         residual_anticommutator=anticommutator,
         residual_commutator=commutator,
+        relative_anticommutator=relative,
         ground_energy=breaking.ground_energy,
         ground_multiplicity=breaking.ground_multiplicity,
         excited_multiplicities=breaking.excited_multiplicities,
         tolerance=tol,
-        passed=(nilpotency <= tol and anticommutator <= tol and commutator <= tol),
+        passed=nilpotency <= tol and commutator <= tol and holds,
     )
+
+
+def _check_bd_dim(dim: int) -> None:
+    """The double-commutator check needs dim >= lam + 1 = 4."""
+    if dim < 4:
+        raise ValueError(f"dim must be at least lam + 1 = 4, where the checked states read a "
+                         f"nonzero charge entry for every mu, got {dim}")
 
 
 @dataclass(frozen=True)
@@ -579,9 +591,7 @@ def beckers_debergh_check(
         raise WrongOrderError(
             f"double-commutator variant is order 2 only (lam = 3), got lam = {rep.spec.lam}"
         )
-    if rep.dim < 4:
-        raise ValueError(f"dim must be at least lam + 1 = 4, where the checked states read a "
-                         f"nonzero charge entry for every mu, got {rep.dim}")
+    _check_bd_dim(rep.dim)
     shifts = solve_r(rep.spec, mu, eta) if r is None else _given_r(r)
     q = build_supercharge(rep, mu, eta)
     hamiltonian = shifted_hamiltonian(rep, shifts)
@@ -627,6 +637,7 @@ def bd_scan(
     index = (mu + 2) % 3
     others = [i for i in range(3) if i != index]
     dim = 36 if dim is None else dim
+    _check_bd_dim(dim)  # once, whether or not any point is bounded from below
     results = []
     for t in np.linspace(start, stop, points):
         alpha = base_alpha.copy()

@@ -859,6 +859,19 @@ class TestBdScanCommand:
         rows = json.loads(out)["body"]["rows"]
         assert [row["residual"] <= 1e-10 for row in rows] == [False, False, True, False, False]
 
+    @pytest.mark.parametrize("argv", [
+        ["--dim", "2", "--scan-from", "5", "--scan-to", "6", "--scan-points", "3",
+         "--format", "csv"],
+        ["--dim", "3", "--scan-from", "5", "--scan-to", "6", "--scan-points", "2"],
+    ])
+    def test_smallest_dim_whatever_the_range(self, capsys, argv):
+        # no point of these ranges is bounded from below, so no point reaches
+        # the check; the dim is refused once, before the scan
+        code, out, err = run_cli(["bd-scan", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("clext: error: dim must be at least lam + 1 = 4, where the checked "
+                       f"states read a nonzero charge entry for every mu, got {argv[1]}\n")
+
 
 class TestDumpCommand:
     def test_column_major_entries(self, capsys):

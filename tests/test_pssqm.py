@@ -40,6 +40,8 @@ from clext import (
     solve_config,
     solve_r,
     ssqm_check,
+    structure_values,
+    verify_defining_relations,
 )
 from clext.cli import main
 from clext.algebra import admits_bfb
@@ -108,11 +110,12 @@ def dense_khare_words(rep, band, energies):
 
 
 def dense_ssqm_words(rep, variant):
-    """Q^2, {Qd, Q} - H and [H, Q] as (dense terms, residual word)."""
+    """Q^2, {Qd, Q} - H and [H, Q] as (dense terms, residual word), H from the
+    sector table: F(n) on the sector Q annihilates and F(n + 1) on the other."""
     low, high = (rep.P[0], rep.P[1]) if variant == "unbroken" else (rep.P[1], rep.P[0])
-    a, adag = ladder_matrices(rep)
-    charge = adag * high
-    energies = [(adag @ a) * low, (a @ adag) * high]
+    charge = ladder_matrices(rep)[1] * high
+    values = structure_values(rep.spec, rep.dim + 1, rep.a.real.dtype)
+    energies = [np.diag(values[:-1] * low), np.diag(values[1:] * high)]
     hamiltonian = energies[0] + energies[1]
     adjoint = charge.conj().T
     anti = [adjoint @ charge, charge @ adjoint]
@@ -795,10 +798,12 @@ class TestNullGroundSearch:
 
 class TestSsqm:
     def test_unbroken_undeformed(self):
+        # {Qd, Q} - H reads the rounding of |sqrt F(n)|^2 against the sector table's F(n)
         rep = build_fock_rep(from_alpha(2, [0.0, 0.0]), 16)
         report = ssqm_check(rep, "unbroken")
         assert report.residual_nilpotency == 0.0
-        assert report.residual_anticommutator == 0.0
+        assert 0.0 < report.residual_anticommutator <= 16 * np.finfo(float).eps
+        assert 0.0 < report.relative_anticommutator <= np.finfo(float).eps
         assert report.residual_commutator == 0.0
         assert report.ground_energy == 0.0
         assert report.ground_multiplicity == 1
@@ -828,45 +833,70 @@ class TestSsqm:
     @pytest.mark.parametrize("variant", ("unbroken", "broken"))
     def test_residuals_match_dense_oracle(self, variant, dtype):
         # the band products equal the dense ones bit for bit, also on a rep
-        # whose a no longer matches adag, where {Qd, Q} - H is nonzero
+        # whose adag no longer matches the sector table, where {Qd, Q} - H is nonzero
         rng = np.random.default_rng(31)
         reps = [build_fock_rep(from_alpha(2, sample_bfb_alpha(2, rng)), dim, dtype=dtype)
                 for dim in (8, 9, 30)]
-        reps.append(scaled_entries(reps[-1], "a", (5, 6)))
+        reps.append(scaled_entries(reps[-1], "adag", (5, 6)))
         for rep in reps:
             report = ssqm_check(rep, variant)
             residuals = (report.residual_nilpotency, report.residual_anticommutator,
                          report.residual_commutator)
             assert hexes(*residuals) == hexes(*dense_ssqm_residuals(rep, variant))
-        # the scaled rep; [H, Q] vanishes for any a in the product form of H
+        # the scaled rep; [H, Q] vanishes for any bands, as H comes from the sector table
         assert report.residual_anticommutator > 1e-6 and report.residual_commutator == 0.0
+        assert not report.passed
 
     @pytest.mark.parametrize("variant", ("unbroken", "broken"))
     def test_tamper_table(self, variant):
-        # Q^2 and [H, Q] are structural zeros of the product form, so only
-        # {Qd, Q} - H can see a tamper.  It sees a or adag tampered alone on
-        # each band entry that Q reads: the even entries for unbroken Q =
-        # adag P_1, the odd ones for broken Q = adag P_0.  a with adag to
-        # match passes, since H is built from the same bands
+        # H comes from the sector table, not from the bands, so [H, Q] and
+        # Q^2 stay zero and {Qd, Q} - H sees adag tampered, alone or with a
+        # to match, on each band entry that Q reads: the even entries for
+        # unbroken Q = adag P_1, the odd ones for broken Q = adag P_0, the
+        # top entry among them.  Q does not read a, so a tampered alone
+        # passes here and fails verify's hermiticity_a
         rep = build_fock_rep(from_alpha(2, [0.3, -0.3]), 24)
-        print(f"\n{variant}: Q^2, {{Qd, Q}} - H, [H, Q]")
-        for n in (1, 2, 9, 10, rep.dim - 4, rep.dim - 3):
+        print(f"\n{variant}: Q^2, {{Qd, Q}} - H, [H, Q], relative {{Qd, Q}} - H")
+        for n in (1, 2, 9, 10, rep.dim - 4, rep.dim - 3, rep.dim - 2, rep.dim - 1):
             a_alone = scaled_entries(rep, "a", (n,))
             adag_alone = scaled_entries(rep, "adag", (n,))
             both = dataclasses.replace(a_alone, adag=a_alone.a.copy())
             for name, tampered in (("a", a_alone), ("adag", adag_alone), ("a+adag", both)):
                 report = ssqm_check(tampered, variant)
                 print(f"  {name:>6} @ {n:<2}  {report.residual_nilpotency:.1e}  "
-                      f"{report.residual_anticommutator:.1e}  {report.residual_commutator:.1e}")
+                      f"{report.residual_anticommutator:.1e}  {report.residual_commutator:.1e}  "
+                      f"{report.relative_anticommutator:.1e}")
                 assert report.residual_nilpotency == 0.0
                 assert report.residual_commutator == 0.0
-                if name != "a+adag":
-                    read = (n % 2 == 0) == (variant == "unbroken")
-                    assert report.passed != read, (name, n)
+                read = name != "a" and (n % 2 == 0) == (variant == "unbroken")
+                assert report.passed != read, (name, n)
+            assert not verify_defining_relations(a_alone).entry("hermiticity_a").passed, n
+
+    def test_is_khare_check_at_order_one(self):
+        # p = 1 parasupersymmetry is this supersymmetry: khare_check on the same
+        # sector-table H, whose default-eta Q is sqrt 2 times the ssqm Q, so
+        # {Qd, Q} = 2H holds twice over, at the same scale per state
+        rng = np.random.default_rng(70)
+        for alpha in [sample_bfb_alpha(2, rng) for _ in range(20)]:
+            spec = from_alpha(2, alpha)
+            for dim in (4, 24, 41):
+                rep = build_fock_rep(spec, dim)
+                values = structure_values(spec, dim + 1, rep.a.real.dtype)
+                for mu, variant in enumerate(("unbroken", "broken")):
+                    hamiltonian = values[:-1] * rep.P[mu] + values[1:] * rep.P[1 - mu]
+                    khare = khare_check(rep, build_supercharge(rep, mu), hamiltonian, tol=1e-13)
+                    ssqm = ssqm_check(rep, variant, tol=1e-13)
+                    where = (list(alpha), dim, variant)
+                    assert khare.passed == ssqm.passed, where
+                    assert abs(khare.residual_multilinear
+                               - 2 * ssqm.residual_anticommutator) <= 1e-13, where
+                    assert abs(khare.relative_multilinear
+                               - ssqm.relative_anticommutator) <= 1e-13, where
 
     def test_huge_couplings_raise_without_a_numpy_warning(self):
-        # the band products overflow; under filterwarnings = error a numpy
-        # RuntimeWarning would surface here instead of the unresolved levels' error
+        # the band products would overflow, so the levels are clustered first;
+        # under filterwarnings = error a numpy RuntimeWarning would surface here
+        # instead of the unresolved levels' error
         rep = build_fock_rep(from_alpha(2, [1e300, -1e300]), 24)
         with pytest.raises(ValueError, match="float64 cannot resolve their level spacing"):
             ssqm_check(rep, "broken")
@@ -985,12 +1015,12 @@ class TestTruncationMargins:
 
     @pytest.mark.parametrize("variant", ("unbroken", "broken"))
     def test_ssqm_check(self, variant):
-        # a scaled alone, so that {Qd, Q} - H grows to the top
+        # adag scaled alone, which Q reads, so that {Qd, Q} - H grows to the top
         spec = from_alpha(2, sample_bfb_alpha(2, np.random.default_rng(62)))
 
         def rep_at(dim):
             rep = build_fock_rep(spec, dim, dtype=CHECK_DTYPE)
-            return dataclasses.replace(rep, a=rep.a * (1 + 1e-6))
+            return dataclasses.replace(rep, adag=rep.adag * (1 + 1e-6))
 
         dims = (20, 21)
         margins = self.proven_margins(lambda dim: dense_ssqm_words(rep_at(dim), variant), dims, 2)
@@ -1096,9 +1126,10 @@ class TestMutationMatrix:
     (BreakingReport("broken", 0.5, 2, (3, 3), 2, True),
      ["breaking", "ground_energy", "ground_multiplicity", "excited_multiplicities",
       "predicted_ground_multiplicity", "matches_prediction"]),
-    (SsqmReport("broken", 0.0, 0.0, 0.0, 1.3, 2, (2, 2), 1e-13, True),
+    (SsqmReport("broken", 0.0, 0.0, 0.0, 0.0, 1.3, 2, (2, 2), 1e-13, True),
      ["variant", "residual_nilpotency", "residual_anticommutator", "residual_commutator",
-      "ground_energy", "ground_multiplicity", "excited_multiplicities", "tolerance", "pass"]),
+      "relative_anticommutator", "ground_energy", "ground_multiplicity",
+      "excited_multiplicities", "tolerance", "pass"]),
     (BdReport(0.0, True, 1e-10), ["residual", "bd_compatible", "tolerance"]),
     (BdScanPoint(-1.0, None, False), ["parameter", "residual", "bfb"]),
     (Cluster(2.75, 3, (1, 3, 5)), ["energy", "multiplicity", "members"]),

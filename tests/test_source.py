@@ -277,6 +277,45 @@ def test_one_rule_per_pssqm_condition():
     assert chains == ["(mu + np.arange(1, lam)) % lam"]
 
 
+def _band_products(tree) -> list[str]:
+    """Each product with rep.a read on one side and rep.adag on the other, such as
+    ``rep.adag * rep.a``: a Hamiltonian built from the bands it would check."""
+    bands = {"rep.a", "rep.adag"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            left, right = ({_dotted(sub) for sub in ast.walk(side)} & bands
+                           for side in (node.left, node.right))
+            if left and right and left | right == bands:
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_ssqm_hamiltonian_is_not_built_from_the_checked_bands():
+    # ssqm_check takes H from the sector table, the array its breaking report
+    # clusters, so a and adag changed alike cannot cancel out of {Qd, Q} - H
+    assert _band_products(_source("pssqm.py")) == []
+    sample = "h = (rep.adag * rep.a) * low + upper_shift(rep.a * rep.adag) * high\nrep.a * 2"
+    assert _band_products(ast.parse(sample)) == ["rep.adag * rep.a", "rep.a * rep.adag"]
+
+
+def test_one_per_state_rule():
+    # every per-state pssqm decision, within tol or within RELATIVE_TOL of the
+    # state's scale, is made by one helper, which both checkers call
+    tree = _source("pssqm.py")
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_relative" not in functions
+    reading = {name for name, func in functions.items() for node in ast.walk(func)
+               if isinstance(node, ast.Name) and node.id == "RELATIVE_TOL"}
+    assert reading == {"_per_state_rule"}
+    calls = {name: [_call_name(node) for node in ast.walk(func)]
+             for name, func in functions.items()}
+    assert {name for name, called in calls.items() if "_per_state_rule" in called} == {
+        "khare_check", "ssqm_check"}
+    # khare_check reduces only its nilpotency band to an absolute residual itself
+    assert calls["khare_check"].count("interior_max_abs") == 1
+
+
 def test_energies_have_one_derivation():
     # E_n is the closed form of the sector table; hamiltonian_h0 does not
     # derive it a second time through F(n) to compare the two
