@@ -30,7 +30,7 @@ _EXPORTS = {
     ),
     "fock": (
         "TruncatedFockRep", "build_fock_rep", "casimir", "grading_sector",
-        "interior_max_abs", "ladder_matrices", "norm_coefficient",
+        "ladder_matrices", "norm_coefficient",
     ),
     "pssqm": (
         "BdReport", "BdScanPoint", "BreakingReport", "KhareRun", "PssqmConfig",

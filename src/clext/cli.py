@@ -618,16 +618,8 @@ def _cmd_ssqm(cfg: RunConfig) -> int:
 def _cmd_bd_scan(cfg: RunConfig) -> int:
     """scan alpha_{mu+2} for the double-commutator variant"""
     spec = _build_spec(cfg)
-    points = bd_scan(
-        spec.alpha,
-        cfg.mu,
-        cfg.scan_from,
-        cfg.scan_to,
-        cfg.scan_points,
-        dim=cfg.dim,
-        eta=cfg.eta,
-        tol=cfg.tol,
-    )
+    points = bd_scan(spec.alpha, cfg.mu, cfg.scan_from, cfg.scan_to, cfg.scan_points,
+                     dim=cfg.dim, eta=cfg.eta, tol=cfg.tol)
     compatible = [pt.parameter for pt in points if pt.residual is not None and pt.residual <= cfg.tol]
     if cfg.fmt == "json":
         text = _report(cfg, spec, {

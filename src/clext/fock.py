@@ -17,10 +17,9 @@ elementwise: ``band * d`` takes d at the upper state and
 D a and adag D are ``band * lower_shift(d)``).  Neighbours are read along
 the last (state) axis by two shifts: :func:`lower_shift`, x[n-k] and 0 for
 n < k (no state lies below |0>), of all states or of a block, and
-:func:`upper_shift`, x[n+1] and 0 past the top.  :func:`interior_max_abs`
-reduces to the truncation interior, and :func:`ladder_matrices` expands the
-ladder bands to dense matrices, the tests' oracle; the CLI writes even
-``dump`` from the bands.
+:func:`upper_shift`, x[n+1] and 0 past the top.  :func:`ladder_matrices`
+expands the ladder bands to dense matrices, the tests' oracle; the CLI
+writes even ``dump`` from the bands.
 
 Truncation artifact: a word that raises a state past the top and lowers it
 back misses the |dim> contribution.  Each such word lowers once, so it errs
@@ -33,6 +32,9 @@ word, instead of padding, and checks every other residual on all states
 ``dim`` equals the dimension d of a finite-dimensional spec (F(d) = 0, so
 |d> is never reached): :func:`build_fock_rep` records that as ``exact``
 from the classification it already makes, and the verifiers read it.
+
+Each relation is one scalar identity per state, so every checker decides a
+residual state by state, at the relation's largest term, by :func:`per_state_rule`.
 
 Building a rep is O(dim) elementwise work plus a fixed per-call cost,
 which dominates at the default dims.  So nothing already at hand is derived
@@ -58,6 +60,9 @@ from .algebra import (
     structure_values,
 )
 from .errors import DimensionTooLargeError, MarginTooLargeError, NonUnitaryTruncationError
+
+#: Relative tolerance of :func:`per_state_rule`, against each state's scale.
+RELATIVE_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,16 +145,24 @@ def upper_shift(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x[..., 1:], np.zeros((*x.shape[:-1], 1), x.dtype)), axis=-1)
 
 
-def interior_max_abs(mat: np.ndarray, margin: int) -> float:
-    """Max |entry| of the interior block, i.e. of P_m @ mat @ P_m.
-
-    A 1-D ``mat`` is a diagonal or a ladder band, whose interior is its
-    first dim - margin entries: band entry n joins states n - 1 and n."""
-    dim = mat.shape[0]
+def per_state_rule(residual: np.ndarray, tol: float, scale: np.ndarray | None = None,
+                   margin: int = 0) -> tuple[float, float, bool]:
+    """Decide a residual band on its states below the top ``margin``: the largest
+    |residual|, the largest |residual| / scale over the states whose scale is positive
+    (0.0 without a scale), and whether every state is within ``tol`` or within
+    RELATIVE_TOL of its scale (within ``tol`` alone without a scale).  So a change of
+    an entry far smaller than its state's scale passes: that is the rule's resolution."""
+    dim = residual.shape[0]
     if not 0 <= margin < dim:
         raise MarginTooLargeError(f"margin {margin} does not fit in dimension {dim}")
-    k = dim - margin
-    return float(np.abs(mat[:k, :k] if mat.ndim == 2 else mat[:k]).max())
+    size = np.abs(residual[: dim - margin])
+    peak = float(size.max())
+    if scale is None:
+        return peak, 0.0, peak <= tol
+    scale = scale[: dim - margin]
+    covered = scale > 0
+    relative = float((size[covered] / scale[covered]).max(initial=0.0))
+    return peak, relative, bool(np.all(size <= np.maximum(tol, RELATIVE_TOL * scale)))
 
 
 def norm_coefficient(spec: AlgebraSpec, n: int) -> float:

@@ -60,15 +60,12 @@ from .errors import (
     WrongLambdaError,
     WrongOrderError,
 )
-from .fock import TruncatedFockRep, build_fock_rep, interior_max_abs, lower_shift, upper_shift
+from .fock import (  # RELATIVE_TOL is also public as clext.pssqm.RELATIVE_TOL
+    RELATIVE_TOL, TruncatedFockRep, build_fock_rep, lower_shift, per_state_rule, upper_shift)
 from .spectrum import Cluster, degeneracy_profile, report_dict, shifted_hamiltonian
 
 DEFAULT_PSSQM_TOL = 1e-10
 DEFAULT_SSQM_TOL = 1e-13
-
-#: Relative tolerance of the per-state [H, Q], multilinear and {Qd, Q} - H decisions: a
-#: state passes when its residual is within ``tol`` or within RELATIVE_TOL of its scale.
-RELATIVE_TOL = 1e-13
 
 #: Matrix precision for relation checks.  Words of length p+1 at the
 #: default truncation reach entry magnitudes around 1e5, where plain double
@@ -276,15 +273,6 @@ def _multilinear_lhs(bands: list, p: int) -> np.ndarray:
     return np.diagonal(lhs, -(p - 1))
 
 
-def _per_state_rule(residual: np.ndarray, scale: np.ndarray, covered,
-                    tol: float) -> tuple[float, float, bool]:
-    """The largest |residual|, the largest covered |residual| over its state's scale,
-    and whether every state passes: within ``tol`` or within RELATIVE_TOL of its scale."""
-    size = np.abs(residual)
-    relative = float((size[covered] / scale[covered]).max(initial=0.0))
-    return float(size.max()), relative, bool(np.all(size <= np.maximum(tol, RELATIVE_TOL * scale)))
-
-
 def khare_check(
     rep: TruncatedFockRep,
     charge: np.ndarray,
@@ -316,14 +304,14 @@ def khare_check(
     bands = [np.ones_like(charge), charge]
     for m in range(2, p + 2):
         bands.append(bands[-1] * lower_shift(charge, m - 1))
-    nilpotency = interior_max_abs(bands[p + 1], 0)
+    nilpotency, _, vanishes = per_state_rule(bands[p + 1], tol)
     # every entry of Q^n is a true matrix element: truncation only removes paths
     witness = min(float(np.abs(bands[n]).max()) for n in range(1, p + 1))
 
     below = lower_shift(hamiltonian)
     scale = np.abs(charge) * np.maximum(np.maximum(np.abs(hamiltonian), np.abs(below)), 1)
-    commutator, relative_commutator, commutes = _per_state_rule(
-        hamiltonian * charge - charge * below, scale, charge != 0, tol)
+    commutator, relative_commutator, commutes = per_state_rule(
+        hamiltonian * charge - charge * below, tol, scale)
 
     # column n of 2p Q^(p-1) H is 2p prod_(j=1..p-1) q[n+j] h(n), n = 0 .. dim - p
     product = bands[p - 1][p - 1:]
@@ -333,8 +321,7 @@ def khare_check(
     peak = reduce(np.maximum, (norms[k : k + count] for k in range(p + 1)))  # max_k |q[n+k]|^2
     product, energies = product[:count], np.abs(hamiltonian[:count])
     scale = np.abs(product) * np.maximum(peak, 2 * p * np.maximum(energies, 1))
-    multilinear, relative_multilinear, holds = _per_state_rule(
-        multilinear[:count], scale, product != 0, tol)
+    multilinear, relative_multilinear, holds = per_state_rule(multilinear[:count], tol, scale)
 
     return PssqmReport(
         order=p,
@@ -348,7 +335,7 @@ def khare_check(
         ground_energy=ground.energy,
         ground_multiplicity=ground.multiplicity,
         tolerance=tol,
-        passed=nilpotency <= tol and commutes and holds and witness > 0,
+        passed=vanishes and commutes and holds and witness > 0,
     )
 
 
@@ -533,13 +520,12 @@ def ssqm_check(rep: TruncatedFockRep, variant: str, tol: float = DEFAULT_SSQM_TO
     hamiltonian = values[:-1] * rep.P[mu] + values[1:] * rep.P[1 - mu]
     breaking = classify_breaking(hamiltonian, mu, 1)
     q = build_supercharge(rep, mu, [1.0])
-    nilpotency = interior_max_abs(q * lower_shift(q), 0)
-    commutator = interior_max_abs(hamiltonian * q - q * lower_shift(hamiltonian), 0)
+    nilpotency, _, vanishes = per_state_rule(q * lower_shift(q), tol)
+    commutator, _, commutes = per_state_rule(hamiltonian * q - q * lower_shift(hamiltonian), tol)
     norms = np.abs(q) ** 2  # <n|Q Qd|n>, and the next state's is <n|Qd Q|n>
     above = upper_shift(norms)
-    scale = reduce(np.maximum, (above, norms, np.abs(hamiltonian), 1))  # at least 1: all covered
-    anticommutator, relative, holds = _per_state_rule(
-        (above + norms - hamiltonian)[:-1], scale[:-1], ..., tol)
+    scale = reduce(np.maximum, (above, norms, np.abs(hamiltonian), 1))
+    anticommutator, relative, holds = per_state_rule(above + norms - hamiltonian, tol, scale, 1)
     return SsqmReport(
         variant=variant,
         residual_nilpotency=nilpotency,
@@ -550,7 +536,7 @@ def ssqm_check(rep: TruncatedFockRep, variant: str, tol: float = DEFAULT_SSQM_TO
         ground_multiplicity=breaking.ground_multiplicity,
         excited_multiplicities=breaking.excited_multiplicities,
         tolerance=tol,
-        passed=nilpotency <= tol and commutator <= tol and holds,
+        passed=vanishes and commutes and holds,
     )
 
 
@@ -597,9 +583,9 @@ def beckers_debergh_check(
     hamiltonian = shifted_hamiltonian(rep, shifts)
     q_up = upper_shift(q)
     inner = np.conj(q_up) * q_up - q * np.conj(q)  # the diagonal [Qd, Q]
-    residual = interior_max_abs(
-        q * lower_shift(inner) - inner * q - 2.0 * (q * lower_shift(hamiltonian)), 1)
-    return BdReport(residual=residual, bd_compatible=residual <= tol, tolerance=tol)
+    residual, _, compatible = per_state_rule(
+        q * lower_shift(inner) - inner * q - 2.0 * (q * lower_shift(hamiltonian)), tol, margin=1)
+    return BdReport(residual=residual, bd_compatible=compatible, tolerance=tol)
 
 
 @dataclass(frozen=True)

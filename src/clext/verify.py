@@ -28,6 +28,10 @@ checked on all states (margin 0), whatever its word length.  Blocks are
 counted down from the top, so the top block is full and the mask applies
 there alone.  An exact finite rep (dim = d with F(d) = 0) has margin 0.
 
+Each relation is decided state by state by :func:`clext.fock.per_state_rule`:
+the two commutators at their largest term (:func:`_scale`), for a block in
+which they exceed ``tol``, and every other relation on ``tol`` alone.
+
 At the default dims (lam up to 24) a report's cost is mostly fixed per
 call, not per state: a one-block report is its checks' arithmetic, one
 ``abs`` per relation into the table, one reduction over it and one tuple
@@ -47,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MarginTooLargeError
-from .fock import TruncatedFockRep, lower_shift, upper_shift
+from .fock import TruncatedFockRep, lower_shift, per_state_rule, upper_shift
 
 DEFAULT_TOL = 1e-12
 
@@ -89,22 +93,10 @@ class ResidualReport:
         raise KeyError(relation)
 
     def to_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "dim": self.dim,
-            "margin_policy": self.margin_policy,
-            "all_pass": self.all_pass,
-            "relations": [
-                {
-                    "id": e.relation,
-                    "word_length": e.word_length,
-                    "margin": e.margin,
-                    "residual": e.residual,
-                    "pass": e.passed,
-                }
-                for e in self.entries
-            ],
-        }
+        return {"tolerance": self.tolerance, "dim": self.dim, "margin_policy": self.margin_policy,
+                "all_pass": self.all_pass,
+                "relations": [{"id": e.relation, "word_length": e.word_length, "margin": e.margin,
+                               "residual": e.residual, "pass": e.passed} for e in self.entries]}
 
 
 class _Relations(NamedTuple):
@@ -148,7 +140,8 @@ def _blocks(dim: int, width: int):
 
 def _evaluate(rep: TruncatedFockRep, tol: float, relations: _Relations, checks) -> ResidualReport:
     """Run ``checks`` block by block and reduce each relation's |difference|
-    to its maximum over the interior.  Margins are 0 on an exact finite rep."""
+    to its maximum over the interior; a relation that exceeds ``tol`` in a block
+    is decided there state by state.  Margins are 0 on an exact finite rep."""
     dim = rep.dim
     margins = (0,) * len(relations.names) if rep.exact else relations.margins
     if max(margins) >= dim:
@@ -156,6 +149,7 @@ def _evaluate(rep: TruncatedFockRep, tol: float, relations: _Relations, checks) 
     width = _block_width(rep.spec.lam, dim)
     table = np.empty((len(margins), width))
     peak = None
+    passed = [True] * len(margins)
     for lo, hi in _blocks(dim, width):
         block = table[:, : hi - lo]
         for row, diff in zip(block, checks(rep, lo, hi)):
@@ -166,10 +160,11 @@ def _evaluate(rep: TruncatedFockRep, tol: float, relations: _Relations, checks) 
                     block[row, -1] = 0.0  # the top state
         block_peak = block.max(axis=1)
         peak = block_peak if peak is None else np.maximum(peak, block_peak, out=peak)
-    residuals = peak.tolist()
-    passed = [residual <= tol for residual in residuals]
+        for row in np.flatnonzero(block_peak > tol).tolist():
+            scale = _scale(rep, lo, hi, relations.names[row])
+            passed[row] &= per_state_rule(block[row], tol, scale)[2]
     entries = tuple(map(RelationResidual._make, zip(
-        relations.names, relations.word_lengths, margins, residuals, passed)))
+        relations.names, relations.word_lengths, margins, peak.tolist(), passed)))
     policy = "exact" if rep.exact else "artifact"
     return ResidualReport(entries=entries, tolerance=tol, dim=dim, margin_policy=policy)
 
@@ -188,6 +183,19 @@ def _per_state(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     difference's dtype and receives the difference, which saves allocating
     one more stack."""
     return np.abs(np.subtract(lhs, rhs, out=rhs)).max(axis=0)
+
+
+def _scale(rep: TruncatedFockRep, lo: int, hi: int, relation: str) -> np.ndarray | None:
+    """The largest term of a commutator at states lo .. hi - 1: max(|a[n+1] adag[n+1]|,
+    |adag[n] a[n]|, 1) and, as the coupling sum rounds at its terms' size, max_m |kappa_m|
+    for the T form or |sum_m alpha_m P_m[n]| for the P form.  None for any other relation."""
+    if relation not in ("commutator_T", "commutator_P"):
+        return None
+    a, adag = rep.a[lo : hi + 1], rep.adag[lo : hi + 1]
+    ladder = np.maximum(np.abs(upper_shift(a * adag)[: hi - lo]), np.abs(adag * a)[: hi - lo])
+    coupling = (np.abs(rep.spec.kappa).max() if relation == "commutator_T"
+                else np.abs((rep.spec.alpha[:, None] * rep.P[:, lo:hi]).sum(axis=0)))
+    return np.maximum(np.maximum(ladder, coupling), 1.0)
 
 
 def _defining_checks(rep: TruncatedFockRep, lo: int, hi: int):

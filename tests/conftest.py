@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import clext
 
 
@@ -11,6 +13,13 @@ def digest(lines) -> str:
     """First 16 hex digits of the SHA-256 of ``lines`` joined by newlines: the
     key of every golden digest in the suite."""
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def interior_max_abs(mat, margin: int) -> float:
+    """Max |entry| of a dense word's interior block, P_m @ mat @ P_m with P_m
+    keeping states 0 .. dim - 1 - margin: the dense oracle's reduction."""
+    k = mat.shape[0] - margin
+    return float(np.abs(mat[:k, :k]).max())
 
 
 def run_child(script: str, *args: str) -> subprocess.CompletedProcess:

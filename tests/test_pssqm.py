@@ -30,7 +30,6 @@ from clext import (
     find_null_ground_alpha,
     from_alpha,
     ground_energy,
-    interior_max_abs,
     khare_check,
     ladder_matrices,
     sample_bfb_alpha,
@@ -46,7 +45,7 @@ from clext import (
 from clext.cli import main
 from clext.algebra import admits_bfb
 from clext.pssqm import CHECK_DTYPE, MULTILINEAR_DENSE_WORDS, RELATIVE_TOL
-from conftest import digest
+from conftest import digest, interior_max_abs
 
 WORKED = from_alpha(3, [1.0, -0.5, -0.5])
 

@@ -181,6 +181,14 @@ def test_verify_yields_one_difference_per_relation(lam):
             diffs = list(checks(rep, lo, hi))
             assert len(diffs) == count
             assert all(diff.shape == (hi - lo,) for diff in diffs)
+    # the two commutators alone have a scale, one entry per state of the block
+    for lo, hi in blocks:
+        scales = {name: verify._scale(rep, lo, hi, name)
+                  for name in verify._DEFINING.names + verify._PROJECTOR_ALGEBRA.names}
+        assert {name for name, scale in scales.items() if scale is not None} == {
+            "commutator_T", "commutator_P"}
+        assert all(scales[name].shape == (hi - lo,) and scales[name].min() >= 1
+                   for name in ("commutator_T", "commutator_P"))
 
 
 def _source(name: str) -> ast.Module:
@@ -236,8 +244,7 @@ def test_one_way_to_read_a_neighbour():
         "verify.py": [("_defining_checks", "concatenate")]}
     for name in ("pssqm.py", "verify.py"):
         imported = _imported(_source(name))
-        assert {"lower_shift", "upper_shift"} <= imported[".fock"], name
-    assert {"interior_max_abs"} <= _imported(_source("pssqm.py"))[".fock"]
+        assert {"lower_shift", "upper_shift", "per_state_rule"} <= imported[".fock"], name
     assert ".verify" not in _imported(_source("pssqm.py"))
     assert _numpy_calls(ast.parse("np.append(x, 0)\nxs.append(0)\nnp.roll(x, 1)"),
                         PADDING) == [(None, "append"), (None, "roll")]
@@ -300,20 +307,28 @@ def test_ssqm_hamiltonian_is_not_built_from_the_checked_bands():
 
 
 def test_one_per_state_rule():
-    # every per-state pssqm decision, within tol or within RELATIVE_TOL of the
-    # state's scale, is made by one helper, which both checkers call
-    tree = _source("pssqm.py")
-    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert "_relative" not in functions
-    reading = {name for name, func in functions.items() for node in ast.walk(func)
+    # every residual of verify and the pssqm checkers is decided by one rule,
+    # within tol or within RELATIVE_TOL of the state's scale (tol alone
+    # without a scale), defined once in fock.py beside the truncation rule
+    functions = {(path.name, node.name): node for path in SOURCES
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.FunctionDef)}
+    assert [key for key in functions if key[1] == "per_state_rule"] == [
+        ("fock.py", "per_state_rule")]
+    assert not {"_relative", "_per_state_rule", "interior_max_abs"} & {
+        name for _, name in functions}
+    reading = {key for key, func in functions.items() for node in ast.walk(func)
                if isinstance(node, ast.Name) and node.id == "RELATIVE_TOL"}
-    assert reading == {"_per_state_rule"}
-    calls = {name: [_call_name(node) for node in ast.walk(func)]
-             for name, func in functions.items()}
-    assert {name for name, called in calls.items() if "_per_state_rule" in called} == {
-        "khare_check", "ssqm_check"}
-    # khare_check reduces only its nilpotency band to an absolute residual itself
-    assert calls["khare_check"].count("interior_max_abs") == 1
+    assert reading == {("fock.py", "per_state_rule")}
+    deciding = {key for key, func in functions.items()
+                if "per_state_rule" in map(_call_name, ast.walk(func))}
+    assert deciding == {("verify.py", "_evaluate"), ("pssqm.py", "khare_check"),
+                        ("pssqm.py", "ssqm_check"), ("pssqm.py", "beckers_debergh_check")}
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        assert "_per_state_rule" not in text and "interior_max_abs" not in text, path.name
+    # pssqm's public RELATIVE_TOL is the rule's own
+    assert clext.pssqm.RELATIVE_TOL is clext.fock.RELATIVE_TOL == 1e-13
 
 
 def test_energies_have_one_derivation():

@@ -15,14 +15,14 @@ from clext import (
     build_fock_rep,
     classify,
     from_alpha,
-    interior_max_abs,
     sample_bfb_alpha,
     verify,
     verify_defining_relations,
     verify_projector_algebra,
 )
 from clext.cli import main
-from conftest import cli_in_guarded_child, digest
+from clext.fock import RELATIVE_TOL, per_state_rule
+from conftest import cli_in_guarded_child, digest, interior_max_abs
 
 WORKED = from_alpha(3, [1.0, -0.5, -0.5])
 
@@ -53,14 +53,16 @@ PROJECTOR_ORDER = (
 
 def interior_projector(dim, margin):
     """Dense 0/1 diagonal keeping basis states 0 .. dim-1-margin: the
-    projector whose sandwich ``interior_max_abs`` reduces."""
+    projector whose sandwich the dense oracle's ``interior_max_abs`` reduces,
+    and whose kept states :func:`clext.fock.per_state_rule` decides."""
     keep = np.zeros(dim)
     keep[: dim - margin] = 1.0
     return np.diag(keep)
 
 
 class TestInteriorProjector:
-    """``interior_max_abs`` against the dense interior projector sandwich."""
+    """The dense oracle's ``interior_max_abs``, and the states that
+    ``per_state_rule`` keeps, against the dense interior projector sandwich."""
 
     def test_zero_margin_is_identity(self):
         np.testing.assert_array_equal(interior_projector(6, 0), np.eye(6))
@@ -71,8 +73,8 @@ class TestInteriorProjector:
         proj = interior_projector(10, 2)
         assert np.trace(proj) == 8
         band = np.arange(10.0)  # a band or diagonal keeps its first dim - margin entries
-        assert interior_max_abs(band, 2) == 7.0
-        assert interior_max_abs(band, 2) == np.max(np.abs(proj @ np.diag(band) @ proj))
+        assert per_state_rule(band, 7.0, margin=2) == (7.0, 0.0, True)
+        assert interior_max_abs(np.diag(band), 2) == np.max(np.abs(proj @ np.diag(band) @ proj))
 
     def test_nesting(self):
         mat = np.random.default_rng(2).normal(size=(10, 10))
@@ -83,9 +85,9 @@ class TestInteriorProjector:
 
     def test_margin_too_large(self):
         with pytest.raises(MarginTooLargeError):
-            interior_max_abs(np.ones((5, 5)), 5)
+            per_state_rule(np.ones(5), 1e-12, margin=5)
         with pytest.raises(MarginTooLargeError):
-            interior_max_abs(np.ones(5), -1)
+            per_state_rule(np.ones(5), 1e-12, np.ones(5), -1)
 
     def test_max_abs_matches_projector_sandwich(self):
         rng = np.random.default_rng(3)
@@ -182,6 +184,37 @@ class TestDefiningRelations:
             assert row["pass"] == (row["residual"] <= data["tolerance"])
 
 
+class TestScaleFreeVerdicts:
+    """[a, adag] subtracts terms of the size of F(n), so its absolute residual
+    grows with the dim and the couplings; each state is decided at its
+    largest term, and a correct rep passes at any size of its numbers."""
+
+    @staticmethod
+    def failed(rep):
+        return [entry.relation for check in (verify_defining_relations, verify_projector_algebra)
+                for entry in check(rep).entries if not entry.passed]
+
+    def test_large_coupling_passes(self, capsys):
+        # the coupling sum of commutator_T rounds at the size of kappa
+        assert main(["verify", "--alpha", "5000,-5000,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["body"]["all_pass"] is True
+
+    @pytest.mark.parametrize("lam, dim", ((3, 100_000), (64, 100_000), (2, 6000)))
+    def test_plain_oscillator_passes_at_large_dim(self, lam, dim):
+        rep = build_fock_rep(from_alpha(lam, [0.0] * lam), dim)
+        assert verify_defining_relations(rep).entry("commutator_T").residual > 1e-12
+        assert self.failed(rep) == []
+
+    def test_small_tamper_fails_at_large_dim(self):
+        # negative control: a and adag scaled alike by 1 + 1e-9 at one state
+        # move [a, adag] there by 2e-9 F(n), far above RELATIVE_TOL of F(n)
+        rep = build_fock_rep(from_alpha(3, [0.0] * 3), 100_000)
+        a = rep.a.copy()
+        a[77_777] *= 1 + 1e-9
+        tampered = dataclasses.replace(rep, a=a, adag=a.copy())
+        assert self.failed(tampered) == ["commutator_T", "commutator_P"]
+
+
 class TestReportShape:
     """The CLI summary prints entries in report order, so the order is pinned."""
 
@@ -246,11 +279,10 @@ class TestReportShape:
         failed = {row["id"]: row["residual"]
                   for report in ("defining_relations", "projector_algebra")
                   for row in body[report]["relations"] if not row["pass"]}
-        # a known defect: the commutators' absolute tolerance fails correct
-        # reps at large dim, where [a, adag] - 1 rounds at the size of dim
-        # ulps; only those two may fail, by roundoff
-        assert set(failed) <= {"commutator_T", "commutator_P"}, failed
-        assert all(residual < 1e-13 * dim for residual in failed.values()), failed
+        # [a, adag] - 1 rounds at the size of dim ulps here, far above the
+        # absolute tolerance, and within RELATIVE_TOL of the state's terms
+        assert failed == {}, failed
+        assert proc.returncode == 0 and body["all_pass"] is True
 
     def test_lambda_64_verifies_at_dim_200000(self):
         # the reports hold one block of states at a time, so only the rep,
@@ -293,8 +325,8 @@ class TestReportEntries:
     # sha256 of json.dumps(report.to_dict()), both reports at tol 1e-16 (so
     # some entries fail): the worked spec at dim 30, and the exact rep of
     # alpha (0.5, -2.5, 2), whose F(2) = 0, at dim 2
-    TO_DICT = {30: ["f38acce7a3bf1d81", "82116d090782e3e6"],
-               2: ["b451b6e4290c4272", "3779aa01af473efa"]}
+    TO_DICT = {30: ["eae313d5617d5d71", "82116d090782e3e6"],
+               2: ["d6eece51383d18b7", "3779aa01af473efa"]}
 
     @pytest.mark.parametrize("dim", list(TO_DICT))
     def test_to_dict_is_unchanged(self, dim):
@@ -545,19 +577,36 @@ def _loop_checks(rep):
     return defining, algebra
 
 
+def loop_scales(rep):
+    """Each commutator's largest term per state, in the loop form: |a adag|,
+    |adag a| and 1, with max_m |kappa_m| for the T form and the coupling sum
+    |sum_m alpha_m P_m| for the P form."""
+    spec, a, adag = rep.spec, rep.a, rep.adag
+    ladder = np.maximum(np.maximum(np.abs(np.append(a[1:] * adag[1:], 0)), np.abs(adag * a)), 1.0)
+    coupling = sum(spec.alpha[m] * rep.P[m] for m in range(spec.lam))
+    return {"commutator_T": np.maximum(ladder, max(abs(k) for k in spec.kappa)),
+            "commutator_P": np.maximum(ladder, np.abs(coupling))}
+
+
 def loop_oracle(rep, tol=1e-12):
     """(relation, word_length, margin, residual, passed) per report entry,
     each residual the largest over its relation's differences.  The
     commutators' a adag is the one term that leaves the kept states, at the
-    top state, so they alone mask it (margin 1), unless the rep is exact."""
+    top state, so they alone mask it (margin 1), unless the rep is exact.
+    A state passes within ``tol``, or for a commutator within RELATIVE_TOL of
+    its largest term there (``loop_scales``)."""
     top = int(classify(rep.spec).dim != rep.dim)
+    scales = loop_scales(rep)
     reports = []
     for checks in _loop_checks(rep):
         entries = []
         for (relation, word), group in groupby(checks, key=itemgetter(0, 1)):
-            margin = top if relation in ("commutator_T", "commutator_P") else 0
-            residual = max(interior_max_abs(d, margin) for _, _, d in group)
-            entries.append((relation, word, margin, residual, residual <= tol))
+            margin = top if relation in scales else 0
+            kept = rep.dim - margin
+            size = np.max([np.abs(d[:kept]) for _, _, d in group], axis=0).astype(float)
+            bound = RELATIVE_TOL * scales[relation][:kept] if relation in scales else 0.0
+            passed = bool(np.all(size <= np.maximum(tol, bound)))
+            entries.append((relation, word, margin, float(size.max()), passed))
         reports.append(entries)
     return reports
 
@@ -599,6 +648,19 @@ class TestLoopOracle:
         t_gen[n] *= 1 + 1e-6
         for tampered in (dataclasses.replace(rep, P=proj), dataclasses.replace(rep, T=t_gen)):
             assert not all(r.all_pass for r in self.assert_matches(tampered))
+
+    def test_commutators_decided_at_their_scale(self):
+        # the commutators exceed tol here by roundoff alone, so both the
+        # library and the loop form decide them at their states' scales
+        rep = build_fock_rep(from_alpha(3, [5000.0, -5000.0, 0.0]), 36)
+        reports = self.assert_matches(rep)
+        assert reports[0].entry("commutator_T").residual > 1e-12
+        assert all(r.all_pass for r in reports)
+        a = rep.a.copy()
+        a[10] *= 1 + 1e-9  # F(10) = 5010, the largest term at states 9 and 10
+        failed = [e.relation for r in self.assert_matches(dataclasses.replace(rep, a=a, adag=a))
+                  for e in r.entries if not e.passed]
+        assert failed == ["commutator_T", "commutator_P"]
 
 
 def report_digest(rep) -> str:
@@ -667,8 +729,10 @@ def golden_reps(key):
 
 #: Digests of the reports (x86-64, numpy 2.4, where clongdouble is the 80-bit
 #: extended type), re-recorded when the margins came to mask only the top
-#: state of a adag (all but "finite", an exact rep, which has no margin);
-#: any change in arithmetic or order of evaluation shows up as a changed bit.
+#: state of a adag (all but "finite", an exact rep, which has no margin), and
+#: the multi-block ones again when the commutators came to be decided at each
+#: state's scale (only pass flags moved, each from fail to pass); any change
+#: in arithmetic or order of evaluation shows up as a changed bit.
 GOLDEN_REPORTS = {
     2: ["b645757f7725efa5", "257781fd425c3c1b", "61131bc2623a24b5",
         "eb8eca03294e3eb0", "9d8db9c724e68f4e", "4861ab2750c96d7a"],
@@ -684,20 +748,20 @@ GOLDEN_REPORTS = {
          "56f11834b0fa007e", "dc357feabca5d453", "43c3ba396b5d4224"],
     "finite": ["0c0915148f79df6c"],
     "tampered": ["3eae6314c76d7c9f"],
-    "blocks-2": ["30e78066c73c891f", "3a0964d9853a28c3"],
-    "blocks-3": ["f5f6a37fb727fed0", "d9d7f9c67b1b648b"],
-    "blocks-8": ["da27ff31a3068eb6", "201013072f1bfec3"],
-    "blocks-64": ["d006a6659cc89cbe", "b75ea424200b1029"],
-    "blocks-tampered": ["b1cffc9b2d71e1e9", "3001aa5572ebc460", "5d19f62fd38a7ca0",
-                        "573202deefc68ae6", "9111730e27b660ef", "69e8f566dff588d9",
-                        "cb21a8327fdc84c5", "b594102b8b866420", "b41f795fa68e55e4",
-                        "53242bae42abba2a", "6902709da5d72a03", "0d46539efa96fd64"],
+    "blocks-2": ["61666d903db0eaf5", "3a0964d9853a28c3"],
+    "blocks-3": ["3788b0a0aa83b02f", "d9d7f9c67b1b648b"],
+    "blocks-8": ["c0abd9a429a2b960", "201013072f1bfec3"],
+    "blocks-64": ["0ec15b0aee42ec8f", "b75ea424200b1029"],
+    "blocks-tampered": ["b1cffc9b2d71e1e9", "2422a64a1703d456", "fe414972a19c0313",
+                        "573202deefc68ae6", "1ddaea1fb689e44e", "7be36ed7c02659b6",
+                        "cb21a8327fdc84c5", "e7e49910a9af6102", "02558aa02f363bdd",
+                        "53242bae42abba2a", "4ec537ff8840752a", "df7426515fa54119"],
 }
 
 #: Digest of ``clext verify`` stdout for each argv, with its exit code.
 GOLDEN_CLI = {
     "--lambda 3 --alpha 1,-0.5,-0.5": ("d1bbcf5dde3f4c74", 0),
-    "--lambda 2 --alpha 0.3,-0.3 --dim 600 --tol 1e-14": ("3e9c42e95104545d", 1),
+    "--lambda 2 --alpha 0.3,-0.3 --dim 600 --tol 1e-14": ("e2aab8daa8d5701f", 0),
 }
 
 
@@ -727,6 +791,13 @@ class TestGoldenDigests:
         untampered = GOLDEN_REPORTS["blocks-64"][0]
         changed = [value != untampered for value in GOLDEN_REPORTS["blocks-tampered"]]
         assert changed == [True] * 12
+
+    def test_every_tampered_block_rep_fails(self):
+        # a re-recorded digest cannot hide a lost detection: each of the 12
+        # tampered lam-64 reps fails at least one relation
+        for rep in golden_reps("blocks-tampered"):
+            assert not (verify_defining_relations(rep).all_pass
+                        and verify_projector_algebra(rep).all_pass)
 
     @pytest.mark.parametrize("argv", list(GOLDEN_CLI))
     def test_cli_stdout(self, argv, capsys):
