@@ -246,7 +246,8 @@ def _merge_flag_values(argv) -> list[str]:
 def _held_bytes_per_entry(command: str) -> int:
     """Bytes that ``command`` holds at once per entry of a dim x dim matrix, at any lambda.
 
-    pssqm-check: the ``MULTILINEAR_DENSE_WORDS`` dense words of khare_check.
+    pssqm-check: the ``MULTILINEAR_DENSE_WORDS`` dense words of khare_check's
+    multilinear sum, two factors and their product, 96 bytes in long double complex.
     dump: one text line, almost always the 8 characters ``0.0,0.0\\n``, held
     at most three times (24 bytes per entry under tracemalloc): the text, its
     encoded bytes and a captured stream's buffer; a list slot and the text
@@ -257,11 +258,16 @@ def _held_bytes_per_entry(command: str) -> int:
     return 3 * len("0.0,0.0\n")
 
 
-def _held_bytes_per_row(command: str, lam: int) -> int:
+def _held_bytes_per_row(command: str, lam: int, fmt: str) -> int:
     """Bytes that ``command`` keeps per report row until the report is written:
     the row, its cleaned copy, its JSON text and the encoded output.  Measured
-    with tracemalloc, a bd-scan point took at most 1423 bytes and a
-    pssqm-check sample, whose alpha has lam entries, about 1470 + 180 lam."""
+    with tracemalloc, a bd-scan point took at most 1423 bytes, a pssqm-check
+    sample, whose alpha has lam entries, about 1470 + 180 lam, and a spectrum
+    level, the row of one state, at most 2942 bytes as JSON (whose indented
+    encoder keeps every token) and 545 as csv or tsv, at lam 2, 3 and 64 and
+    dims from 1e4 to 1e5 for JSON and to 350,000 for csv."""
+    if command == "spectrum":
+        return 3072 if fmt == "json" else 640
     return 1536 if command == "bd-scan" else 1536 + 192 * lam
 
 
@@ -351,9 +357,10 @@ def parse_config(argv) -> RunConfig:
         per_entry = _held_bytes_per_entry(command)
         _cap("dim", dim, math.isqrt(MAX_HELD_BYTES // per_entry), command, lam, per_entry,
              "matrix entry")
-    count_key = {"bd-scan": "scan_points", "pssqm-check": "samples"}.get(command)
+    count_key = {"bd-scan": "scan_points", "pssqm-check": "samples",
+                 "spectrum": "dim"}.get(command)
     if count_key and values[count_key] is not None:
-        per_row = _held_bytes_per_row(command, lam)
+        per_row = _held_bytes_per_row(command, lam, values["fmt"])
         _cap(count_key, values[count_key], MAX_HELD_BYTES // per_row, command, lam, per_row,
              "report row")
     tol = values["tol"] if values["tol"] is not None else DEFAULT_TOLS.get(command, DEFAULT_TOL)

@@ -25,7 +25,8 @@ truncation interior.  Q is a weighted shift, its +1 band q[n] = <n|Q|n-1>,
 and Q^n is the +n band of products of n consecutive q entries, so
 Q^{p+1} = 0, the nonvanishing of Q^n and [H, Q] = 0 are O(p dim) band
 arithmetic, and no dense matrix crosses the interface.  Only the multilinear
-sum still multiplies dense words: 2p products, each factor formed from its band.
+sum still multiplies dense words: 2p products, each factor formed from its band
+and each product cut to its one band at once, so at most three are held.
 
 The order-2 double-commutator variant ([Q, [Qd, Q]] = 2QH with Q^3 = 0) is
 compatible with the same shifted Hamiltonian only where alpha_{mu+2} = -1;
@@ -74,8 +75,8 @@ DEFAULT_SSQM_TOL = 1e-13
 CHECK_DTYPE = np.clongdouble
 
 #: Most dense dim x dim words :func:`khare_check` holds at once, in the charge's dtype:
-#: the running sum, the adjoint, a left product, a right factor and their product.
-MULTILINEAR_DENSE_WORDS = 5
+#: the two factors of one product and the product, whose band is all the sum keeps.
+MULTILINEAR_DENSE_WORDS = 3
 
 
 def default_eta(p: int) -> np.ndarray:
@@ -259,18 +260,27 @@ def _complete_levels(energies, lam: int) -> list[Cluster]:
 
 def _multilinear_lhs(bands: list, p: int) -> np.ndarray:
     """sum_k Q^(p-k) Qd Q^k, k = 0..p, as its one nonzero band, offset -(p - 1):
-    entry n is column n.  The 2p dense products of :func:`khare_check`, no
-    identity factor; each dense Q^m = np.diag(bands[m][m:], -m) is formed just
-    before its product, so at most ``MULTILINEAR_DENSE_WORDS`` are held at once."""
+    entry n is column n.  The 2p dense products of :func:`khare_check`, each term
+    (Q^(p-k) Qd) Q^k with no identity factor; each dense factor, Qd too, is formed
+    from its band just before its product, and each product is cut to its band,
+    which the sum adds in term order, so at most ``MULTILINEAR_DENSE_WORDS`` are
+    held at once: two factors and their product."""
 
     def power(m):
         return np.diag(bands[m][m:], -m)
-    adjoint = power(1).conj().T
-    lhs = power(p) @ adjoint
+
+    def adjoint():
+        return power(1).conj().T
+
+    def band(word):
+        return np.diagonal(word, -(p - 1))
+
+    # the first term's band starts the sum: a zero start would turn its -0 into +0
+    lhs = band(power(p) @ adjoint()).copy()
     for k in range(1, p):
-        lhs += power(p - k) @ adjoint @ power(k)
-    lhs += adjoint @ power(p)
-    return np.diagonal(lhs, -(p - 1))
+        lhs += band(power(p - k) @ adjoint() @ power(k))
+    lhs += band(adjoint() @ power(p))
+    return lhs
 
 
 def khare_check(

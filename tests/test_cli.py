@@ -18,7 +18,19 @@ from clext import (
     structure_function,
 )
 from clext.cli import main, parse_config
+from clext.pssqm import CHECK_DTYPE, MULTILINEAR_DENSE_WORDS
 from conftest import cli_in_guarded_child
+
+
+#: Bytes a pssqm-check entry holds, the multilinear sum's dense words, and the
+#: largest dim whose words fit the held-bytes budget.
+PSSQM_ENTRY_BYTES = MULTILINEAR_DENSE_WORDS * np.dtype(CHECK_DTYPE).itemsize
+PSSQM_DIM_CAP = math.isqrt(clext.cli.MAX_HELD_BYTES // PSSQM_ENTRY_BYTES)
+
+
+def pssqm_dim_message(lam, dim):
+    return (f"dim must be at most {PSSQM_DIM_CAP} for pssqm-check at lambda {lam}, which holds "
+            f"up to {PSSQM_ENTRY_BYTES} bytes per matrix entry within 1024 MiB, got {dim}")
 
 
 def run_cli(argv, capsys):
@@ -581,32 +593,41 @@ class TestClusterCut:
         assert err == (f"clext: error: dim must be at least 2 lam = {2 * lam}, where the ground "
                        f"and the first excited multiplet are complete for every mu, got {dim}\n")
 
-    @pytest.mark.parametrize("dim", [None, "979", "1025", "2590", "2602"])
+    @pytest.mark.parametrize(
+        "dim", [None, "979", "1025", "2590", "2602", str(PSSQM_DIM_CAP), str(PSSQM_DIM_CAP + 1)])
     def test_lambda_past_the_budget_gets_one_message(self, dim):
         # the lambda-51 message is gone: every dim within the held-bytes budget
         # parses (a dense check there takes minutes, so none runs), and a dim
         # past it gets the budget's one message
         argv = ["pssqm-check", "--p", "50", "--alpha", ",".join(["0"] * 51)]
         argv += ["--dim", dim] if dim else []
-        if dim == "2602":
+        if dim == str(PSSQM_DIM_CAP + 1):
             with pytest.raises(ValidationError) as raised:
                 parse_config(argv)
-            assert str(raised.value) == (
-                "dim must be at most 2590 for pssqm-check at lambda 51, which holds up to 160 "
-                "bytes per matrix entry within 1024 MiB, got 2602")
+            assert str(raised.value) == pssqm_dim_message(51, PSSQM_DIM_CAP + 1)
         else:
             assert parse_config(argv).dim == int(dim or 612)
 
     def test_lambda_31_keeps_its_dim_bounds(self):
-        # parsed only: a dense check at dim 2590 takes minutes; below the budget
-        # the library decides the floor
+        # parsed only: a dense check at the largest dim takes minutes; below the
+        # budget the library decides the floor
         argv = ["pssqm-check", "--p", "30", "--alpha", ",".join(["0"] * 31), "--dim"]
-        assert [parse_config(argv + [str(dim)]).dim for dim in (61, 961, 2590)] == [61, 961, 2590]
+        dims = (61, 961, PSSQM_DIM_CAP)
+        assert [parse_config(argv + [str(dim)]).dim for dim in dims] == list(dims)
         with pytest.raises(ValidationError) as raised:
-            parse_config(argv + ["2591"])
+            parse_config(argv + [str(PSSQM_DIM_CAP + 1)])
+        assert str(raised.value) == pssqm_dim_message(31, PSSQM_DIM_CAP + 1)
+
+    def test_three_words_give_dim_3344(self):
+        # 3 long double complex words, 96 bytes an entry within 1 GiB
+        assert (PSSQM_ENTRY_BYTES, PSSQM_DIM_CAP) == (96, 3344)
+        argv = ["pssqm-check", "--lambda", "3", "--alpha", "0,0,0", "--dim"]
+        assert parse_config(argv + ["3344"]).dim == 3344
+        with pytest.raises(ValidationError) as raised:
+            parse_config(argv + ["3345"])
         assert str(raised.value) == (
-            "dim must be at most 2590 for pssqm-check at lambda 31, which holds up to 160 "
-            "bytes per matrix entry within 1024 MiB, got 2591")
+            "dim must be at most 3344 for pssqm-check at lambda 3, which holds up to 96 "
+            "bytes per matrix entry within 1024 MiB, got 3345")
 
     def test_mu_out_of_range_is_reported_as_such(self, capsys):
         code, _, err = run_cli(
@@ -618,8 +639,8 @@ class TestClusterCut:
 
 class TestHeldBytesBudget:
     """pssqm-check holds dense dim x dim words and dump one text line per
-    entry, and bd-scan and pssqm-check --samples keep one report row per
-    point or draw, so a dim or a count past MAX_HELD_BYTES is a usage error,
+    entry, and bd-scan, pssqm-check --samples and spectrum keep one report
+    row per point, draw or level, so a dim or a count past MAX_HELD_BYTES is a usage error,
     raised before anything is allocated, that names the largest accepted
     value.  Any other allocation failure exits 2 with one line, never a
     traceback."""
@@ -629,10 +650,10 @@ class TestHeldBytesBudget:
          "dim must be at most 6688 for dump at lambda 2, which holds up to 24 bytes per "
          "matrix entry within 1024 MiB, got 200000"),
         (["pssqm-check", "--lambda", "3", "--alpha", "0,0,0", "--dim", "20000"],
-         "dim must be at most 2590 for pssqm-check at lambda 3, which holds up to 160 bytes "
-         "per matrix entry within 1024 MiB, got 20000"),
+         pssqm_dim_message(3, 20000)),
         (["spectrum", "--lambda", "2", "--alpha", "0,0", "--dim", "300000000"],
-         "out of memory (Unable to allocate "),
+         "dim must be at most 349525 for spectrum at lambda 2, which holds up to 3072 bytes "
+         "per report row within 1024 MiB, got 300000000"),
         (["verify", "--lambda", "2", "--alpha", "0,0", "--dim", "400000000"],
          "out of memory (Unable to allocate "),
     ])
@@ -675,6 +696,9 @@ class TestHeldBytesBudget:
         (["bd-scan"], "scan_points"),
         (["pssqm-check", "--p", "1"], "samples"),
         (["pssqm-check", "--p", "7", "--mu", "3"], "samples"),
+        (["spectrum", "--lambda", "2", "--alpha", "0,0"], "dim"),
+        (["spectrum", "--lambda", "64", "--alpha", ",".join(["0"] * 64), "--format", "csv"],
+         "dim"),
     ])
     def test_largest_count_is_accepted(self, argv, key):
         flag = "--" + key.replace("_", "-")
@@ -684,7 +708,8 @@ class TestHeldBytesBudget:
         assert getattr(parse_config([*argv, flag, str(largest)]), key) == largest
         with pytest.raises(ValidationError, match=f"at most {largest} .* got {largest + 1}$"):
             parse_config([*argv, flag, str(largest + 1)])
-        per_row = clext.cli._held_bytes_per_row(argv[0], parse_config([*argv, flag, "1"]).lam)
+        cfg = parse_config([*argv, flag, "1"])
+        per_row = clext.cli._held_bytes_per_row(argv[0], cfg.lam, cfg.fmt)
         assert largest * per_row <= clext.cli.MAX_HELD_BYTES < (largest + 1) * per_row
 
     @pytest.mark.parametrize("argv, key, count", [
@@ -693,12 +718,17 @@ class TestHeldBytesBudget:
           "--scan-to", "-0.9876543210987654"], "scan_points", 600),
         (["pssqm-check", "--p", "1", "--dim", "5"], "samples", 400),
         (["pssqm-check", "--p", "3", "--mu", "1", "--dim", "18"], "samples", 300),
+        # one nondegenerate level a row, the most clusters a dim can give
+        (["spectrum", "--lambda", "2", "--alpha", "0,0"], "dim", 10000),
+        (["spectrum", "--lambda", "64", "--alpha", ",".join(["0"] * 64), "--format", "csv"],
+         "dim", 10000),
     ])
     def test_row_budget_bounds_the_peak(self, capsys, argv, key, count):
         # what a run keeps beyond a one-row run of the same command, whose
         # peak is the fixed allowance, stays within the per-row estimate
         flag = "--" + key.replace("_", "-")
-        per_row = clext.cli._held_bytes_per_row(argv[0], parse_config([*argv, flag, "1"]).lam)
+        cfg = parse_config([*argv, flag, "1"])
+        per_row = clext.cli._held_bytes_per_row(argv[0], cfg.lam, cfg.fmt)
         peaks = []
         for rows in (1, 1, count):  # the first run loads what the command imports
             tracemalloc.start()

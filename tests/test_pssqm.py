@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 import json
 import time
 import tracemalloc
@@ -44,6 +45,7 @@ from clext import (
 )
 from clext.cli import main
 from clext.algebra import admits_bfb
+from clext.fock import lower_shift
 from clext.pssqm import CHECK_DTYPE, MULTILINEAR_DENSE_WORDS, RELATIVE_TOL
 from conftest import digest, interior_max_abs
 
@@ -560,7 +562,36 @@ class TestKhareCheck:
         finally:
             tracemalloc.stop()
         word = 200 * 200 * np.dtype(CHECK_DTYPE).itemsize
-        assert peak // word <= MULTILINEAR_DENSE_WORDS, peak / word
+        # from below too, so the constant that sizes the CLI budget holds no
+        # more words than the sum does
+        assert MULTILINEAR_DENSE_WORDS - 1 <= peak // word <= MULTILINEAR_DENSE_WORDS, peak / word
+
+    @pytest.mark.parametrize("lam", (2, 3, 4, 5, 6))
+    def test_multilinear_sum_is_the_band_of_the_dense_sum(self, lam):
+        # the oracle adds the 2p whole products (Q^(p-k) Qd) Q^k in term order and
+        # reads the band after; every entry matches, zero signs included (equal
+        # long doubles may differ in their padding bytes, so no tobytes)
+        p, rng = lam - 1, np.random.default_rng(50 + lam)
+        phases = default_eta(p) * np.exp(1j * rng.uniform(0, 2 * np.pi, p))
+        for mu, alpha, extra, eta in itertools.product(
+                range(lam), (np.zeros(lam), sample_bfb_alpha(lam, rng)), (0, 1), (None, phases)):
+            dim = 12 * lam + mu if extra else 2 * lam
+            rep = build_fock_rep(from_alpha(lam, alpha), dim, dtype=CHECK_DTYPE)
+            charge = build_supercharge(rep, mu, eta)
+            bands = [np.ones_like(charge), charge]
+            for m in range(2, p + 1):
+                bands.append(bands[-1] * lower_shift(charge, m - 1))
+            powers = [np.diag(band[m:], -m) for m, band in enumerate(bands)]
+            adjoint = powers[1].conj().T
+            dense = powers[p] @ adjoint
+            for k in range(1, p):
+                dense = dense + (powers[p - k] @ adjoint) @ powers[k]
+            dense = dense + adjoint @ powers[p]
+            expected = np.diagonal(dense, -(p - 1))
+            band = clext.pssqm._multilinear_lhs(bands, p)
+            for part in (np.real, np.imag):
+                assert np.array_equal(part(band), part(expected)), (mu, dim)
+                assert np.array_equal(np.signbit(part(band)), np.signbit(part(expected)))
 
 
 def counting_dense_factors(monkeypatch):
