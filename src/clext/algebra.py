@@ -266,21 +266,22 @@ def admits_bfb(alpha) -> bool:
     return _first_inadmissible(_sector_table(np.asarray(alpha, dtype=float))[2]) is None
 
 
-def sample_bfb_alpha(
-    lam: int,
-    rng: np.random.Generator,
-    low: float = -0.9,
-    high: float = 2.0,
-    max_tries: int = 10000,
-) -> np.ndarray:
+#: The box [low, high] each component of a drawn alpha is uniform in, before projection.
+_DRAW_BOX = (-0.9, 2.0)
+#: Draws :func:`sample_bfb_alpha` makes before it gives up.
+_MAX_DRAWS = 10000
+
+
+def sample_bfb_alpha(lam: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a random alpha admitting a bounded-from-below representation.
 
-    Components are uniform in [low, high], projected onto sum zero, and
-    rejected until every F(mu), mu = 1 .. lam-1, is strictly positive.
+    Components are uniform in ``_DRAW_BOX``, projected onto sum zero, and
+    rejected until every F(mu), mu = 1 .. lam-1, exceeds ``CONSTRAINT_TOL``;
+    RuntimeError after ``_MAX_DRAWS`` rejected draws.
     """
-    for _ in range(max_tries):
-        alpha = rng.uniform(low, high, lam)
+    for _ in range(_MAX_DRAWS):
+        alpha = rng.uniform(*_DRAW_BOX, lam)
         alpha -= alpha.mean()
         if admits_bfb(alpha):
             return alpha
-    raise RuntimeError(f"no bounded-from-below alpha found in {max_tries} draws")
+    raise RuntimeError(f"no bounded-from-below alpha found in {_MAX_DRAWS} draws")

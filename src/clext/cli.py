@@ -38,6 +38,7 @@ from .pssqm import (
     DEFAULT_PSSQM_TOL,
     DEFAULT_SSQM_TOL,
     MULTILINEAR_DENSE_WORDS,
+    NULL_ENERGY_TOL,
     bd_scan,
     ground_energy,
     solve_and_check,
@@ -573,9 +574,9 @@ def _cmd_pssqm_check(cfg: RunConfig) -> int:
         spec_i = from_alpha(cfg.lam, alpha)
         run = solve_and_check(spec_i, cfg.mu, dim=cfg.dim, eta=cfg.eta, tol=cfg.tol)
         energy = run.report.ground_energy
-        if energy > 1e-9:
+        if energy > NULL_ENERGY_TOL:
             signs["positive"] += 1
-        elif energy < -1e-9:
+        elif energy < -NULL_ENERGY_TOL:
             signs["negative"] += 1
         else:
             signs["null"] += 1

@@ -67,6 +67,8 @@ from .spectrum import Cluster, degeneracy_profile, report_dict, shifted_hamilton
 
 DEFAULT_PSSQM_TOL = 1e-10
 DEFAULT_SSQM_TOL = 1e-13
+#: |E| at or below which a solved ground energy counts as null (E = 0).
+NULL_ENERGY_TOL = 1e-9
 
 #: Matrix precision for relation checks.  Words of length p+1 at the
 #: default truncation reach entry magnitudes around 1e5, where plain double
@@ -437,53 +439,38 @@ def ground_energy(spec: AlgebraSpec, mu: int, eta=None) -> float:
     return np.minimum.reduce(_sector_energies(spec, mu, eta))
 
 
-def sample_ground_energies(
-    lam: int,
-    mu: int,
-    count: int = 100,
-    rng: np.random.Generator | None = None,
-    low: float = -0.9,
-    high: float = 2.0,
-):
+def sample_ground_energies(lam: int, mu: int, count: int, rng: np.random.Generator):
     """Ground energies of ``count`` random bounded-from-below draws."""
-    if rng is None:
-        rng = np.random.default_rng(42)
-    alphas = [sample_bfb_alpha(lam, rng, low, high) for _ in range(count)]
+    alphas = [sample_bfb_alpha(lam, rng) for _ in range(count)]
     energies = np.array([ground_energy(from_alpha(lam, a), mu) for a in alphas])
     return alphas, energies
 
 
-def find_null_ground_alpha(
-    lam: int,
-    mu: int,
-    rng: np.random.Generator,
-    low: float = -0.9,
-    high: float = 2.0,
-    energy_tol: float = 1e-9,
-    max_tries: int = 500,
-) -> np.ndarray:
+def find_null_ground_alpha(lam: int, mu: int, rng: np.random.Generator,
+                           max_tries: int = 500) -> np.ndarray:
     """An alpha with solved ground energy E = 0: the first of at most ``max_tries`` draws
-    with |E| <= ``energy_tol``, else the zero of E between the first negative and the first
-    positive draw.  E is the minimum of sector-bottom energies affine in alpha, so on that
-    segment it is concave and vanishes once, at the last root of a sector starting negative.
-    RuntimeError if no such pair is drawn or that zero is inadmissible or not null."""
+    with |E| <= ``NULL_ENERGY_TOL``, else the zero of E between the first negative and the
+    first positive draw.  E is the minimum of sector-bottom energies affine in alpha, so on
+    that segment it is concave and vanishes once, at the last root of a sector starting
+    negative.  RuntimeError if no such pair is drawn or that zero is inadmissible or not null."""
     found = {}  # the first draw of each sign of E, keyed by E > 0
     for _ in range(max_tries):
-        alpha = sample_bfb_alpha(lam, rng, low, high)
+        alpha = sample_bfb_alpha(lam, rng)
         energies = _sector_energies(from_alpha(lam, alpha), mu)
         energy = np.minimum.reduce(energies)
-        if abs(energy) <= energy_tol:
+        if abs(energy) <= NULL_ENERGY_TOL:
             return alpha
         found.setdefault(bool(energy > 0), (alpha, energies))
         if len(found) == 2:
             break
     else:
-        raise RuntimeError("no null-ground alpha found; widen the sampling box")
+        raise RuntimeError(f"no null-ground alpha found in {max_tries} draws")
     (negative, e0), (positive, e1) = found[False], found[True]
     crossing = max(a / (a - b) for a, b in zip(e0, e1) if a < 0)  # roots in (0, 1)
     candidate = (1 - crossing) * negative + crossing * positive
     candidate -= candidate.mean()  # restore exact sum zero after rounding
-    if admits_bfb(candidate) and abs(ground_energy(from_alpha(lam, candidate), mu)) <= energy_tol:
+    if admits_bfb(candidate) and (
+            abs(ground_energy(from_alpha(lam, candidate), mu)) <= NULL_ENERGY_TOL):
         return candidate
     raise RuntimeError("the sector-energy crossing is not a null-ground alpha")
 

@@ -191,11 +191,11 @@ def _scale(rep: TruncatedFockRep, lo: int, hi: int, relation: str) -> np.ndarray
     for the T form or |sum_m alpha_m P_m[n]| for the P form.  None for any other relation."""
     if relation not in ("commutator_T", "commutator_P"):
         return None
-    a, adag = rep.a[lo : hi + 1], rep.adag[lo : hi + 1]
-    ladder = np.maximum(np.abs(upper_shift(a * adag)[: hi - lo]), np.abs(adag * a)[: hi - lo])
+    ladder = rep.a[lo : hi + 1] * rep.adag[lo : hi + 1]  # = adag a: complex products commute
+    term = np.maximum(np.abs(upper_shift(ladder)[: hi - lo]), np.abs(ladder[: hi - lo]))
     coupling = (np.abs(rep.spec.kappa).max() if relation == "commutator_T"
                 else np.abs((rep.spec.alpha[:, None] * rep.P[:, lo:hi]).sum(axis=0)))
-    return np.maximum(np.maximum(ladder, coupling), 1.0)
+    return np.maximum(np.maximum(term, coupling), 1.0)
 
 
 def _defining_checks(rep: TruncatedFockRep, lo: int, hi: int):
@@ -207,15 +207,19 @@ def _defining_checks(rep: TruncatedFockRep, lo: int, hi: int):
     num_lo, t_lo, proj_lo = (lower_shift(values, 1, lo, hi) for values in (rep.num, rep.T, rep.P))
     q = np.exp(2j * np.pi / lam)
     t_powers = _t_powers(t_gen, lam + 1)  # row m: T^m
-    # [a, adag] is diagonal: (a adag)[n] = a[n+1] adag[n+1], zero past the top
-    commutator = upper_shift(rep.a[lo : hi + 1] * rep.adag[lo : hi + 1])[: hi - lo] - adag * a
+    # [a, adag] is diagonal: (a adag)[n] = a[n+1] adag[n+1], zero past the top, and
+    # (adag a)[n] = a[n] adag[n], as complex products commute exactly
+    ladder = rep.a[lo : hi + 1] * rep.adag[lo : hi + 1]
+    commutator = upper_shift(ladder)[: hi - lo] - ladder[: hi - lo]
 
     yield t_powers[lam] - 1.0  # t_cyclic
     # the coupling sums add the rows in order, T^1 (or P_0) first
     yield commutator - (1.0 + (spec.kappa[:, None] * t_powers[1:lam]).sum(axis=0))
-    # [N, x] +- x scales band entry n by n_row - n_col +- 1: integers, so exact
-    yield (num_lo - num + 1) * a  # number_lowering
-    yield (num - num_lo - 1) * adag  # number_raising
+    # [N, x] +- x scales band entry n by n_row - n_col +- 1: integers, so exact; the
+    # raising difference is -step * adag, and only its magnitude is kept
+    step = num_lo - num + 1
+    yield step * a  # number_lowering
+    yield step * adag  # number_raising
     yield num * t_gen - t_gen * num  # number_T_commutes
     yield a * t_gen - q * (t_lo * a)  # quommutation_a
     yield adag * t_lo - np.conj(q) * (t_gen * adag)  # quommutation_adag

@@ -316,6 +316,30 @@ class TestSampler:
             assert abs(alpha.sum()) < 1e-12
             assert classify(from_alpha(lam, alpha)).is_bounded_from_below
 
+    #: sample_bfb_alpha(lam, default_rng(lam)) as float.hex: a change of the
+    #: draw box or of the order of the draws moves them
+    DRAWS = {
+        2: ["-0x1.b610498fceeb0p-5", "0x1.b610498fceeb0p-5"],
+        3: ["-0x1.ad0068d817d39p-1", "-0x1.991d4ef384a14p-2", "0x1.3cc78828ed122p+0"],
+        4: ["0x1.d3fe97490fbb5p-1", "-0x1.5a12765a14634p-2", "0x1.02a2beb273892p+0",
+            "-0x1.961d6cc0764e1p+0"],
+        5: ["0x1.ce5ee374c147cp-1", "0x1.d2bb98e332208p-1", "0x1.020fca4b11f08p-4",
+            "-0x1.348a2fed7aeffp-1", "-0x1.466922d9ed5b1p+0"],
+        6: ["-0x1.00cd1b586f100p-7", "-0x1.2563eea6f5c40p-1", "-0x1.fe2d028ef36c0p-2",
+            "-0x1.ee0d6390b2460p-2", "0x1.4b8a28ea52bf6p+0", "0x1.10e0089f09b5cp-2"],
+        7: ["0x1.1db5bd2eee308p-2", "0x1.1172b8b546c90p+0", "0x1.6e7389e8238c7p-1",
+            "-0x1.c2e62ef72e187p-1", "-0x1.5399926417d8cp-1", "0x1.ffc3ef04d6913p-1",
+            "-0x1.84bc03c9dc6b3p+0"],
+        8: ["-0x1.5c6f504f9bbb9p-1", "0x1.3bfe21a2ca098p+0", "-0x1.68b38f1d8f8bep-1",
+            "0x1.50ea094cbeda9p-1", "0x1.c9b2f73d20f39p-1", "-0x1.fa7b275f00bb8p-2",
+            "-0x1.6f83333ce8c04p-2", "-0x1.1877371453dc2p-1"],
+    }
+
+    @pytest.mark.parametrize("lam", list(DRAWS))
+    def test_seeded_draws_are_pinned(self, lam):
+        alpha = sample_bfb_alpha(lam, np.random.default_rng(lam))
+        assert [float(value).hex() for value in alpha] == self.DRAWS[lam]
+
 
 class TestAdmitsBfb:
     """admits_bfb is classify's bounded-from-below verdict on a raw alpha."""

@@ -594,6 +594,47 @@ class TestKhareCheck:
                 assert np.array_equal(np.signbit(part(band)), np.signbit(part(expected)))
 
 
+def band_multilinear_oracle(bands, p):
+    """sum_k Q^(p-k) Qd Q^k, k = 0 .. p, read off the bands alone: column n of term k is
+    (Q^(p-k)[n+p-1] conj(q[n+k])) Q^k[n+k], with entries past the top 0, and the
+    terms are added in order from term 0, whose Q^0 factor is dropped, as is term p's."""
+    n = np.arange(len(bands[1]) - p + 1)
+
+    def at(band, index):
+        return np.concatenate((band, np.zeros(p + 1, band.dtype)))[index]
+
+    adjoint = np.conj(bands[1])
+    lhs = at(bands[p], n + p - 1) * at(adjoint, n)
+    for k in range(1, p):
+        lhs = lhs + (at(bands[p - k], n + p - 1) * at(adjoint, n + k)) * at(bands[k], n + k)
+    return lhs + at(adjoint, n + p) * at(bands[p], n + p)
+
+
+@pytest.mark.parametrize("lam", range(2, 9))
+def test_multilinear_sum_equals_its_band_oracle(lam, monkeypatch):
+    # the oracle reads the bands chain that khare_check passes to the sum; every
+    # entry matches, zero signs included, so the dense products can give way to it
+    calls = []
+    dense_sum = clext.pssqm._multilinear_lhs
+
+    def recorded(bands, p):
+        calls.append((bands, p, dense_sum(bands, p)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(clext.pssqm, "_multilinear_lhs", recorded)
+    rng = np.random.default_rng(80 + lam)
+    for alpha, mu, dim in itertools.product(
+            (np.zeros(lam), sample_bfb_alpha(lam, rng)), range(lam), (2 * lam, 6 * lam)):
+        solve_and_check(from_alpha(lam, alpha), mu, dim=dim)
+    assert len(calls) == 4 * lam
+    for bands, p, band in calls:
+        assert band.dtype == CHECK_DTYPE
+        expected = band_multilinear_oracle(bands, p)
+        for part in (np.real, np.imag):
+            assert np.array_equal(part(band), part(expected))
+            assert np.array_equal(np.signbit(part(band)), np.signbit(part(expected)))
+
+
 def counting_dense_factors(monkeypatch):
     """Patch np.diag, with which khare_check forms each dense factor, to return an
     array that records, in the returned list, each matrix product taken with it
@@ -824,6 +865,36 @@ class TestNullGroundSearch:
         energies = [ground_energy(from_alpha(lam, draw), mu) for draw in draws]
         assert min(energies) < -1e-9 and max(energies) > 1e-9
         assert abs(ground_energy(from_alpha(lam, alpha), mu)) <= 1e-12
+
+    #: find_null_ground_alpha(lam, mu, default_rng(23)) as float.hex: a change of
+    #: the draw box or of the null tolerance moves them
+    NULLS = {
+        (3, 0): ["0x1.25e4b5352ef52p-1", "0x1.b4369595a215cp-2", "-0x1.0000000000000p+0"],
+        (4, 1): ["-0x1.0c7580bb75abdp-3", "0x1.14c030cc1c516p-1", "-0x1.1d0ae0dcc2f7bp-2",
+                 "-0x1.0c7580bb75aa6p-3"],
+        (8, 3): ["0x1.1ab8e038a0cf8p-3", "0x1.8836c4d6fd9cfp-2", "-0x1.771c872ddf1fap-3",
+                 "0x1.613202cf12d10p-5", "-0x1.e9b4c33b42364p-1", "0x1.0436d4f9ef37cp-1",
+                 "-0x1.2614ec12eeeb6p-2", "0x1.6ae596df54197p-2"],
+    }
+
+    @pytest.mark.parametrize("lam, mu", list(NULLS))
+    def test_seeded_null_alphas_are_pinned(self, lam, mu):
+        alpha = find_null_ground_alpha(lam, mu, np.random.default_rng(23))
+        assert hexes(*alpha) == self.NULLS[lam, mu]
+
+    def test_no_pair_names_its_draw_count(self):
+        # the box is fixed, so the message gives the draws, not a box to widen
+        with pytest.raises(RuntimeError, match="^no null-ground alpha found in 7 draws$"):
+            find_null_ground_alpha(3, 1, np.random.default_rng(22), max_tries=7)
+
+
+def test_seeded_ground_energy_samples_are_pinned():
+    # each draw's alpha and ground energy as float.hex, one line a draw
+    alphas, energies = sample_ground_energies(3, 0, 25, np.random.default_rng(42))
+    lines = [" ".join(hexes(*alpha, energy)) for alpha, energy in zip(alphas, energies)]
+    assert lines[0] == ("0x1.efcbc52ad61f0p-3 -0x1.759301579cae9p-1 0x1.f3402019ce4d8p-2"
+                        " -0x1.7cd0080673934p-1")
+    assert digest(lines) == "84ba38ad603ddb20"
 
 
 class TestSsqm:

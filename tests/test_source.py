@@ -376,6 +376,18 @@ def test_spec_and_rep_builders_take_no_new_knobs():
         " -> 'TruncatedFockRep'")
 
 
+def test_samplers_take_no_box_cap_or_tolerance():
+    # the draw box, the draw cap and the null tolerance are module constants:
+    # no caller set them, so an option for each was a second code path
+    assert str(inspect.signature(clext.sample_bfb_alpha)) == (
+        "(lam: 'int', rng: 'np.random.Generator') -> 'np.ndarray'")
+    assert str(inspect.signature(clext.sample_ground_energies)) == (
+        "(lam: 'int', mu: 'int', count: 'int', rng: 'np.random.Generator')")
+    assert str(inspect.signature(clext.find_null_ground_alpha)) == (
+        "(lam: 'int', mu: 'int', rng: 'np.random.Generator', max_tries: 'int' = 500)"
+        " -> 'np.ndarray'")
+
+
 BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
