@@ -39,11 +39,16 @@ from .errors import (
 CONSTRAINT_TOL = 1e-12
 
 
-def require_finite(name: str, values: np.ndarray) -> None:
-    """Reject NaN and infinite entries, which every ``abs(x) > tol`` check
-    lets through (NaN compares false)."""
-    if not np.logical_and.reduce(np.isfinite(values), axis=None):  # all(), without its wrapper
-        raise NonFiniteError(f"{name} must be finite, got {values.tolist()}")
+def require_vector(name: str, values, dtype, size: int, error=LengthMismatchError) -> np.ndarray:
+    """``values`` as a new array of ``size`` entries of ``dtype``: ``error`` naming the shape
+    for any other shape, NonFiniteError for a NaN or infinite entry, which every
+    ``abs(x) > tol`` check lets through (NaN compares false)."""
+    array = np.array(values, dtype=dtype)
+    if array.shape != (size,):
+        raise error(f"{name} must have {size} entries, got {array.shape}")
+    if not np.logical_and.reduce(np.isfinite(array)):  # all(), without its wrapper
+        raise NonFiniteError(f"{name} must be finite, got {array.tolist()}")
+    return array
 
 
 def breaks_constraint(residual: float, *terms: np.ndarray) -> bool:
@@ -82,16 +87,8 @@ class AlgebraSpec:
             raise ValueError(f"cyclic order must be an integer >= 2, got {self.lam!r}")
         lam = int(self.lam)
         object.__setattr__(self, "lam", lam)
-        kappa = np.array(self.kappa, dtype=complex)  # copies, locked below
-        alpha = np.array(self.alpha, dtype=float)
-
-        if kappa.shape != (lam - 1,):
-            raise LengthMismatchError(f"kappa must have {lam - 1} entries, got {kappa.shape}")
-        if alpha.shape != (lam,):
-            raise LengthMismatchError(f"alpha must have {lam} entries, got {alpha.shape}")
-        require_finite("alpha", alpha)
-        require_finite("kappa", kappa)
-
+        alpha = require_vector("alpha", self.alpha, float, lam)  # copies, locked below
+        kappa = require_vector("kappa", self.kappa, complex, lam - 1)
         total = float(np.add.reduce(alpha))  # alpha.sum(), without its wrapper
         if breaks_constraint(abs(total), alpha):
             raise SumNotZeroError(f"alpha must sum to zero, got sum = {total!r}")
@@ -122,10 +119,7 @@ def from_kappa(lam: int, kappa) -> AlgebraSpec:
     The imaginary residue of the transform is checked through
     :func:`breaks_constraint` and then discarded.
     """
-    kappa = np.asarray(kappa, dtype=complex)
-    if kappa.shape != (lam - 1,):
-        raise LengthMismatchError(f"kappa must have {lam - 1} entries, got {kappa.shape}")
-    require_finite("kappa", kappa)
+    kappa = require_vector("kappa", kappa, complex, lam - 1)
     _check_conjugation(kappa)
     mu = np.arange(lam)[:, None]
     nu = np.arange(1, lam)[None, :]
@@ -165,9 +159,7 @@ def from_alpha(lam: int, alpha) -> AlgebraSpec:
     inverse Fourier sum kappa_nu = (1/lam) sum_mu exp(-2i pi mu nu / lam) alpha_mu
     then satisfies the conjugation constraint up to rounding at alpha's size.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (lam,):
-        raise LengthMismatchError(f"alpha must have {lam} entries, got {alpha.shape}")
+    alpha = require_vector("alpha", alpha, float, lam)
     with np.errstate(over="ignore", invalid="ignore"):  # AlgebraSpec rejects what is not finite
         kappa = np.add.reduce(phase_table(_inverse_phases, lam) * alpha, axis=1) / lam
     return AlgebraSpec(lam=lam, kappa=kappa, alpha=alpha)

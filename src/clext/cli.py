@@ -25,7 +25,6 @@ import os
 import stat
 import sys
 import tempfile
-from typing import Callable
 
 import numpy as np
 
@@ -58,40 +57,30 @@ DEFAULT_TOLS = {  # every other command takes verify's
 }
 
 
-def _parse_floats(text, name: str) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        try:
-            return [float(v) for v in text]
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{name}: expected numbers, got {text!r}") from exc
+#: What a value of each scalar kind, or an entry of a vector, may be: flag text, or
+#: a JSON value that the kind's converter takes without loss (never true, false or null).
+_SCALARS = {int: (str, int), float: (str, int, float), complex: (str, int, float), str: (str,)}
+
+
+def _scalar(kind: type, value, key: str):
     try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ParseError(f"{name}: could not parse {text!r} as comma-separated floats") from exc
+        if type(value) not in _SCALARS[kind]:
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{key}: invalid {kind.__name__} value: {value!r}") from None
 
 
-def _parse_complexes(text, name: str) -> list[complex]:
-    if isinstance(text, (list, tuple)):
-        out = []
-        for v in text:
-            if isinstance(v, (list, tuple)) and len(v) == 2:
-                out.append(complex(*_parse_floats(v, name)))
-            elif isinstance(v, (int, float, complex)):
-                out.append(complex(v))
-            else:
-                raise ParseError(f"{name}: expected number or [re, im] pair, got {v!r}")
-        return out
-    try:
-        return [complex(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ParseError(
-            f"{name}: could not parse {text!r}; use comma-separated values like 0.25+0.25j"
-        ) from exc
-
-
-#: What a config value of each scalar kind may be: flag text, or a JSON value
-#: that the kind's converter takes without loss.
-_SCALARS = {int: (str, int), float: (str, int, float), str: (str,)}
+def _vector(kind: type, value, key: str) -> list:
+    """Comma-separated text, a JSON list or one JSON entry, each entry a ``kind``
+    scalar; a complex entry may also be an ``[re, im]`` pair of float scalars."""
+    if type(value) is str:
+        value = [token for token in value.split(",") if token.strip()]
+    elif type(value) is not list:
+        value = [value]
+    return [complex(*(_scalar(float, part, key) for part in entry))
+            if kind is complex and type(entry) is list and len(entry) == 2
+            else _scalar(kind, entry, key) for entry in value]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,12 +88,13 @@ class _Param:
     """One parameter: config key ``key``, flag ``--key`` with dashes for underscores."""
 
     key: str
-    kind: Callable  # int, float or str; or a vector parser taking (value, key)
+    kind: type  # int, float, complex or str: of the value, or of each entry of a vector
     help: str
     commands: tuple[str, ...] | None = None  # None: every command
     default: object = None  # None: absent, or derived in parse_config
     choices: tuple[str, ...] = ()
     dest: str = ""  # the RunConfig field, when it is not the key
+    vector: bool = False  # comma-separated entries, or a JSON list
 
     @property
     def flag(self) -> str:
@@ -120,20 +110,20 @@ _PSSQM = ("pssqm-solve", "pssqm-check", "bd-scan")
 #: Every parameter, in the order the flags appear in each command's usage.
 _PARAMS = (
     _Param("lambda", int, "cyclic order (>= 2)", dest="lam"),
-    _Param("alpha", _parse_floats, "comma-separated sector couplings, sum zero"),
-    _Param("kappa", _parse_complexes, "comma-separated complex couplings kappa_1.."),
+    _Param("alpha", float, "comma-separated sector couplings, sum zero", vector=True),
+    _Param("kappa", complex, "comma-separated complex couplings kappa_1..", vector=True),
     _Param("dim", int, "truncation dimension (default 12*lambda)"),
     _Param("tol", float, "residual tolerance"),
     _Param("seed", int, "RNG seed for sampling", default=42),
     _Param("out", str, "write the report to this path (atomic)"),
-    _Param("format", str, "report format: csv/tsv for spectrum and bd-scan rows",
+    _Param("format", str, "report format (csv and tsv: spectrum and bd-scan rows)",
            default="json", choices=("json", "csv", "tsv"), dest="fmt"),
     _Param("p", int, "parasupersymmetry order (lambda = p + 1)", _PSSQM),
     _Param("mu", int, "distinguished sector index", _PSSQM, default=0),
-    _Param("eta", _parse_complexes, "supercharge coefficients (comma-separated complex)",
-           _PSSQM),
-    _Param("r", _parse_floats, "override the solved sector shifts (comma-separated)",
-           ("pssqm-check",)),
+    _Param("eta", complex, "supercharge coefficients (comma-separated complex)", _PSSQM,
+           vector=True),
+    _Param("r", float, "override the solved sector shifts (comma-separated)",
+           ("pssqm-check",), vector=True),
     _Param("samples", int, "check this many random admissible alpha draws instead",
            ("pssqm-check",)),
     _Param("variant", str, "which realization to check", ("ssqm",), default="both",
@@ -152,17 +142,11 @@ RunConfig = dataclasses.make_dataclass(
 
 
 def _convert(param: _Param, value):
-    """A flag's value or a config value, through the flag's converter and choices."""
-    if param.kind not in _SCALARS:
-        return param.kind(value, param.key)
-    try:
-        if type(value) not in _SCALARS[param.kind]:
-            raise TypeError
-        value = param.kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(
-            f"{param.key}: invalid {param.kind.__name__} value: {value!r}"
-        ) from None
+    """A flag's text or a config value, by the one rule of ``_SCALARS``, then the
+    param's finiteness and choices; a vector's length and finiteness are the library's."""
+    if param.vector:
+        return _vector(param.kind, value, param.key)
+    value = _scalar(param.kind, value, param.key)
     if param.kind is float and not math.isfinite(value):
         raise NonFiniteError(f"{param.key} must be finite, got {value!r}")
     if param.choices and value not in param.choices:
@@ -183,15 +167,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_flag(container, param: _Param) -> None:
         help_text = param.help
+        if param.choices:
+            help_text += f"; one of {', '.join(param.choices)}"
         if param.default is not None:
             help_text += f" (default {param.default})"
-        container.add_argument(
-            param.flag,
-            dest=param.field,
-            type=param.kind if param.kind in _SCALARS else None,
-            choices=param.choices or None,
-            help=help_text,
-        )
+        container.add_argument(param.flag, dest=param.field, help=help_text)
 
     # a flag that several commands take is built once, in a parent parser
     shared = {None: argparse.ArgumentParser(add_help=False),
@@ -423,7 +403,11 @@ def _write_atomic(path: str, text: str) -> None:
     except FileNotFoundError:
         os.umask(umask := os.umask(0))  # the umask is read only by setting it
         mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".clext-tmp-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".clext-tmp-")
+    except OSError as exc:
+        exc.filename = path  # the error names the report, not its random temporary name
+        raise
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             os.fchmod(fh.fileno(), mode)

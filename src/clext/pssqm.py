@@ -50,7 +50,7 @@ from .algebra import (
     breaks_constraint,
     energy_values,
     from_alpha,
-    require_finite,
+    require_vector,
     sample_bfb_alpha,
     structure_values,
 )
@@ -99,10 +99,7 @@ def _normalized_eta(lam: int, eta) -> np.ndarray:
     p = lam - 1
     if eta is None:
         return default_eta(p)
-    eta = np.asarray(eta, dtype=complex)
-    if eta.shape != (p,):
-        raise OrderMismatchError(f"eta must have p = lam - 1 = {p} entries, got {eta.shape}")
-    require_finite("eta", eta)
+    eta = require_vector("eta", eta, complex, p, OrderMismatchError)
     if np.any(np.abs(eta) == 0):
         raise ValueError("eta entries must be nonzero")
     return eta
@@ -182,9 +179,7 @@ class PssqmConfig:
         lam = self.spec.lam
         _check_mu(self.mu, lam)
         object.__setattr__(self, "eta", _normalized_eta(lam, self.eta))
-        object.__setattr__(self, "r", _given_r(self.r))
-        if self.r.shape != (lam,):
-            raise OrderMismatchError(f"r must have {lam} entries, got {self.r.shape}")
+        object.__setattr__(self, "r", require_vector("r", self.r, float, lam, OrderMismatchError))
         _eta_norms(self.p, self.eta)
         above = np.arange(1, lam + 1) % lam
         alpha = self.spec.alpha
@@ -193,13 +188,6 @@ class PssqmConfig:
         worst = float(np.abs(gaps).max())
         if breaks_constraint(worst, alpha, self.r):
             raise ValueError(f"sector shifts break the commutation recursion by {worst:.3e}")
-
-
-def _given_r(r) -> np.ndarray:
-    """Sector shifts given in place of the solved ones, as finite floats."""
-    r = np.asarray(r, dtype=float)
-    require_finite("r", r)
-    return r
 
 
 def solve_config(spec: AlgebraSpec, mu: int, eta=None) -> PssqmConfig:
@@ -297,8 +285,8 @@ def khare_check(
     relation without the top state, where its Qd Q^p errs (the truncation rule
     of :mod:`clext.fock`), and the nonvanishing of Q^n for n <= p (the smallest
     max-entry, which must stay positive).  ``charge`` is the +1 band q of
-    :func:`build_supercharge`, q[0] = 0 (else ValueError); ``hamiltonian`` holds
-    the energies h of H.  [H, Q] at state n is q[n] (h(n) - h(n-1)), and column n
+    :func:`build_supercharge`, q[0] = 0, and ``hamiltonian`` the dim energies h of H
+    (else ValueError).  [H, Q] at state n is q[n] (h(n) - h(n-1)), and column n
     of the multilinear relation prod_(j=1..p-1) q[n+j] (sum_k |q[n+k]|^2 - 2p h(n));
     each passes within ``tol`` or within RELATIVE_TOL of its scale, |q[n]|
     max(|h(n)|, |h(n-1)|, 1) and |prod| max(max_k |q[n+k]|^2, 2p max(|h(n)|, 1)).
@@ -309,6 +297,9 @@ def khare_check(
     if charge.shape != (rep.dim,) or charge[0] != 0:
         raise ValueError(f"charge must be a band of {rep.dim} entries with charge[0] = 0, "
                          f"as no state lies below |0>; got shape {charge.shape}")
+    if np.shape(hamiltonian) != (rep.dim,):
+        raise ValueError(f"hamiltonian must hold one energy per state, dim = {rep.dim}, "
+                         f"got shape {np.shape(hamiltonian)}")
     ground = _complete_levels(np.real(hamiltonian), p + 1)[0]
 
     # bands[m][n] = <n|Q^m|n-m> = bands[m-1][n] q[n-m+1], the dense chain's
@@ -419,7 +410,7 @@ def solve_and_check(
     lam = spec.lam
     eta = _normalized_eta(lam, eta)
     solved = solve_r(spec, mu, eta)
-    used = solved if r is None else _given_r(r)
+    used = solved if r is None else require_vector("r", r, float, lam)
     rep = build_fock_rep(spec, 10 * lam if dim is None else dim, dtype=CHECK_DTYPE)
     charge = build_supercharge(rep, mu, eta)
     hamiltonian = shifted_hamiltonian(rep, used)
@@ -575,7 +566,7 @@ def beckers_debergh_check(
             f"double-commutator variant is order 2 only (lam = 3), got lam = {rep.spec.lam}"
         )
     _check_bd_dim(rep.dim)
-    shifts = solve_r(rep.spec, mu, eta) if r is None else _given_r(r)
+    shifts = solve_r(rep.spec, mu, eta) if r is None else require_vector("r", r, float, 3)
     q = build_supercharge(rep, mu, eta)
     hamiltonian = shifted_hamiltonian(rep, shifts)
     q_up = upper_shift(q)
@@ -612,9 +603,7 @@ def bd_scan(
     carry residual None.
     """
     _check_mu(mu, 3)
-    base_alpha = np.asarray(base_alpha, dtype=float)
-    if base_alpha.shape != (3,):
-        raise WrongOrderError(f"scan needs a 3-component alpha, got {base_alpha.shape}")
+    base_alpha = require_vector("base_alpha", base_alpha, float, 3, WrongOrderError)
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     index = (mu + 2) % 3

@@ -7,8 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import energy_values
-from .errors import LengthMismatchError
+from .algebra import energy_values, require_vector
 from .fock import TruncatedFockRep
 
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -32,9 +31,7 @@ def shifted_hamiltonian(rep: TruncatedFockRep, shifts) -> np.ndarray:
     to every shift moves all energies by half that constant.
     """
     lam = rep.spec.lam
-    shifts = np.asarray(shifts, dtype=float)
-    if shifts.shape != (lam,):
-        raise LengthMismatchError(f"expected {lam} sector shifts, got {shifts.shape}")
+    shifts = require_vector("shifts", shifts, float, lam)
     energies = hamiltonian_h0(rep)
     return energies + shifts.astype(energies.dtype)[np.arange(rep.dim) % lam] / 2
 

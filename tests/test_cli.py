@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import clext.cli
+import clext.pssqm
 from clext import (
     ValidationError,
     build_fock_rep,
     energy_level,
     from_alpha,
     ladder_matrices,
+    sample_bfb_alpha,
     solve_r,
     structure_function,
 )
@@ -108,6 +110,22 @@ class TestVerifyCommand:
         assert code == 2
 
 
+#: JSON's true, false and null as a vector entry and inside an [re, im] pair of a
+#: complex vector, each with the line that rejects it.
+NOT_NUMBERS = [
+    (argv, {key: entries}, f"{key}: invalid {kind} value: {bad!r}")
+    for bad in (True, False, None)
+    for key, argv, entries, kind in (
+        ("alpha", ["verify"], [bad, -0.5, -0.5], "float"),
+        ("kappa", ["verify", "--lambda", "3"], [bad, [0.25, -0.25]], "complex"),
+        ("kappa", ["verify", "--lambda", "3"], [[0.25, bad], [0.25, -0.25]], "float"),
+        ("eta", ["pssqm-solve", "--alpha", "1,-0.5,-0.5"], [bad, 1], "complex"),
+        ("eta", ["pssqm-solve", "--alpha", "1,-0.5,-0.5"], [[bad, 0], 1], "float"),
+        ("r", ["pssqm-check", "--alpha", "1,-0.5,-0.5"], [-2.4, bad, 0], "float"),
+    )
+]
+
+
 class TestConfigFile:
     def test_config_supplies_values(self, capsys, tmp_path):
         path = tmp_path / "run.json"
@@ -161,8 +179,11 @@ class TestConfigFile:
             (["spectrum", "--alpha", "0,0"], {"format": "xml"}),
             (["verify", "--alpha", "0,0"], {"lambda": 2.7}),
             (["verify", "--alpha", "0,0"], {"dim": 30.9}),
+            *((argv, config) for argv, config, _ in NOT_NUMBERS),
         ],
-        ids=["seed", "mu", "out", "scan_points", "matrix", "format", "lambda", "dim"],
+        ids=["seed", "mu", "out", "scan_points", "matrix", "format", "lambda", "dim",
+             *(f"{key}-{json.dumps(value)}" for _, config, _ in NOT_NUMBERS
+               for key, value in config.items())],
     )
     def test_value_meets_the_flag_converter(self, capsys, tmp_path, argv, config):
         path = tmp_path / "run.json"
@@ -252,6 +273,123 @@ class TestConfigFlagParity:
             runs.append((code, out, err, written))
         assert runs[0] == runs[1]
         assert runs[0][0] in (0, 1), runs[0][2]
+
+
+class TestOneConverter:
+    """argparse only splits argv: every flag text and every config value meets one
+    converter, so a bad value prints the same one line whichever way it was given."""
+
+    #: key -> (a run whose one fault is the key's value, that value as text, its line)
+    BAD = {
+        "lambda": (["verify", "--alpha", W3], "x", "lambda: invalid int value: 'x'"),
+        "alpha": (["verify"], "1,x,0", "alpha: invalid float value: 'x'"),
+        "kappa": (["verify", "--lambda", "3"], "0.25+0.25j,y",
+                  "kappa: invalid complex value: 'y'"),
+        "dim": (["verify", "--alpha", W3], "1.5", "dim: invalid int value: '1.5'"),
+        "tol": (["verify", "--alpha", W3], "1e-9x", "tol: invalid float value: '1e-9x'"),
+        "seed": (["verify", "--alpha", W3], "x", "seed: invalid int value: 'x'"),
+        "out": (["verify", "--alpha", W3], "{tmp}/missing/report.json",
+                "i/o error: [Errno 2] No such file or directory: '{tmp}/missing/report.json'"),
+        "format": (["spectrum", "--alpha", W3], "xml",
+                   "format: invalid choice: 'xml' (choose from 'json', 'csv', 'tsv')"),
+        "p": (["pssqm-solve", "--alpha", W3], "two", "p: invalid int value: 'two'"),
+        "mu": (["pssqm-solve", "--alpha", W3], "0.5", "mu: invalid int value: '0.5'"),
+        "eta": (["pssqm-solve", "--alpha", W3], "1,x", "eta: invalid complex value: 'x'"),
+        "r": (["pssqm-check", "--alpha", W3], "x,1,0", "r: invalid float value: 'x'"),
+        "samples": (["pssqm-check", "--lambda", "3"], "x", "samples: invalid int value: 'x'"),
+        "variant": (["ssqm", "--alpha", "0.4,-0.4"], "neither",
+                    "variant: invalid choice: 'neither' (choose from 'unbroken', 'broken', "
+                    "'both')"),
+        "scan_from": (["bd-scan"], "x", "scan_from: invalid float value: 'x'"),
+        "scan_to": (["bd-scan"], "-", "scan_to: invalid float value: '-'"),
+        "scan_points": (["bd-scan"], "41.0", "scan_points: invalid int value: '41.0'"),
+        "matrix": (["dump", "--alpha", W3, "--dim", "4"], "z",
+                   "unknown matrix 'z'; choose from ['a', 'adag', 'num', 'p0', 'p1', 'p2', 't']"),
+    }
+
+    def test_every_parameter_has_a_bad_value(self):
+        assert set(self.BAD) == {param.key for param in clext.cli._PARAMS}
+
+    @pytest.mark.parametrize("key", list(BAD))
+    def test_flag_text_and_config_text_give_one_line(self, capsys, tmp_path, key):
+        argv, text, line = self.BAD[key]
+        tmp = os.path.realpath(tmp_path)
+        text = text.format(tmp=tmp)
+        if not line.startswith("i/o error"):
+            line = "error: " + line
+        expected = (2, "", f"clext: {line.format(tmp=tmp)}\n")
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: text}))
+        assert run_cli([*argv, "--" + key.replace("_", "-"), text], capsys) == expected
+        assert run_cli([*argv, "--config", str(path)], capsys) == expected
+
+    @pytest.mark.parametrize("argv, config, line", NOT_NUMBERS,
+                             ids=[line for _, _, line in NOT_NUMBERS])
+    def test_true_false_and_null_are_no_entries(self, capsys, tmp_path, argv, config, line):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert run_cli([*argv, "--config", str(path)], capsys) == (2, "", f"clext: error: {line}\n")
+
+    @pytest.mark.parametrize("key, text, entries", [
+        ("alpha", W3, ["1", -0.5, "-0.5"]),
+        ("kappa", "0.25+0.25j,0.25-0.25j", ["0.25+0.25j", [0.25, "-0.25"]]),
+        ("kappa", "0.25+0.25j,0.25-0.25j", "0.25+0.25j,0.25-0.25j"),
+    ])
+    def test_an_entry_may_be_its_text(self, capsys, tmp_path, key, text, entries):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: entries}))
+        flagged = run_cli(["verify", "--lambda", "3", f"--{key}", text], capsys)
+        assert flagged[0] == 0
+        assert run_cli(["verify", "--lambda", "3", "--config", str(path)], capsys) == flagged
+
+
+@pytest.mark.parametrize("command, flag, choices", [
+    *((command, "--format", "json, csv, tsv") for command in TAKES),
+    ("ssqm", "--variant", "unbroken, broken, both"),
+])
+def test_help_names_the_choices(capsys, command, flag, choices):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = " ".join(capsys.readouterr().out.split())  # argparse wraps the help text
+    assert flag in usage and f"one of {choices}" in usage
+
+
+class TestUsageErrors:
+    """parse_config's own rules and the config loader: each exits 2 with one line."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["verify", "--alpha", W3, "--dim", "0"], "dim must be >= 1, got 0"),
+        (["verify", "--lambda", "1", "--alpha", "0"], "lambda must be >= 2, got 1"),
+        (["verify"], "cyclic order unknown: give --lambda (or --alpha/--kappa/--p)"),
+    ])
+    def test_rule(self, capsys, argv, line):
+        assert run_cli(argv, capsys) == (2, "", f"clext: error: {line}\n")
+
+    def test_config_that_cannot_be_read(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        assert run_cli(["verify", "--alpha", W3, "--config", str(path)], capsys) == (
+            2, "", f"clext: error: cannot read config file {path}: [Errno 2] No such file or "
+                   f"directory: '{path}'\n")
+
+    def test_config_that_holds_a_list(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps([{"dim": 15}]))
+        assert run_cli(["verify", "--alpha", W3, "--config", str(path)], capsys) == (
+            2, "", f"clext: error: config file {path} must hold a JSON object\n")
+
+    def test_failed_replace_leaves_the_target_and_no_temporary(self, capsys, tmp_path,
+                                                              monkeypatch):
+        target = tmp_path / "report.json"
+        target.write_text("old report\n")
+
+        def replace(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+        monkeypatch.setattr(clext.cli.os, "replace", replace)
+        assert run_cli(["classify", "--alpha", W3, "--out", str(target)], capsys) == (
+            2, "", f"clext: i/o error: [Errno 13] Permission denied: '{target}'\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+        assert target.read_text() == "old report\n"
 
 
 @pytest.mark.parametrize("command", list(TAKES))
@@ -859,6 +997,38 @@ class TestBdScanCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "parameter,residual"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("tol", ["1e-10", "1e-14"])
+    @pytest.mark.parametrize("mu", [0, 1, 2])
+    def test_compatible_parameters_are_the_library_verdicts(self, capsys, monkeypatch, mu, tol):
+        # the CLI lists the points whose beckers_debergh_check reports bd_compatible,
+        # on three seeded draws and the default alpha 0, each scanned through -1
+        verdicts = []
+        check = clext.pssqm.beckers_debergh_check
+
+        def recorded(*args, **kwargs):
+            report = check(*args, **kwargs)
+            verdicts.append(report.bd_compatible)
+            return report
+        monkeypatch.setattr(clext.pssqm, "beckers_debergh_check", recorded)
+        rng = np.random.default_rng(100 + mu)
+        draws = [["--alpha", ",".join(map(repr, sample_bfb_alpha(3, rng).tolist()))]
+                 for _ in range(3)]
+        listed = []
+        for alpha in [*draws, []]:
+            verdicts.clear()
+            code, out, err = run_cli(["bd-scan", "--mu", str(mu), "--tol", tol,
+                                      "--scan-points", "9", *alpha], capsys)
+            assert code == 0, err
+            body = json.loads(out)["body"]
+            checked = [row["parameter"] for row in body["rows"] if row["bfb"]]
+            assert len(verdicts) == len(checked)
+            assert body["compatible_parameters"] == [
+                t for t, compatible in zip(checked, verdicts) if compatible]
+            listed += body["compatible_parameters"]
+        # alpha_(mu+2) = -1 passes at 1e-10, except at mu = 1, where alpha_0 = -1 gives
+        # F(1) = 0 and no bounded-from-below point, and fails at 1e-14
+        assert (-1.0 in listed) == (tol == "1e-10" and mu != 1)
 
     def test_requires_order_two(self, capsys):
         code, _, err = run_cli(

@@ -137,6 +137,30 @@ def test_cli_expands_no_band_into_a_matrix():
     assert "ladder_matrices" not in source
 
 
+def test_argparse_only_splits_argv():
+    # every flag text meets cli._convert, as every config value does, so a bad
+    # value gets the same one-line report whichever way it was given
+    calls = [node for node in ast.walk(_source("cli.py")) if _call_name(node) == "add_argument"]
+    assert calls
+    assert [(node.lineno, keyword.arg) for node in calls for keyword in node.keywords
+            if keyword.arg in ("type", "choices")] == []
+
+
+def test_one_vector_check():
+    # each door of the library checks a parameter vector's length and entries
+    # through algebra.require_vector, which alone tests finiteness
+    finite = [(path.name, owner) for path in SOURCES
+              for owner, _ in _numpy_calls(ast.parse(path.read_text(encoding="utf-8")),
+                                           {"isfinite"})]
+    assert finite == [("algebra.py", "require_vector")]
+    doors = (clext.AlgebraSpec.__post_init__, clext.from_alpha, clext.from_kappa,
+             clext.pssqm._normalized_eta, clext.PssqmConfig.__post_init__,
+             clext.solve_and_check, clext.beckers_debergh_check, clext.bd_scan,
+             clext.shifted_hamiltonian)
+    assert [door.__qualname__ for door in doors
+            if "require_vector(" not in inspect.getsource(door)] == []
+
+
 def test_matrix_product_scan_sees_every_form():
     snippets = ("a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "numpy.matmul(a, b)",
                 "np.einsum('ij,jk', a, b)", "np.tensordot(a, b)", "np.inner(a, b)",
